@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError
-from .profiles import LINEAR, SINE
+from .profiles import DOUBLED_SPHERE, LINEAR, SINE
 
 POLE_TOL = 1e-6
 
@@ -56,10 +56,45 @@ class CurvatureSample:
 assert tuple(f.name for f in fields(CurvatureSample)) == CSV_COLUMNS
 
 
-def _pole_segment(m, at_far_pole):
-    """The analytic cap segment governing the pole limit, or None."""
-    seg = m.phi.segments[0]
-    return seg if seg.kind in (SINE, LINEAR) else None
+def _pick(cond, a, b):
+    """:func:`numpy.where` for one point."""
+    return a if cond else b
+
+
+def _sectional(m, r, phi, dphi, ddphi, where=np.where):
+    """sec_rad = -phi''/phi and sec_tan = (1 - phi'^2)/phi^2, with the pole rule.
+
+    The one curvature kernel: elementwise on arrays with ``where=np.where``,
+    or on one float radius in float arithmetic with ``where=_pick``.  Returns
+    ``(sec_rad, sec_tan, at_pole)``.
+
+    * Within POLE_TOL of a pole the 0/0 ratios take the limit of the analytic
+      cap (1 on a SINE cap, 0 on a LINEAR cap); a non-analytic pole raises
+      DomainError.
+    * On a SINE cap phi = sin r, so 1 - phi'^2 = phi^2 and sec_tan is exactly
+      1; the quotient would lose every digit to cancellation as phi -> 0.
+    """
+    R = m.r_max
+    pole_dist = where(R - r < r, R - r, r) if m.topology == DOUBLED_SPHERE else r
+    at_pole = pole_dist < POLE_TOL
+    cap = m.phi.segments[0]
+    if cap.kind not in (SINE, LINEAR) and np.any(at_pole):
+        raise DomainError("curvature at a non-analytic pole")
+    safe_phi = where(at_pole, 1.0, phi)
+    sec_rad = -ddphi / safe_phi
+    sec_tan = (1.0 - dphi * dphi) / (safe_phi * safe_phi)
+    if cap.kind == SINE:
+        sec_rad = where(at_pole, 1.0, sec_rad)
+        sec_tan = where(pole_dist < cap.hi, 1.0, sec_tan)
+    elif cap.kind == LINEAR:
+        sec_rad = where(at_pole, 0.0, sec_rad)
+        sec_tan = where(at_pole, 0.0, sec_tan)
+    return sec_rad, sec_tan, at_pole
+
+
+def ricci_eigenvalues(n, sec_rad, sec_tan):
+    """(ric_rr, ric_tt): Ricci in the radial and in a tangential direction."""
+    return (n - 1) * sec_rad, sec_rad + (n - 2) * sec_tan
 
 
 def curvature_table(m, r):
@@ -79,27 +114,11 @@ def curvature_table(m, r):
     df = m.f.eval(r, 1)
     ddf = m.f.eval(r, 2)
 
-    # distance to the nearest pole of the profile
-    pole_dist = np.minimum(r, m.r_max - r) if m.topology == "DOUBLED_SPHERE" else r
-    at_pole = pole_dist < POLE_TOL
-    if np.any(at_pole):
-        seg = _pole_segment(m, False)
-        if seg is None:
-            raise DomainError("curvature at a non-analytic pole")
-        sec_rad_pole = 1.0 if seg.kind == SINE else 0.0
-        sec_tan_pole = sec_rad_pole
+    sec_rad, sec_tan, at_pole = _sectional(m, r, phi, dphi, ddphi)
+    # f' phi'/phi, limit f'' at the pole
+    ratio = np.where(at_pole, ddf, df * dphi / np.where(at_pole, 1.0, phi))
 
-    safe_phi = np.where(at_pole, 1.0, phi)
-    sec_rad = -ddphi / safe_phi
-    sec_tan = (1.0 - dphi**2) / safe_phi**2
-    ratio = df * dphi / safe_phi          # f' phi'/phi, limit f'' at the pole
-    if np.any(at_pole):
-        sec_rad = np.where(at_pole, sec_rad_pole, sec_rad)
-        sec_tan = np.where(at_pole, sec_tan_pole, sec_tan)
-        ratio = np.where(at_pole, ddf, ratio)
-
-    ric_rr = (n - 1) * sec_rad
-    ric_tt = sec_rad + (n - 2) * sec_tan
+    ric_rr, ric_tt = ricci_eigenvalues(n, sec_rad, sec_tan)
     bakry_rr = ric_rr + ddf
     bakry_tt = ric_tt + ratio
     wsec_rT = sec_rad + s * ddf
@@ -116,6 +135,22 @@ def curvature_table(m, r):
         "wsec_rT": wsec_rT, "wsec_Tr": wsec_Tr, "wsec_TT": wsec_TT,
         "xnorm": xnorm,
     }
+
+
+def sectional_fn(m):
+    """Closure r -> (sec_rad, sec_tan) at one float radius, in float arithmetic.
+
+    Built for ODE right-hand sides: the same kernel as :func:`curvature_table`
+    without its 17 array columns.  No domain check: the caller guarantees
+    0 <= r <= r_max.
+    """
+    phi, dphi, ddphi = (m.phi.scalar_fn(order) for order in (0, 1, 2))
+
+    def sec(r):
+        sec_rad, sec_tan, _ = _sectional(m, r, phi(r), dphi(r), ddphi(r), _pick)
+        return sec_rad, sec_tan
+
+    return sec
 
 
 def curvature_sample(m, r):

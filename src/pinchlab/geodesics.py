@@ -93,7 +93,22 @@ def _meridian_state_fn(m, r0, d0, theta0):
     R = m.r_max
     doubled = m.topology == DOUBLED_SPHERE
 
+    def point(t):
+        """(r, rdot, theta, thetadot) at one float t, in float arithmetic."""
+        x = r0 + d0 * t
+        if doubled:
+            y = x % (2.0 * R)
+            up = y <= R
+            bounces = abs(math.floor(x / R) - math.floor(r0 / R)) if d0 > 0 \
+                else abs(math.ceil(x / R) - math.ceil(r0 / R))
+            return (y if up else 2.0 * R - y, d0 if up else -d0,
+                    theta0 + math.pi * bounces, 0.0)
+        up = x >= 0
+        return abs(x), d0 if up else -d0, theta0 + math.pi * (not up), 0.0
+
     def state(t):
+        if isinstance(t, float):
+            return point(float(t))
         x = r0 + d0 * np.asarray(t, dtype=float)
         if doubled:
             y = np.mod(x, 2.0 * R)
@@ -115,14 +130,16 @@ def _meridian_state_fn(m, r0, d0, theta0):
 def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
     """Integrate the geodesic launched from radius ``r0`` at angle ``alpha``
     (measured from the outward radial direction) for arclength ``T``."""
-    if T <= 0:
-        raise DomainError("arclength must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise DomainError("arclength must be finite and positive")
+    if not math.isfinite(alpha):
+        raise DomainError("launch angle must be finite")
     sa, ca = math.sin(alpha), math.cos(alpha)
     if abs(sa) < 1e-15:
         sa = 0.0
     if r0 < _POLE and sa != 0.0:
         raise DomainError("non-meridian launch from the pole")
-    if r0 < 0 or r0 > m.r_max + 1e-12:
+    if not 0 <= r0 <= m.r_max + 1e-12:
         raise DomainError("launch radius outside the manifold domain")
 
     ts = np.linspace(0.0, T, n_samples)
@@ -654,7 +671,8 @@ def inj_at_pole(m, tol=1e-8):
         return float(m.phi(t)) if t <= R else -float(m.phi(2.0 * R - t))
 
     grid = np.linspace(1e-6, R + 0.25, 4097)
-    vals = np.array([h(t) for t in grid])
+    near = grid <= R
+    vals = np.where(near, 1.0, -1.0) * m.phi.eval(np.where(near, grid, 2.0 * R - grid))
     neg = np.nonzero(vals <= 0)[0]
     if not neg.size:
         raise SearchError("no conjugate point found along the meridian")

@@ -17,9 +17,11 @@ The builtin models are
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +96,7 @@ class SegmentSpec:
 
     def _eval_band(self, r, order):
         s = np.asarray(r, dtype=float) - self.lo
-        offs, d2s, d1s, d0s = self._band_cums()
+        offs, d2s, d1s, d0s = self._band_cums
         idx = np.clip(np.searchsorted(offs, s, side="right") - 1, 0, len(offs) - 2)
         o0, o1 = offs[idx], offs[idx + 1]
         a, b = d2s[idx], d2s[idx + 1]
@@ -108,7 +110,31 @@ class SegmentSpec:
             return d1
         return d0s[idx] + d1s[idx] * ds + 0.5 * a * ds**2 + slope * ds**3 / 6.0
 
+    def _band_scalar(self, order):
+        """Closure evaluating the band at one float radius; same formulas as
+        :meth:`_eval_band` on the same cumulative table."""
+        offs, d2s, d1s, d0s = (v.tolist() for v in self._band_cums)
+        widths = [o1 - o0 for o0, o1 in zip(offs, offs[1:])]
+        slopes = [(b - a) / w if w > 0 else 0.0 for a, b, w in zip(d2s, d2s[1:], widths)]
+        lo, last, bl = self.lo, len(offs) - 2, bisect.bisect_right
+
+        def fn(x):
+            s = x - lo
+            i = min(max(bl(offs, s) - 1, 0), last)
+            ds = s - offs[i]
+            if order == 2:
+                return d2s[i] + slopes[i] * ds
+            if order == 1:
+                return d1s[i] + d2s[i] * ds + 0.5 * slopes[i] * (ds * ds)
+            return (d0s[i] + d1s[i] * ds + 0.5 * d2s[i] * (ds * ds)
+                    + slopes[i] * ds**3 / 6.0)
+
+        return fn
+
+    @cached_property
     def _band_cums(self):
+        """Node offsets, second derivatives, and the slope and value that exact
+        integration gives at each node; computed once per segment."""
         nodes = self.params["nodes"]
         offs = np.array([o for o, _ in nodes])
         d2s = np.array([d for _, d in nodes])
@@ -192,8 +218,6 @@ class RadialProfile:
         :meth:`eval` dominates the step cost.  No domain checks: the caller
         guarantees 0 <= r <= r_max.
         """
-        import bisect
-
         edges = [s.lo for s in self.segments[1:]]
         evals = []
         for seg in self.segments:
@@ -214,9 +238,10 @@ class RadialProfile:
                     evals.append(lambda x, lo=lo, c1=c1, c2=c2: c1 + 2.0 * c2 * (x - lo))
                 else:
                     evals.append(lambda x, c2=c2: 2.0 * c2)
+            elif seg.kind == PL2_BAND:
+                evals.append(seg._band_scalar(order))
             else:
-                evals.append(lambda x, seg=seg, order=order:
-                             float(seg.eval(x, order)))
+                raise DomainError(f"unknown segment kind {seg.kind!r}")
         L = self.reflect_at
         odd = order % 2 == 1
 
@@ -283,8 +308,8 @@ def solve_smoothing_band(a, b, width, target):
 
     * ``b > 0 > a`` (potential band, ``target`` must be 0): monotone
       nondecreasing, one plateau and one linear ramp.  The ramp width is the
-      closed form u = -2 a w/(b-a) when \|a\| <= b (plateau on the left),
-      u = 2 b w/(b-a) when b <= \|a\| (plateau on the right).
+      closed form u = -2 a w/(b-a) when |a| <= b (plateau on the left),
+      u = 2 b w/(b-a) when b <= |a| (plateau on the right).
     * ``b == 0 > a`` (warping band): a monotone prescription cannot meet the
       required integral, so the band ramps from ``a`` into a slightly deeper
       plateau ``h`` and takes a terminal plunge back to 0.  The plateau is

@@ -27,8 +27,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .errors import DomainError
-from .curvature import curvature_table
+from .errors import DomainError, IntegrationError
+from .curvature import curvature_table, ricci_eigenvalues, sectional_fn
 
 QUAD_TOL = 1e-9
 JACOBI_ZERO_TOL = 1e-8
@@ -164,7 +164,11 @@ def _path_breakpoints(m, path, grid=2048):
 
 
 def path_curvature(m, path, kind=RICCI, direction="fiber"):
-    """Curvature integrand along the path, as a vectorized callable of arclength.
+    """Curvature integrand along the path, as a callable of arclength.
+
+    An array of arclengths goes through :func:`curvature_table`; one float,
+    as an ODE right-hand side passes, goes through the float kernel of
+    :func:`sectional_fn` and gives a float.
 
     ``RICCI``: Ric(gdot, gdot) = a^2 ric_rr + (1 - a^2) ric_tt with a = rdot.
     ``SEC_PERP``: sec of the plane spanned by gdot and a perpendicular
@@ -176,18 +180,26 @@ def path_curvature(m, path, kind=RICCI, direction="fiber"):
     if direction not in ("slice", "fiber"):
         raise DomainError(f"unknown direction class {direction!r}")
 
+    R = m.r_max
+    sec = sectional_fn(m)
+
     def K(t):
-        scalar = np.isscalar(t)
-        r, rd, _, _ = path.state(np.atleast_1d(np.asarray(t, dtype=float)))
-        r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), 0.0, m.r_max)
-        tab = curvature_table(m, r)
-        a2 = np.clip(np.atleast_1d(np.asarray(rd, dtype=float)) ** 2, 0.0, 1.0)
-        if kind == RICCI:
-            out = a2 * tab["ric_rr"] + (1.0 - a2) * tab["ric_tt"]
+        if np.isscalar(t):
+            r, rd, _, _ = path.state(float(t))
+            sec_rad, sec_tan = sec(min(max(float(r), 0.0), R))
+            rd = float(rd)
+            a2 = min(rd * rd, 1.0)
         else:
-            w = np.ones_like(a2) if direction == "slice" else a2
-            out = w * tab["sec_rad"] + (1.0 - w) * tab["sec_tan"]
-        return float(out[0]) if scalar else out
+            r, rd, _, _ = path.state(np.atleast_1d(np.asarray(t, dtype=float)))
+            r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), 0.0, R)
+            tab = curvature_table(m, r)
+            sec_rad, sec_tan = tab["sec_rad"], tab["sec_tan"]
+            a2 = np.clip(np.atleast_1d(np.asarray(rd, dtype=float)) ** 2, 0.0, 1.0)
+        if kind == RICCI:
+            ric_rr, ric_tt = ricci_eigenvalues(m.n, sec_rad, sec_tan)
+            return a2 * ric_rr + (1.0 - a2) * ric_tt
+        w = 1.0 if direction == "slice" else a2
+        return w * sec_rad + (1.0 - w) * sec_tan
 
     return K
 
@@ -211,12 +223,22 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(),
     dense solution; a zero within ``tol`` of the endpoint is excluded
     (Morse convention counts only interior conjugate points).
     """
+    if not (math.isfinite(length) and length > 0):
+        raise DomainError("Jacobi length must be finite and positive")
+
     def rhs(t, y):
-        return [y[1], -float(np.asarray(K(t)).reshape(-1)[0]) * y[0]]
+        k = K(t)
+        if not math.isfinite(k):
+            # a NaN step size never ends solve_ivp's step-rejection loop
+            raise IntegrationError(f"curvature {k} at t = {t}", reached=float(t))
+        return [y[1], -k * y[0]]
 
     sol = solve_ivp(rhs, (0.0, length), [0.0, 1.0], method="DOP853",
                     rtol=rtol, atol=1e-13, dense_output=True,
                     max_step=length / 16.0)
+    if not sol.success:
+        raise IntegrationError(f"Jacobi integration failed: {sol.message}",
+                               reached=float(sol.t[-1]))
     psi = lambda t: float(sol.sol(t)[0])
     ts = np.unique(np.concatenate([np.linspace(0.0, length, grid + 1),
                                    np.asarray(list(breakpoints), dtype=float)]))

@@ -285,8 +285,8 @@ def klingenberg_delta_search(m, eps=None, l=None, tol=1e-9):
     reported as an assumption, not verified.
     """
     eps = _model_eps(m, eps)
-    if l is None or l <= 0:
-        raise DomainError("a positive hypothesized loop length is required")
+    if l is None or not (math.isfinite(l) and l > 0):
+        raise DomainError("a finite positive hypothesized loop length is required")
     if x_field_norm(m, 0.0) > 1e-12:
         raise DomainError("the pole must be a zero of the field")
     if eps <= 0.5:
@@ -296,7 +296,7 @@ def klingenberg_delta_search(m, eps=None, l=None, tol=1e-9):
 
     def field_cond(d):
         ts = np.linspace(0.0, min(2.0 * d, m.r_max), 257)
-        nd = float(np.max(x_field_norm(m, ts)))
+        nd = float(np.max(m.potential_scale * np.abs(m.f.eval(ts, 1))))
         return 3.0 * eps * d + nd - rhs
 
     hi = m.r_max / 2.0
@@ -326,14 +326,13 @@ def klingenberg_delta_search(m, eps=None, l=None, tol=1e-9):
 
     # non-conjugacy of gamma(l - delta): shrink by halving until the Jacobi
     # solution has no zero within tol of l - delta
+    loop = shoot(m, 0.0, 0.0, l)
+    zeros = jacobi_conjugate_points(path_curvature(m, loop, SEC_PERP, "slice"), l)
     delta = delta_max / 2.0
     ok = False
     for _ in range(60):
         if l - delta <= 0:
             break
-        loop = shoot(m, 0.0, 0.0, l)
-        K = path_curvature(m, loop, SEC_PERP, "slice")
-        zeros = jacobi_conjugate_points(K, l)
         if all(abs(z - (l - delta)) > 1e-6 for z in zeros):
             ok = True
             break

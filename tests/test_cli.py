@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import pinchlab
 from pinchlab.cli import run_cli
 
 
@@ -132,3 +137,22 @@ def test_deterministic_output(capsys):
     _, a, _ = run(capsys, *args)
     _, b, _ = run(capsys, *args)
     assert a == b
+
+
+@pytest.mark.parametrize("argv", [
+    ("geodesic", "--model", "round_sphere", "--length", "nan"),
+    ("index", "--model", "family", "--n", "10", "--eps", "0.8", "--delta",
+     "0.02", "--r0", "1", "--dir", "0.5", "--length", "nan"),
+    ("klingenberg", "--model", "family", "--n", "10", "--eps", "0.8",
+     "--delta", "0.02", "--loop-length", "nan"),
+])
+def test_nan_lengths_exit_two_promptly(argv):
+    # a NaN length can keep the ODE solver stepping forever, so each command
+    # runs in a child process that a timeout can stop
+    src = str(pathlib.Path(pinchlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pinchlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "error" in proc.stderr

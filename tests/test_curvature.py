@@ -6,7 +6,7 @@ import pytest
 
 from pinchlab import (DomainError, build_model, curvature_sample,
                       curvature_table, sec_plane, x_field_norm)
-from pinchlab.curvature import CSV_COLUMNS, csv_string, dump_csv
+from pinchlab.curvature import CSV_COLUMNS, csv_string, dump_csv, sectional_fn
 
 
 def test_gaussian_point_values(gaussian3):
@@ -126,3 +126,46 @@ def test_csv_dump_format(gaussian3):
     buf = io.StringIO()
     dump_csv(gaussian3, np.linspace(0.0, 5.0, 11), buf)
     assert buf.getvalue() == text
+
+
+@pytest.mark.parametrize("d", [1.01e-6, 1e-5, 1e-4])
+def test_near_pole_sectional_values_exact(sphere3, family10, d):
+    # (1 - phi'^2)/phi^2 cancels just outside POLE_TOL; on a SINE cap
+    # sec_tan is 1 exactly, at both poles
+    for m in (sphere3, family10):
+        rs = np.array([d, m.r_max - d])
+        t = curvature_table(m, rs)
+        assert np.all(t["sec_tan"] == 1.0)
+        assert np.max(np.abs(t["sec_rad"] - 1.0)) <= 1e-12
+        sec = sectional_fn(m)
+        for r in rs.tolist():
+            assert sec(r)[1] == 1.0
+    t = curvature_table(family10, np.array([d, family10.r_max - d]))
+    assert np.min(t["bakry_tt"] - 7.2) >= -1e-12
+
+
+def test_sectional_fn_matches_table(gaussian3, sphere3, family10):
+    for m in (gaussian3, sphere3, family10):
+        rs = np.concatenate([np.linspace(0.0, min(m.r_max, 5.0), 2001),
+                             np.asarray(m.phi.junctions())])
+        t = curvature_table(m, rs)
+        sec = sectional_fn(m)
+        pairs = np.array([sec(r) for r in rs.tolist()])
+        np.testing.assert_array_equal(pairs[:, 0], t["sec_rad"])
+        np.testing.assert_array_equal(pairs[:, 1], t["sec_tan"])
+
+
+def test_non_analytic_pole_raises():
+    from pinchlab import ManifoldWithDensity, RadialProfile, SegmentSpec
+    from pinchlab.profiles import CAP, PARABOLA
+    phi = RadialProfile((SegmentSpec(PARABOLA, 0.0, 2.0,
+                                     {"c0": 0.0, "c1": 1.0, "c2": 0.1}),))
+    f = RadialProfile((SegmentSpec(PARABOLA, 0.0, 2.0,
+                                   {"c0": 0.0, "c1": 0.0, "c2": 0.5}),))
+    m = ManifoldWithDensity(3, phi, f, CAP)
+    with pytest.raises(DomainError):
+        curvature_table(m, np.array([0.0, 1.0]))
+    with pytest.raises(DomainError):
+        sectional_fn(m)(0.0)
+    s = curvature_sample(m, 1.0)
+    assert sectional_fn(m)(1.0) == (s.sec_rad, s.sec_tan)

@@ -57,6 +57,11 @@ def test_shoot_rejects_bad_launch(sphere3):
         shoot(sphere3, 0.0, 0.5, 1.0)      # non-meridian launch from the pole
     with pytest.raises(DomainError):
         shoot(sphere3, 1.0, 0.5, -1.0)
+    for r0, alpha, T in ((1.0, 0.5, math.nan), (1.0, 0.5, math.inf),
+                         (0.0, 0.0, math.nan), (math.nan, 0.5, 1.0),
+                         (1.0, math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            shoot(sphere3, r0, alpha, T)
 
 
 def test_conservation_residuals_random_launches(sphere3, gaussian3, family10):
@@ -151,6 +156,20 @@ def test_inj_at_pole_round_sphere(sphere3):
 
 def test_inj_at_pole_family(family10):
     assert inj_at_pole(family10) == pytest.approx(3.866991, abs=1e-6)
+
+
+def test_inj_at_pole_equals_scalar_scan(sphere3, family10):
+    # reference: the same grid scanned one scalar phi call at a time
+    for m in (sphere3, family10):
+        R = m.r_max
+        h = lambda t: float(m.phi(t)) if t <= R else -float(m.phi(2.0 * R - t))
+        grid = np.linspace(1e-6, R + 0.25, 4097)
+        i = next(i for i, t in enumerate(grid) if h(t) <= 0)
+        lo, hi = grid[i - 1], grid[i]
+        while hi - lo > 0.5e-8:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if h(mid) > 0 else (lo, mid)
+        assert inj_at_pole(m) == 0.5 * (lo + hi)
 
 
 def test_inj_at_pole_cap_is_infinite(gaussian3):

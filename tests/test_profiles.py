@@ -194,3 +194,25 @@ def test_manifold_json_round_trip(family10):
                                       m2.phi.eval(rs, order))
         np.testing.assert_array_equal(family10.f.eval(rs, order),
                                       m2.f.eval(rs, order))
+
+
+# -- scalar closures --------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "round_sphere", "family"])
+def test_scalar_fn_equals_eval_on_every_segment(kind):
+    m = build_model(kind, 10, 0.8, 0.02)
+    for prof in (m.phi, m.f):
+        rs = [np.linspace(0.0, prof.r_max, 4001)]
+        for seg in prof.segments:
+            rs.append(np.linspace(seg.lo, seg.hi, 257))
+            if seg.kind == PL2_BAND:
+                rs.append(np.array([seg.lo + o for o, _ in seg.params["nodes"]]))
+        rs = np.concatenate(rs)
+        if prof.reflect_at is not None:
+            rs = np.concatenate([rs, prof.r_max - rs])
+        rs = np.clip(rs, 0.0, prof.r_max)
+        for order in (0, 1, 2):
+            fn = prof.scalar_fn(order)
+            scalar = np.array([fn(r) for r in rs.tolist()])
+            np.testing.assert_array_equal(scalar, prof.eval(rs, order))

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from pinchlab import (DomainError, berger_test_field, build_model,
-                      geodesic_index, jacobi_conjugate_points, line_integral,
-                      loop_index_check, second_variation, shoot)
-from pinchlab.variation import RICCI, SEC_PERP, quad_piecewise
+from pinchlab import (DomainError, IntegrationError, berger_test_field,
+                      build_model, geodesic_index, jacobi_conjugate_points,
+                      line_integral, loop_index_check, second_variation,
+                      shoot)
+from pinchlab.variation import (RICCI, SEC_PERP, _path_breakpoints,
+                                path_curvature, quad_piecewise)
 
 K_ONE = lambda t: np.ones_like(np.asarray(t, dtype=float))
 K_ZERO = lambda t: np.zeros_like(np.asarray(t, dtype=float))
@@ -218,3 +220,54 @@ def test_loop_check_requires_pole_base(family10):
     path = shoot(family10, 1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         loop_index_check(family10, path)
+
+
+# -- scalar and vector curvature along paths --------------------------------
+
+
+def _paths(m):
+    """Meridians through both poles and L, and two non-meridian launches."""
+    if m.topology == "CAP":
+        return [shoot(m, 0.0, 0.0, 6.0), shoot(m, 4.0, math.pi, 6.0),
+                shoot(m, 1.0, 0.7, 6.0), shoot(m, 2.0, -2.5, 3.0)]
+    R = m.r_max
+    return [shoot(m, 0.0, 0.0, R + 0.2), shoot(m, 1.0, math.pi, 2.0 * R),
+            shoot(m, 1.0, 0.7, 4.0), shoot(m, R - 0.5, -2.5, 3.0)]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "round_sphere", "family"])
+def test_scalar_K_matches_vector_K(kind):
+    m = build_model(kind, 10, 0.8, 0.02)
+    for path in _paths(m):
+        ts = np.unique(np.concatenate([np.linspace(0.0, path.length, 3001),
+                                       _path_breakpoints(m, path)]))
+        for integrand, direction in ((RICCI, "fiber"), (SEC_PERP, "slice"),
+                                     (SEC_PERP, "fiber")):
+            K = path_curvature(m, path, integrand, direction)
+            vector = K(ts)
+            scalar = np.array([K(t) for t in ts.tolist()])
+            assert all(isinstance(K(t), float) for t in ts[:3].tolist())
+            ulp = np.spacing(np.maximum(np.abs(vector), np.abs(scalar)))
+            assert np.all(np.abs(scalar - vector) <= 4 * ulp), (integrand, direction)
+
+
+def test_jacobi_rejects_bad_length():
+    for length in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            jacobi_conjugate_points(K_ONE, length)
+
+
+def test_jacobi_raises_on_non_finite_curvature():
+    with pytest.raises(IntegrationError):
+        jacobi_conjugate_points(lambda t: math.nan if t > 0.5 else 1.0, 2.0)
+
+
+def test_jacobi_raises_when_solver_fails(monkeypatch):
+    import pinchlab.variation as variation
+
+    class Failed:
+        success, message, t = False, "step size too small", np.array([0.0, 0.3])
+
+    monkeypatch.setattr(variation, "solve_ivp", lambda *a, **k: Failed())
+    with pytest.raises(IntegrationError):
+        jacobi_conjugate_points(K_ONE, 1.0)

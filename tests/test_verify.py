@@ -229,6 +229,12 @@ def test_klingenberg_infeasible_at_half(family10):
     assert klingenberg_delta_search(family10, eps=0.5, l=3.0) == INFEASIBLE
 
 
+def test_klingenberg_rejects_non_finite_loop_length(family10):
+    for l in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError):
+            klingenberg_delta_search(family10, l=l)
+
+
 def test_klingenberg_needs_zero_at_pole(gaussian3):
     m = build_model("round_sphere", 3)
     res = klingenberg_delta_search(m, eps=0.9, l=3.0)
