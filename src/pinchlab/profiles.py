@@ -185,6 +185,22 @@ class RadialProfile:
             js.append(self.reflect_at)
         return js
 
+    def kinks(self):
+        """Sorted radii in (0, r_max) where the second derivative is not smooth.
+
+        The junctions, the interior nodes of every ``PL2_BAND`` and, on a
+        doubled profile, their mirror images about L.  Composite quadrature of
+        anything built from the second derivative needs a node at each.
+        """
+        ks = self.junctions()
+        for seg in self.segments:
+            if seg.kind == PL2_BAND:
+                ks.extend(seg.lo + o for o, _ in seg.params["nodes"][1:-1])
+        if self.reflect_at is not None:
+            L = self.reflect_at
+            ks.extend([L + (L - k) for k in ks])
+        return sorted(k for k in set(ks) if 0.0 < k < self.r_max)
+
     def eval(self, r, order=0):
         """Vectorized evaluation; raises DomainError outside [0, r_max]."""
         r = np.atleast_1d(np.asarray(r, dtype=float))

@@ -49,6 +49,9 @@ def quad_piecewise(f, a, b, breakpoints=(), tol=QUAD_TOL, n0=16, max_doublings=1
 
     Each smooth subinterval is refined by doubling until two successive
     Simpson values differ by less than ``tol``; ``f`` must accept arrays.
+    A subinterval still unconverged after ``max_doublings`` raises
+    :class:`IntegrationError` with ``reached`` at its left end: a kink of
+    ``f`` that is not among the breakpoints usually causes it.
     """
     pts = sorted({float(a), float(b), *(p for p in breakpoints if a < p < b)})
     total = 0.0
@@ -62,10 +65,15 @@ def quad_piecewise(f, a, b, breakpoints=(), tol=QUAD_TOL, n0=16, max_doublings=1
             y = f(x)
             h = (hi - lo) / n
             s = h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
-            if prev is not None and abs(s - prev) < tol * 0.5:
+            diff = math.inf if prev is None else abs(s - prev)
+            if diff < tol * 0.5:
                 break
             prev = s
             n *= 2
+        else:
+            raise IntegrationError(
+                f"quadrature on [{lo}, {hi}] did not converge: last |S2n - Sn| = "
+                f"{diff} against tol {tol}", reached=lo)
         total += s
     return total
 
@@ -141,12 +149,17 @@ def second_variation(K, psi, length=None, breakpoints=(), tol=QUAD_TOL):
 
 
 def _path_breakpoints(m, path, grid=2048):
-    """Arclengths where the path crosses a profile junction (forced quad nodes)."""
+    """Arclengths where the path crosses a kink of phi (forced quad nodes).
+
+    Every integrand along a path is built from sec_rad and sec_tan, which
+    read phi alone, so the radii of :meth:`RadialProfile.kinks` -- junctions,
+    band nodes and their mirror images -- are where it loses smoothness.
+    """
     ts = np.linspace(0.0, path.length, grid + 1)
     r, _, _, _ = path.state(ts)
     r = np.asarray(r, dtype=float)
     out = set()
-    for j in m.phi.junctions():
+    for j in m.phi.kinks():
         d = r - j
         for i in np.nonzero(d[:-1] * d[1:] < 0)[0]:
             lo, hi = ts[i], ts[i + 1]
@@ -205,7 +218,12 @@ def path_curvature(m, path, kind=RICCI, direction="fiber"):
 
 
 def line_integral(m, path, kind=RICCI, direction="fiber", tol=QUAD_TOL):
-    """Composite quadrature of the chosen curvature along the path."""
+    """Composite quadrature of the chosen curvature along the path.
+
+    Nodes are forced wherever the path crosses a kink of phi, so every
+    subinterval has a smooth integrand and converges; one that does not
+    raises :class:`IntegrationError`.
+    """
     K = path_curvature(m, path, kind, direction)
     bps = _path_breakpoints(m, path)
     return quad_piecewise(K, 0.0, path.length, bps, tol=tol)

@@ -111,8 +111,9 @@ def test_criterion_05_index_oracle_equivalence(sphere3, gaussian3, family10):
         dirs = ["slice"] if path.meridian else ["slice", "fiber"]
         for direction in dirs:
             # ties within the 1e-6 measurement tolerance are not decidable:
-            # the family meridian integral is pi + ~8e-8 and its second
-            # variation is +8e-8, both O(delta^2) band effects
+            # the family meridian integral is pi + 1.7e-9 and its second
+            # variation, with the path's kinks as nodes, is +5e-12: both
+            # effects of the smoothing band
             if line_integral(m, path, SEC_PERP, direction) > math.pi + 1e-6:
                 field = berger_test_field(path.length)
                 K = path_curvature(m, path, SEC_PERP, direction)

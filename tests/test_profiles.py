@@ -175,6 +175,21 @@ def test_doubled_profiles_reflection_symmetric(family10):
         assert np.max(np.abs(left - right)) <= 1e-12
 
 
+def test_kinks(sphere3, gaussian3, family10):
+    assert sphere3.phi.kinks() == [math.pi / 2]
+    assert gaussian3.phi.kinks() == []
+    ks = family10.phi.kinks()
+    L = family10.L
+    assert len(ks) == 9 and ks == sorted(ks)
+    assert all(0.0 < k < family10.r_max for k in ks)
+    assert set(family10.phi.junctions()) <= set(ks)
+    assert np.allclose([L + (L - k) for k in ks][::-1], ks, rtol=0.0, atol=1e-15)
+    band = family10.phi.segments[1]
+    assert band.kind == PL2_BAND
+    interior = [band.lo + o for o, _ in band.params["nodes"][1:-1]]
+    assert len(interior) == 2 and set(interior) <= set(ks)
+
+
 def test_family_cylinder_warning_recorded():
     m = build_model("family", 3, 0.9, 0.02)
     assert "warning" in m.meta

@@ -52,6 +52,14 @@ def test_berger_sine_pieces_cancel():
         == pytest.approx(0.0, abs=1e-10)
 
 
+def test_quad_piecewise_raises_unless_kink_is_a_node():
+    f = lambda t: 1e3 * np.abs(t - 0.3)
+    with pytest.raises(IntegrationError, match=r"\[0\.0, 1\.0\].*tol 1e-09") as err:
+        quad_piecewise(f, 0.0, 1.0)
+    assert err.value.reached == 0.0
+    assert quad_piecewise(f, 0.0, 1.0, [0.3]) == pytest.approx(290.0, abs=1e-9)
+
+
 # -- second variation -------------------------------------------------------
 
 
@@ -102,8 +110,34 @@ def test_family_meridian_sec_perp(family10):
     # independent oracle: quadrature of -phi''/phi in the radial coordinate
     from pinchlab.variation import quad_piecewise as qp
     f = lambda r: -family10.phi.eval(r, 2) / family10.phi.eval(r, 0)
-    oracle = qp(f, 1e-9, 2 * family10.L - 1e-9, family10.phi.junctions())
-    assert val == pytest.approx(oracle, abs=1e-6)
+    # phi vanishes at the poles; -phi''/phi = 1 on the sine caps, so each
+    # trimmed end piece of width 1e-9 contributes exactly 1e-9
+    oracle = qp(f, 1e-9, 2 * family10.L - 1e-9, family10.phi.kinks()) + 2e-9
+    assert val == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.parametrize("loops, budget", [(2, 2000), (4, 4000)])
+def test_family_meridian_integral_evaluates_few_points(family10, monkeypatch,
+                                                       loops, budget):
+    # every kink of phi is a forced node, so each subinterval converges
+    # after a few doublings
+    import pinchlab.variation as variation
+    seen = [0]
+    inner = variation.path_curvature
+
+    def counting(*args, **kwargs):
+        K = inner(*args, **kwargs)
+
+        def counted(t):
+            seen[0] += np.size(t)
+            return K(t)
+        return counted
+
+    monkeypatch.setattr(variation, "path_curvature", counting)
+    path = shoot(family10, 0.0, 0.0, loops * family10.L)
+    val = line_integral(family10, path, SEC_PERP)
+    assert 0 < seen[0] <= budget
+    assert val == pytest.approx(loops / 2 * math.pi, abs=1e-8)
 
 
 def test_equator_ricci_integral(sphere3):
