@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from .errors import PinchlabError
-from .profiles import build_model, load_manifold, manifold_to_dict, check_c2
+from .profiles import (LINEAR, SINE, build_model, load_manifold,
+                       manifold_to_dict, check_c2)
 from .curvature import dump_csv
 from .geodesics import (DEFAULT_DISTANCE_TOL, DEFAULT_SHOOT_TOL, inj_at_pole,
                         shoot)
@@ -175,7 +176,7 @@ def _dispatch(args):
 
     if args.cmd == "curvature":
         m = _resolve_model(args)
-        lo = 0.0 if m.phi.segments[0].kind in ("SINE", "LINEAR") else 1e-6
+        lo = 0.0 if m.phi.segments[0].kind in (SINE, LINEAR) else 1e-6
         rs = np.linspace(lo, m.r_max, args.grid + 1)
         if args.out:
             dump_csv(m, rs, args.out)

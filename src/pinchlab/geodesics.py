@@ -17,6 +17,7 @@ through the ODE integrator to produce the returned paths.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,13 +34,22 @@ DEFAULT_N_ANGLES = 256
 _POLE = 1e-12
 _TINY = 1e-300
 
-_GL_CACHE = {}
 
-
+@functools.cache
 def _leggauss(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
+
+
+@functools.cache
+def _scan_nodes():
+    """Fixed relative s-nodes/weights on [0, 1], geometric toward 0."""
+    x, w = _leggauss(6)
+    edges = np.concatenate([[0.0], np.power(2.0, -np.arange(14, -1, -1.0))])
+    s, ws = [], []
+    for s0, s1 in zip(edges, edges[1:]):
+        s.append(0.5 * (s0 + s1) + 0.5 * (s1 - s0) * x)
+        ws.append(0.5 * (s1 - s0) * w)
+    return np.concatenate(s), np.concatenate(ws)
 
 
 def _wrap_angle(a):
@@ -234,9 +244,10 @@ class _Geometry:
         if flat.size:
             i = int(flat[0])
             lo, hi = grid[i - 1], grid[i]
+            dphi_s = m.phi.scalar_fn(1)
             for _ in range(80):
                 mm = 0.5 * (lo + hi)
-                if float(m.phi(mm, 1)) > 1e-13:
+                if dphi_s(mm) > 1e-13:
                     lo = mm
                 else:
                     hi = mm
@@ -404,23 +415,9 @@ class _Geometry:
 
     # -- vectorized scan primitive (bracket-grade accuracy) ----------------
 
-    _scan_template = None
-
-    def _scan_nodes(self):
-        """Fixed relative s-nodes/weights on [0, 1], geometric toward 0."""
-        if self._scan_template is None:
-            x, w = _leggauss(6)
-            edges = np.concatenate([[0.0], np.power(2.0, -np.arange(14, -1, -1.0))])
-            s, ws = [], []
-            for s0, s1 in zip(edges, edges[1:]):
-                s.append(0.5 * (s0 + s1) + 0.5 * (s1 - s0) * x)
-                ws.append(0.5 * (s1 - s0) * w)
-            self._scan_template = (np.concatenate(s), np.concatenate(ws))
-        return self._scan_template
-
     def _anchored_vec(self, c, rstar, sgn, r_far):
         """Vectorized (dtheta, dt) between turning point and ``r_far``."""
-        st, wt = self._scan_nodes()
+        st, wt = _scan_nodes()
         s_top = np.sqrt(np.maximum(sgn * (np.asarray(r_far) - rstar), 0.0))
         s = s_top[:, None] * st
         ww = s_top[:, None] * wt * 2.0 * s
@@ -446,19 +443,6 @@ class _Geometry:
 
 # ---------------------------------------------------------------------------
 # distance
-
-
-_GEOM_CACHE = {}
-
-
-def _geometry(m):
-    key = id(m)
-    hit = _GEOM_CACHE.get(key)
-    if hit is None or hit[0] is not m:
-        if len(_GEOM_CACHE) > 32:
-            _GEOM_CACHE.clear()
-        _GEOM_CACHE[key] = hit = (m, _Geometry(m))
-    return hit[1]
 
 
 def _pole_kind(m, r):
@@ -502,7 +486,7 @@ def distance(m, p, q, n_angles=DEFAULT_N_ANGLES, tol=DEFAULT_DISTANCE_TOL,
         return d, [path]
 
     dtheta = abs(_wrap_angle(th2 - th1))
-    geom = _geometry(m)
+    geom = _Geometry(m)
     cmax_pair = min(float(m.phi(r1)), float(m.phi(r2)),
                     geom.c_max * (1.0 - 1e-13))
 
@@ -687,13 +671,12 @@ def inj_at_pole(m, tol=1e-8):
     return 0.5 * (lo + hi)
 
 
-def farthest_from_pole(m, grid_size=4096):
-    """((r, theta), arclength) of the point maximizing distance from the pole."""
+def farthest_from_pole(m):
+    """((r, theta), arclength) of the point maximizing distance from the pole.
+
+    Every meridian from the pole reaches the far pole r = r_max at arclength
+    r_max, and a point at radius r lies at distance r from the pole.
+    """
     if m.topology == CAP:
         raise DomainError("no farthest point on a complete non-compact cap")
-    R = m.r_max
-    rs = np.linspace(0.0, R, grid_size + 1)
-    # distance from the pole along meridians (exp is injective up to 2L)
-    dist = np.minimum(rs, 2.0 * R - rs)
-    i = int(np.argmax(dist))
-    return (float(rs[i]), 0.0), float(dist[i])
+    return (m.r_max, 0.0), m.r_max

@@ -21,7 +21,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -36,6 +36,7 @@ LINEAR = "LINEAR"
 CONSTANT = "CONSTANT"
 PARABOLA = "PARABOLA"
 PL2_BAND = "PL2_BAND"
+KINDS = (SINE, LINEAR, CONSTANT, PARABOLA, PL2_BAND)
 
 CAP = "CAP"
 DOUBLED_SPHERE = "DOUBLED_SPHERE"
@@ -62,6 +63,8 @@ class SegmentSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConstructionError(f"unknown segment kind {self.kind!r}")
         if not self.hi > self.lo:
             raise ConstructionError(f"empty segment interval [{self.lo}, {self.hi})")
         if self.kind == PL2_BAND:
@@ -75,52 +78,37 @@ class SegmentSpec:
     def eval(self, r, order):
         """Exact value (order 0) or derivative (order 1, 2) at radii ``r`` (array ok)."""
         r = np.asarray(r, dtype=float)
-        if self.kind == SINE:
-            return [np.sin, np.cos, lambda x: -np.sin(x)][order](r)
-        if self.kind == LINEAR:
-            return (r.copy(), np.ones_like(r), np.zeros_like(r))[order]
-        if self.kind == CONSTANT:
-            v = self.params["value"]
-            return np.full_like(r, v) if order == 0 else np.zeros_like(r)
-        if self.kind == PARABOLA:
-            s = r - self.lo
-            c0, c1, c2 = self.params["c0"], self.params["c1"], self.params["c2"]
-            if order == 0:
-                return c0 + s * (c1 + c2 * s)
-            if order == 1:
-                return c1 + 2.0 * c2 * s
-            return np.full_like(r, 2.0 * c2)
-        if self.kind == PL2_BAND:
-            return self._eval_band(r, order)
-        raise DomainError(f"unknown segment kind {self.kind!r}")
+        return np.full_like(r, self.closed_form(order, np)(r))
 
-    def _eval_band(self, r, order):
-        s = np.asarray(r, dtype=float) - self.lo
-        offs, d2s, d1s, d0s = self._band_cums
-        idx = np.clip(np.searchsorted(offs, s, side="right") - 1, 0, len(offs) - 2)
-        o0, o1 = offs[idx], offs[idx + 1]
-        a, b = d2s[idx], d2s[idx + 1]
-        ds = s - o0
-        width = o1 - o0
-        slope = np.where(width > 0, (b - a) / np.where(width > 0, width, 1.0), 0.0)
-        if order == 2:
-            return a + slope * ds
-        d1 = d1s[idx] + a * ds + 0.5 * slope * ds**2
-        if order == 1:
-            return d1
-        return d0s[idx] + d1s[idx] * ds + 0.5 * a * ds**2 + slope * ds**3 / 6.0
+    def closed_form(self, order, xp):
+        """Callable giving the value (order 0) or a derivative (order 1, 2).
 
-    def _band_scalar(self, order):
-        """Closure evaluating the band at one float radius; same formulas as
-        :meth:`_eval_band` on the same cumulative table."""
-        offs, d2s, d1s, d0s = (v.tolist() for v in self._band_cums)
-        widths = [o1 - o0 for o0, o1 in zip(offs, offs[1:])]
-        slopes = [(b - a) / w if w > 0 else 0.0 for a, b, w in zip(d2s, d2s[1:], widths)]
-        lo, last, bl = self.lo, len(offs) - 2, bisect.bisect_right
+        Each kind's formulas are written once: with ``xp=np`` the callable
+        takes an array of radii, with ``xp=math`` one float, and both give the
+        same bits.  A constant comes back as a scalar that broadcasts.
+        """
+        kind, p, lo = self.kind, self.params, self.lo
+        if kind == SINE:
+            return (xp.sin, xp.cos, lambda r: -xp.sin(r))[order]
+        if kind == LINEAR:
+            return (lambda r: r, lambda r: 1.0, lambda r: 0.0)[order]
+        if kind == CONSTANT:
+            v = p["value"] if order == 0 else 0.0
+            return lambda r: v
+        if kind == PARABOLA:
+            c0, c1, c2 = p["c0"], p["c1"], p["c2"]
+            return (lambda r: c0 + (r - lo) * (c1 + c2 * (r - lo)),
+                    lambda r: c1 + 2.0 * c2 * (r - lo),
+                    lambda r: 2.0 * c2)[order]
+        # PL2_BAND: exact integrals of the piecewise-linear second derivative
+        offs, d2s, d1s, d0s, slopes = self._band_table[xp]
+        # the piece holding s is the number of interior nodes <= s
+        inner = offs[1:-1]
+        search = partial(np.searchsorted, side="right") if xp is np else bisect.bisect_right
 
-        def fn(x):
-            s = x - lo
-            i = min(max(bl(offs, s) - 1, 0), last)
+        def band(r):
+            s = r - lo
+            i = search(inner, s)
             ds = s - offs[i]
             if order == 2:
                 return d2s[i] + slopes[i] * ds
@@ -129,25 +117,26 @@ class SegmentSpec:
             return (d0s[i] + d1s[i] * ds + 0.5 * d2s[i] * (ds * ds)
                     + slopes[i] * ds**3 / 6.0)
 
-        return fn
+        return band
 
     @cached_property
-    def _band_cums(self):
-        """Node offsets, second derivatives, and the slope and value that exact
-        integration gives at each node; computed once per segment."""
+    def _band_table(self):
+        """Node offsets and second derivatives, the slope and value that exact
+        integration gives at each node, and the slope of the second derivative
+        on each piece; as lists under ``math`` and as arrays under ``np``."""
         nodes = self.params["nodes"]
-        offs = np.array([o for o, _ in nodes])
-        d2s = np.array([d for _, d in nodes])
-        d1s = np.empty_like(offs)
-        d0s = np.empty_like(offs)
-        d1s[0] = self.params["left_slope"]
-        d0s[0] = self.params["left_value"]
-        for i in range(len(offs) - 1):
-            h = offs[i + 1] - offs[i]
-            a, b = d2s[i], d2s[i + 1]
-            d1s[i + 1] = d1s[i] + 0.5 * (a + b) * h
-            d0s[i + 1] = d0s[i] + d1s[i] * h + (2.0 * a + b) * h**2 / 6.0
-        return offs, d2s, d1s, d0s
+        offs = [float(o) for o, _ in nodes]
+        d2s = [float(d) for _, d in nodes]
+        d1s = [float(self.params["left_slope"])]
+        d0s = [float(self.params["left_value"])]
+        slopes = []
+        for o0, o1, a, b in zip(offs, offs[1:], d2s, d2s[1:]):
+            h = o1 - o0
+            d0s.append(d0s[-1] + d1s[-1] * h + (2.0 * a + b) * h**2 / 6.0)
+            d1s.append(d1s[-1] + 0.5 * (a + b) * h)
+            slopes.append((b - a) / h if h > 0 else 0.0)
+        lists = (offs, d2s, d1s, d0s, slopes)
+        return {math: lists, np: tuple(np.array(v) for v in lists)}
 
 
 @dataclass(frozen=True)
@@ -215,13 +204,12 @@ class RadialProfile:
             # L - (r - L) instead of 2L - r: r - L is exact for r in [L, 2L]
             r = np.where(mirrored, L - (r - L), r)
             sign = np.where(mirrored & (order % 2 == 1), -1.0, 1.0)
-        edges = np.array([s.lo for s in self.segments[1:]])
-        idx = np.searchsorted(edges, r, side="right")
+        idx = np.searchsorted([s.lo for s in self.segments[1:]], r, side="right")
         out = np.empty_like(r)
         for i, seg in enumerate(self.segments):
             m = idx == i
             if np.any(m):
-                out[m] = seg.eval(r[m], order)
+                out[m] = seg.closed_form(order, np)(r[m])
         return out * sign
 
     def __call__(self, r, order=0):
@@ -235,29 +223,7 @@ class RadialProfile:
         guarantees 0 <= r <= r_max.
         """
         edges = [s.lo for s in self.segments[1:]]
-        evals = []
-        for seg in self.segments:
-            if seg.kind == SINE:
-                evals.append([math.sin, math.cos, lambda x: -math.sin(x)][order])
-            elif seg.kind == LINEAR:
-                evals.append([lambda x: x, lambda x: 1.0, lambda x: 0.0][order])
-            elif seg.kind == CONSTANT:
-                v = seg.params["value"] if order == 0 else 0.0
-                evals.append(lambda x, v=v: v)
-            elif seg.kind == PARABOLA:
-                c0, c1, c2 = seg.params["c0"], seg.params["c1"], seg.params["c2"]
-                lo = seg.lo
-                if order == 0:
-                    evals.append(lambda x, lo=lo, c0=c0, c1=c1, c2=c2:
-                                 c0 + (x - lo) * (c1 + c2 * (x - lo)))
-                elif order == 1:
-                    evals.append(lambda x, lo=lo, c1=c1, c2=c2: c1 + 2.0 * c2 * (x - lo))
-                else:
-                    evals.append(lambda x, c2=c2: 2.0 * c2)
-            elif seg.kind == PL2_BAND:
-                evals.append(seg._band_scalar(order))
-            else:
-                raise DomainError(f"unknown segment kind {seg.kind!r}")
+        evals = [seg.closed_form(order, math) for seg in self.segments]
         L = self.reflect_at
         odd = order % 2 == 1
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .profiles import CAP, DOUBLED_SPHERE, PL2_BAND, manifold_to_dict
+from .profiles import DOUBLED_SPHERE, PL2_BAND, manifold_to_dict
 from .curvature import curvature_table, x_field_norm
 from .geodesics import distance, inj_at_pole, farthest_from_pole, shoot
 from .variation import jacobi_conjugate_points, path_curvature, SEC_PERP
@@ -250,7 +250,7 @@ def verify_quadratic_growth(m, p_r=0.0, grid=1000, t_max=None, eps=None):
     n = m.n
     s = m.potential_scale
     if t_max is None:
-        t_max = m.r_max - p_r if m.topology == CAP else m.r_max - p_r
+        t_max = m.r_max - p_r
     ts = np.linspace(0.0, t_max, grid + 1)
     rs = np.clip(p_r + ts, 0.0, m.r_max)
     fvals = s * m.f.eval(rs, 0)

@@ -131,6 +131,18 @@ def test_invalid_inputs_exit_two(capsys):
     assert run(capsys, "build", "--bogus-flag")[0] == 2
 
 
+def test_unknown_segment_kind_exits_two(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    run(capsys, "build", "--model", "round_sphere", "--n", "3",
+        "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc["phi"]["segments"][0]["kind"] = "FOO"
+    out.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "pinch", "--from", str(out))
+    assert code == 2
+    assert "FOO" in err
+
+
 def test_deterministic_output(capsys):
     args = ("pinch", "--model", "family", "--n", "10", "--eps", "0.8",
             "--delta", "0.02", "--grid", "500")

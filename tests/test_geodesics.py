@@ -178,10 +178,11 @@ def test_inj_at_pole_cap_is_infinite(gaussian3):
 
 def test_farthest_from_pole(sphere3, family10):
     q, d = farthest_from_pole(sphere3)
-    assert d == pytest.approx(math.pi, abs=1e-6)
-    assert q[0] == pytest.approx(math.pi, abs=1e-3)
+    assert d == math.pi
+    assert q == (math.pi, 0.0)
     q, d = farthest_from_pole(family10)
-    assert d == pytest.approx(2 * family10.L, abs=1e-6)
+    assert d == 2 * family10.L
+    assert q == (2 * family10.L, 0.0)
 
 
 def test_farthest_from_pole_cap_errors(gaussian3):

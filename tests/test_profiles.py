@@ -135,6 +135,11 @@ def test_family_profiles_are_c2(family10):
             assert max(res) <= 1e-9, (rj, res)
 
 
+def test_unknown_segment_kind_rejected_at_construction():
+    with pytest.raises(ConstructionError, match="FOO"):
+        SegmentSpec("FOO", 0.0, 1.0)
+
+
 def test_check_c2_single_segment_empty():
     prof = RadialProfile((SegmentSpec(SINE, 0.0, math.pi),))
     assert check_c2(prof) == []
@@ -231,3 +236,11 @@ def test_scalar_fn_equals_eval_on_every_segment(kind):
             fn = prof.scalar_fn(order)
             scalar = np.array([fn(r) for r in rs.tolist()])
             np.testing.assert_array_equal(scalar, prof.eval(rs, order))
+            # the per-segment path of check_c2 and build_family, on each
+            # segment's own interval (the last one closed at its end)
+            for seg in prof.segments:
+                own = np.linspace(seg.lo, seg.hi, 257)
+                if seg is not prof.segments[-1]:
+                    own = own[own < seg.hi]
+                np.testing.assert_array_equal(seg.eval(own, order),
+                                              prof.eval(own, order))
