@@ -11,8 +11,12 @@ The distance search sweeps a fixed grid of launch angles (256 by default),
 evaluates every geodesic class through the first-order form of the reduction
 (arc integrals with a sqrt substitution at turning points, so the integrable
 endpoint singularity is removed exactly), brackets each class/target crossing
-and refines it by bracketed bisection (Brent).  Winning candidates are re-shot
-through the ODE integrator to produce the returned paths.
+and refines it by bracketed bisection (Brent).  Candidates within ``tol`` of
+the shortest are kept once per length rounded to ``tol``, so of two minimizers
+of equal length (a theta-mirror pair) only one survives.  The survivors are
+re-shot through the ODE integrator to produce the returned paths.  A search
+whose shortest candidate exceeds the broken path through a pole raises
+``SearchError`` instead of returning it.
 """
 
 from __future__ import annotations
@@ -153,7 +157,11 @@ def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
         raise DomainError("launch radius outside the manifold domain")
 
     ts = np.linspace(0.0, T, n_samples)
-    phi2 = lambda rr, m=m: float(m.phi(rr)) ** 2
+    R = m.r_max
+    phi_s = m.phi.scalar_fn(0)
+    dphi_s = m.phi.scalar_fn(1)
+    # sampled radii may stray past [0, R] by rounding; clip as eval does
+    phi2 = lambda rr: phi_s(min(max(float(rr), 0.0), R)) ** 2
 
     if sa == 0.0:
         d0 = 1.0 if ca >= 0 else -1.0
@@ -169,12 +177,9 @@ def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
         return GeodesicPath(0.0, samples, T, 0.0, 0.0, True, thetadot=td,
                             _state_fn=st, _phi2=phi2)
 
-    phi0 = float(m.phi(r0))
+    phi0 = phi_s(min(float(r0), R))
     c = phi0 * sa
     y0 = [r0, ca, theta0, sa / phi0]
-
-    phi_s = m.phi.scalar_fn(0)
-    dphi_s = m.phi.scalar_fn(1)
 
     def rhs(t, y):
         r, rd, th, td = y
@@ -199,7 +204,7 @@ def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
                                reached=float(sol.t_events[0][0]))
 
     r, rd, th, td = sol.sol(ts)
-    phi = m.phi.eval(np.clip(r, 0.0, m.r_max))
+    phi = m.phi._eval(np.clip(r, 0.0, R), 0)
     clair = float(np.max(np.abs(phi**2 * td - c)))
     speed = float(np.max(np.abs(rd**2 + phi**2 * td**2 - 1.0)))
     samples = np.column_stack([ts, r, th, rd])
@@ -223,6 +228,8 @@ def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
 #     direct arc lo->hi  :  up_to(hi) - up_to(lo)
 #     one turn down      :  up_to(r1) + up_to(r2)
 #     one turn up        :  2 H - up_to(r1) - up_to(r2),   H = full half-swing
+# _Geometry._classes applies these to the accurate and to the scan-grade arc
+# integrals alike.
 
 
 class _Geometry:
@@ -241,20 +248,22 @@ class _Geometry:
         flat = np.nonzero(dphi <= 1e-13)[0]
         if flat.size and flat[0] == 0:
             raise SearchError("warping profile is flat at the pole")
+        # float closures for one-radius work; callers keep r in [0, r_max]
+        self.phi_s = m.phi.scalar_fn(0)
+        self.dphi_s = m.phi.scalar_fn(1)
         if flat.size:
             i = int(flat[0])
             lo, hi = grid[i - 1], grid[i]
-            dphi_s = m.phi.scalar_fn(1)
             for _ in range(80):
                 mm = 0.5 * (lo + hi)
-                if dphi_s(mm) > 1e-13:
+                if self.dphi_s(mm) > 1e-13:
                     lo = mm
                 else:
                     hi = mm
             self.r_inc_end = hi
         else:
             self.r_inc_end = half
-        self.c_max = float(m.phi(self.r_inc_end))
+        self.c_max = float(self.phi_s(self.r_inc_end))
         js = set(m.phi.junctions())
         if self.doubled:
             js |= {2.0 * m.L - j for j in m.phi.junctions()}
@@ -270,7 +279,7 @@ class _Geometry:
         i = int(np.searchsorted(self._tab_phi, c))
         i = min(max(i, 1), len(self._tab_r) - 1)
         lo, hi = self._tab_r[i - 1], self._tab_r[i]
-        f = lambda r: float(self.m.phi(r)) - c
+        f = lambda r: self.phi_s(r) - c
         flo, fhi = f(lo), f(hi)
         k = 1
         while flo * fhi > 0 and k < 8:
@@ -286,10 +295,10 @@ class _Geometry:
         # precision for pole-adjacent turning radii (rm ~ c), and the arc
         # integrals are sqrt-sensitive to relative errors in rm
         for _ in range(3):
-            dp = float(self.m.phi(rm, 1))
+            dp = self.dphi_s(rm)
             if dp <= 0.0:
                 break
-            step = (float(self.m.phi(rm)) - c) / dp
+            step = (self.phi_s(rm) - c) / dp
             if rm - step < 0.0:
                 break
             rm -= step
@@ -302,13 +311,14 @@ class _Geometry:
         hi = np.full_like(c, self.r_inc_end)
         for _ in range(60):
             mm = 0.5 * (lo + hi)
-            above = self.m.phi.eval(mm) > c
+            above = self.m.phi._eval(mm, 0) > c
             hi = np.where(above, mm, hi)
             lo = np.where(above, lo, mm)
         rm = 0.5 * (lo + hi)
         for _ in range(3):
-            dp = self.m.phi.eval(rm, 1)
-            step = np.where(dp > 0.0, (self.m.phi.eval(rm) - c) / np.maximum(dp, 1e-300), 0.0)
+            dp = self.m.phi._eval(rm, 1)
+            step = np.where(dp > 0.0,
+                            (self.m.phi._eval(rm, 0) - c) / np.maximum(dp, 1e-300), 0.0)
             rm = np.where(rm - step >= 0.0, rm - step, rm)
         return rm
 
@@ -324,14 +334,14 @@ class _Geometry:
         s = 0.
         """
         r = np.clip(rstar + sgn * s * s, 0.0, self.R)
-        p = self.m.phi.eval(r)
+        p = self.m.phi._eval(r, 0)
         cb = np.broadcast_to(np.asarray(c, dtype=float), p.shape)
         q = 1.0 - (cb / p) ** 2
         small = q < 1e-10
         if np.any(small):
             rmid = np.clip(np.broadcast_to(rstar + sgn * s * s * 0.5, p.shape),
                            0.0, self.R)
-            dp = self.m.phi.eval(rmid[small], 1)
+            dp = self.m.phi._eval(rmid[small], 1)
             sb = np.broadcast_to(s, p.shape)
             q[small] = sgn * sb[small] ** 2 * dp \
                 * (p[small] + cb[small]) / p[small] ** 2
@@ -377,41 +387,56 @@ class _Geometry:
         gth, gt = self._kernel_s(c, rstar, sgn, s)
         return float((wt * gth).sum()), float((wt * gt).sum())
 
-    # -- accurate scalar primitive ----------------------------------------
+    # -- candidate classes ------------------------------------------------
 
-    def up_to(self, c, r, rm=None):
-        """(dtheta, dt) from the lower turning radius r_-(c) to radius r."""
-        if rm is None:
-            rm = self.turn_lo(c)
-        th, tt = self._anchored(c, rm, +1.0, min(r, self.mid))
-        if self.doubled and r > self.mid + 1e-16:
-            rp = self.R - rm
-            ta, la = self._anchored(c, rp, -1.0, self.mid)
-            tb, lb = self._anchored(c, rp, -1.0, r)
-            th, tt = th + (ta - tb), tt + (la - lb)
-        return th, tt
+    def _classes(self, arc, r1, r2, classes):
+        """(dtheta, dt) of each class in ``classes`` from the arc primitive
+        ``arc(sgn, r_far)``: the integral from the lower (sgn = +1) or upper
+        (sgn = -1) turning radius to ``r_far``.
 
-    def half_swing(self, c, rm=None):
-        """(dtheta, dt) over a full swing r_-(c) -> r_+(c)."""
-        if rm is None:
-            rm = self.turn_lo(c)
-        a = self._anchored(c, rm, +1.0, self.mid)
-        b = self._anchored(c, self.R - rm, -1.0, self.mid)
-        return a[0] + b[0], a[1] + b[1]
+        Works on floats and on arrays alike.  Each distinct arc is integrated
+        once: above ``mid`` both radii and the half swing share the two arcs
+        that end at the peak.
+        """
+        arc = functools.cache(arc)
+
+        def up_to(r):
+            th, tt = arc(+1.0, min(r, self.mid))
+            if self.doubled and r > self.mid + 1e-16:
+                ta, la = arc(-1.0, self.mid)
+                tb, lb = arc(-1.0, r)
+                th, tt = th + (ta - tb), tt + (la - lb)
+            return th, tt
+
+        u1, u2 = up_to(r1), up_to(r2)
+        out = {}
+        for cls in classes:
+            if cls == "direct":
+                out[cls] = abs(u2[0] - u1[0]), abs(u2[1] - u1[1])
+            elif cls == "turn_lo":
+                out[cls] = u1[0] + u2[0], u1[1] + u2[1]
+            elif cls == "turn_hi":
+                # H: the full half swing r_-(c) -> r_+(c)
+                (ta, la), (tb, lb) = arc(+1.0, self.mid), arc(-1.0, self.mid)
+                out[cls] = (2 * (ta + tb) - u1[0] - u2[0],
+                            2 * (la + lb) - u1[1] - u2[1])
+            else:
+                raise ValueError(cls)
+        return out
 
     def class_eval(self, cls, r1, r2, c):
         """(dtheta, length) of the class-``cls`` candidate, accurately."""
         rm = self.turn_lo(c)
-        u1 = self.up_to(c, r1, rm=rm)
-        u2 = self.up_to(c, r2, rm=rm)
-        if cls == "direct":
-            return abs(u2[0] - u1[0]), abs(u2[1] - u1[1])
-        if cls == "turn_lo":
-            return u1[0] + u2[0], u1[1] + u2[1]
-        if cls == "turn_hi":
-            h = self.half_swing(c, rm=rm)
-            return 2 * h[0] - u1[0] - u2[0], 2 * h[1] - u1[1] - u2[1]
-        raise ValueError(cls)
+        arc = lambda sgn, r_far: self._anchored(
+            c, rm if sgn > 0 else self.R - rm, sgn, r_far)
+        return self._classes(arc, r1, r2, (cls,))[cls]
+
+    def class_scan(self, c, rm, r1, r2, classes):
+        """Scan-grade (dtheta, dt) arrays of each class over the grid ``c``
+        with lower turning radii ``rm``."""
+        arc = lambda sgn, r_far: self._anchored_vec(
+            c, rm if sgn > 0 else self.R - rm, sgn, np.full_like(c, r_far))
+        return self._classes(arc, r1, r2, classes)
 
     # -- vectorized scan primitive (bracket-grade accuracy) ----------------
 
@@ -424,21 +449,6 @@ class _Geometry:
         gth, gt = self._kernel_s(np.asarray(c)[:, None],
                                  np.asarray(rstar)[:, None], sgn, s)
         return (ww * gth).sum(axis=1), (ww * gt).sum(axis=1)
-
-    def up_to_vec(self, c, rm, r):
-        th, tt = self._anchored_vec(c, rm, +1.0, np.full_like(c, min(r, self.mid)))
-        if self.doubled and r > self.mid + 1e-16:
-            rp = self.R - rm
-            ta, la = self._anchored_vec(c, rp, -1.0, np.full_like(c, self.mid))
-            tb, lb = self._anchored_vec(c, rp, -1.0, np.full_like(c, r))
-            th, tt = th + (ta - tb), tt + (la - lb)
-        return th, tt
-
-    def half_swing_vec(self, c, rm):
-        ta, la = self._anchored_vec(c, rm, +1.0, np.full_like(c, self.mid))
-        tb, lb = self._anchored_vec(c, self.R - rm, -1.0,
-                                    np.full_like(c, self.mid))
-        return ta + tb, la + lb
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +465,20 @@ def _pole_kind(m, r):
 
 def distance(m, p, q, n_angles=DEFAULT_N_ANGLES, tol=DEFAULT_DISTANCE_TOL,
              return_paths=True):
-    """Distance between points (r, theta) and the realizing geodesics found.
+    """Distance between points (r, theta) and realizing geodesics found.
 
     Pole queries reduce to meridians exactly.  General queries sweep the
     launch-angle grid, bracket every geodesic class that can hit the target
-    angle and refine by bracketed bisection; all minimizers found within the
-    angle-grid resolution are returned.
+    angle and refine by bracketed bisection.  Candidates within ``tol`` of
+    the shortest are deduplicated by their length rounded to ``tol``: one
+    path is returned per distinct length, so a second minimizer of the same
+    length (such as the theta-mirror image) is dropped.  A returned path
+    may be missing when re-shooting it fails.
+
+    Raises SearchError when no candidate is found, and when the shortest
+    candidate exceeds the broken path through a pole, min(r1 + r2,
+    2 r_max - r1 - r2) (only r1 + r2 on a cap), by more than ``tol``; the
+    message names both numbers.
     """
     r1, th1 = float(p[0]), float(p[1])
     r2, th2 = float(q[0]), float(q[1])
@@ -487,13 +505,15 @@ def distance(m, p, q, n_angles=DEFAULT_N_ANGLES, tol=DEFAULT_DISTANCE_TOL,
 
     dtheta = abs(_wrap_angle(th2 - th1))
     geom = _Geometry(m)
-    cmax_pair = min(float(m.phi(r1)), float(m.phi(r2)),
-                    geom.c_max * (1.0 - 1e-13))
+    # r may exceed r_max by up to 1e-12; clip as eval does
+    phi1, phi2 = geom.phi_s(min(r1, geom.R)), geom.phi_s(min(r2, geom.R))
+    cmax_pair = min(phi1, phi2, geom.c_max * (1.0 - 1e-13))
 
     candidates = []   # (length, cls, c, target)
 
-    if abs(r1 - r2) < 1e-12 and abs(float(m.phi(r1, 1))) < 1e-12 and dtheta > 0:
-        candidates.append((float(m.phi(r1)) * dtheta, "parallel", None, dtheta))
+    if (abs(r1 - r2) < 1e-12 and abs(geom.dphi_s(min(r1, geom.R))) < 1e-12
+            and dtheta > 0):
+        candidates.append((phi1 * dtheta, "parallel", None, dtheta))
     if dtheta < 1e-12 and abs(r1 - r2) > 0:
         candidates.append((abs(r1 - r2), "meridian", None, 0.0))
     if abs(dtheta - math.pi) < 1e-12:
@@ -515,22 +535,14 @@ def distance(m, p, q, n_angles=DEFAULT_N_ANGLES, tol=DEFAULT_DISTANCE_TOL,
     targets = [t for t in (dtheta, 2.0 * math.pi - dtheta)
                if 1e-12 < t < 2.0 * math.pi - 1e-12]
 
-    rm = geom.turn_lo_vec(cgrid)
-    sth1, stt1 = geom.up_to_vec(cgrid, rm, r1)
-    sth2, stt2 = geom.up_to_vec(cgrid, rm, r2)
+    tables = geom.class_scan(cgrid, geom.turn_lo_vec(cgrid), r1, r2, classes)
     # scan tables prepended with the exact meridian limits at c = 0
     cgrid0 = np.concatenate([[0.0], cgrid])
-    scan = {
-        "direct": (np.concatenate([[0.0], np.abs(sth2 - sth1)]),
-                   np.concatenate([[abs(r2 - r1)], np.abs(stt2 - stt1)])),
-        "turn_lo": (np.concatenate([[math.pi], sth1 + sth2]),
-                    np.concatenate([[r1 + r2], stt1 + stt2])),
-    }
-    if m.topology == DOUBLED_SPHERE:
-        hth, htt = geom.half_swing_vec(cgrid, rm)
-        scan["turn_hi"] = (np.concatenate([[math.pi], 2.0 * hth - sth1 - sth2]),
-                           np.concatenate([[2.0 * m.r_max - r1 - r2],
-                                           2.0 * htt - stt1 - stt2]))
+    limits = {"direct": (0.0, abs(r2 - r1)), "turn_lo": (math.pi, r1 + r2),
+              "turn_hi": (math.pi, 2.0 * m.r_max - r1 - r2)}
+    scan = {cls: tuple(np.concatenate([[lim], tab])
+                       for lim, tab in zip(limits[cls], tables[cls]))
+            for cls in classes}
 
     brackets = []
     for cls in classes:
@@ -549,10 +561,10 @@ def distance(m, p, q, n_angles=DEFAULT_N_ANGLES, tol=DEFAULT_DISTANCE_TOL,
     for approx, cls, target, i in brackets:
         if approx > best + 0.1:
             break
-        c_star = _refine(geom, cls, r1, r2, target, cgrid0, int(i))
-        if c_star is None:
+        found = _refine(geom, cls, r1, r2, target, cgrid0, int(i))
+        if found is None:
             continue
-        length = geom.class_eval(cls, r1, r2, c_star)[1]
+        c_star, (_, length) = found
         best = min(best, length)
         candidates.append((length, cls, c_star, target))
 
@@ -561,6 +573,13 @@ def distance(m, p, q, n_angles=DEFAULT_N_ANGLES, tol=DEFAULT_DISTANCE_TOL,
 
     candidates.sort(key=lambda t: t[0])
     d = candidates[0][0]
+    # the broken path through a pole bounds every distance
+    bound = r1 + r2
+    if m.topology == DOUBLED_SPHERE:
+        bound = min(bound, 2.0 * m.r_max - r1 - r2)
+    if d > bound + tol:
+        raise SearchError(f"distance search returned {d!r}, longer than the "
+                          f"broken path through a pole ({bound!r})")
     winners, seen = [], set()
     for cand in candidates:
         if cand[0] > d + tol:
@@ -581,32 +600,37 @@ def distance(m, p, q, n_angles=DEFAULT_N_ANGLES, tol=DEFAULT_DISTANCE_TOL,
 
 
 def _refine(geom, cls, r1, r2, target, cgrid, i):
-    f = lambda c: geom.class_eval(cls, r1, r2, c)[0] - target
+    """(c*, (dtheta, length) at c*) for the root of dtheta = target bracketed
+    by scan cell ``i``, or None when the cell holds no true root."""
+    # brentq returns a point it has evaluated; the memo serves the check
+    ev = functools.cache(lambda c: geom.class_eval(cls, r1, r2, c))
+    f = lambda c: ev(c)[0] - target
     lo, hi = cgrid[i], cgrid[i + 1]
     if lo == 0.0:
         # the c = 0 row holds the analytic meridian limit; quadrature needs
         # a strictly positive Clairaut constant
         lo = hi * 1e-6
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:
+    vlo, vhi = ev(lo), ev(hi)
+    if (vlo[0] - target) * (vhi[0] - target) > 0:
         # the scan is low-order; allow the bracket to shift by one cell
         lo = cgrid[max(i - 1, 1)]
         hi = cgrid[min(i + 2, len(cgrid) - 1)]
-        flo, fhi = f(lo), f(hi)
-        if flo * fhi > 0:
+        vlo, vhi = ev(lo), ev(hi)
+        if (vlo[0] - target) * (vhi[0] - target) > 0:
             return None
-    if flo == 0.0:
-        return float(lo)
-    if fhi == 0.0:
-        return float(hi)
+    if vlo[0] - target == 0.0:
+        return float(lo), vlo
+    if vhi[0] - target == 0.0:
+        return float(hi), vhi
     try:
         c_star = float(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
     except ValueError:
         return None
+    v = ev(c_star)
     # reject pseudo-roots where f merely jumps through zero
-    if abs(f(c_star)) > 1e-5 * max(1.0, target):
+    if abs(v[0] - target) > 1e-5 * max(1.0, target):
         return None
-    return c_star
+    return c_star, v
 
 
 def _materialize(m, cls, c, r1, th1, r2, th2, length, target):
@@ -624,7 +648,7 @@ def _materialize(m, cls, c, r1, th1, r2, th2, length, target):
         else:
             alpha = 0.0
         return shoot(m, r1, alpha, length, theta0=th1)
-    sa = min(c / float(m.phi(r1)), 1.0)
+    sa = min(c / m.phi.scalar_fn(0)(min(r1, m.r_max)), 1.0)
     up = r2 >= r1 if cls == "direct" else cls == "turn_hi"
     alpha = math.asin(sa) if up else math.pi - math.asin(sa)
     if sgn_th < 0:
@@ -649,10 +673,11 @@ def inj_at_pole(m, tol=1e-8):
     if m.topology == CAP:
         return math.inf
     R = m.r_max
+    phi_s = m.phi.scalar_fn(0)
 
     def h(t):
         # odd continuation of the warping profile past the far pole
-        return float(m.phi(t)) if t <= R else -float(m.phi(2.0 * R - t))
+        return phi_s(t) if t <= R else -phi_s(2.0 * R - t)
 
     grid = np.linspace(1e-6, R + 0.25, 4097)
     near = grid <= R

@@ -196,21 +196,39 @@ class RadialProfile:
         if np.any(r < -1e-12) or np.any(r > self.r_max + 1e-12):
             raise DomainError(
                 f"radius outside profile domain [0, {self.r_max}]")
-        r = np.clip(r, 0.0, self.r_max)
-        sign = 1.0
-        if self.reflect_at is not None:
-            L = self.reflect_at
+        return self._eval(np.clip(r, 0.0, self.r_max), order)
+
+    def _eval(self, r, order):
+        """:meth:`eval` on a float array of radii already in [0, r_max].
+
+        No domain check and no clip: for callers that clip themselves.
+        """
+        L = self.reflect_at
+        if L is not None:
             mirrored = r > L
             # L - (r - L) instead of 2L - r: r - L is exact for r in [L, 2L]
             r = np.where(mirrored, L - (r - L), r)
-            sign = np.where(mirrored & (order % 2 == 1), -1.0, 1.0)
-        idx = np.searchsorted([s.lo for s in self.segments[1:]], r, side="right")
-        out = np.empty_like(r)
-        for i, seg in enumerate(self.segments):
-            m = idx == i
-            if np.any(m):
-                out[m] = seg.closed_form(order, np)(r[m])
-        return out * sign
+        segs = self.segments
+        first = last = 0
+        if len(segs) > 1 and r.size:
+            idx = np.searchsorted(self._starts, r, side="right")
+            first, last = int(idx.min()), int(idx.max())
+        if first == last:
+            # one segment holds every radius: no masks
+            out = np.full_like(r, segs[first].closed_form(order, np)(r))
+        else:
+            out = np.empty_like(r)
+            for i in range(first, last + 1):
+                m = idx == i
+                out[m] = segs[i].closed_form(order, np)(r[m])
+        if L is not None and order % 2 == 1:
+            np.negative(out, out=out, where=mirrored)
+        return out
+
+    @cached_property
+    def _starts(self):
+        """Start radii of the segments after the first."""
+        return np.array([s.lo for s in self.segments[1:]])
 
     def __call__(self, r, order=0):
         return float(self.eval(r, order)[0]) if np.isscalar(r) else self.eval(r, order)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pinchlab import (DomainError, build_model, distance, farthest_from_pole,
-                      inj_at_pole, shoot)
+from pinchlab import (DomainError, SearchError, build_model, distance,
+                      farthest_from_pole, inj_at_pole, shoot)
 
 
 def sphere_oracle(p, q):
@@ -135,6 +135,60 @@ def test_distance_symmetry(family10):
         d1, _ = distance(family10, p, q, return_paths=False)
         d2, _ = distance(family10, q, p, return_paths=False)
         assert d1 == pytest.approx(d2, abs=1e-6)
+
+
+# float.hex of distance(m, p, q) as computed before the search moved onto
+# float closures and shared arc integrals; the search must keep every bit.
+# Family pairs on family(10, 0.8, 0.02) (index 0) and family(6, 0.75, 0.03)
+# (index 1), each in both directions.
+PINNED_FAMILY = (
+    (0, (2.34, 2.38), (2.83, -1.65), "0x1.0f133b41c3d04p+1", "0x1.0f133b41d6f3dp+1"),
+    (0, (2.9, -0.19), (1.29, -1.33), "0x1.f44456fd12eefp+0", "0x1.f44456fd13071p+0"),
+    (1, (0.42, 0.09), (1.93, 2.5), "0x1.1c597b680b8acp+1", "0x1.1c597b680b8acp+1"),
+    (1, (1.59, -2.98), (3.2, -2.07), "0x1.d50e8780be3d2p+0", "0x1.d50e8780be3d2p+0"),
+)
+# pairs drawn with default_rng(6): sphere radii in (0.05, pi - 0.05),
+# Gaussian radii in (0.2, 5), angles in (-pi, pi)
+PINNED_SPHERE = (
+    ((1.686876737860978, -0.9847581679958686), (1.1725522052422852, -0.788560078461733),
+     "0x1.19131b19e6c36p-1"),
+    ((3.053405427975202, 0.8341322614811477), (2.101018713162262, -1.0683711188056741),
+     "0x1.123e404888588p+0"),
+    ((2.1180325632424446, -2.3689344345096206), (0.20733925197769287, 2.200317124970402),
+     "0x1.11350402e58f1p+1"),
+)
+PINNED_GAUSSIAN = (
+    ((2.7831888870653274, -0.9847581679958686), (1.9715227510178155, -0.788560078461733),
+     "0x1.dd61c631556dep-1"),
+    ((4.93973595289504, 0.8341322614811477), (3.4367548664215692, -1.0683711188056741),
+     "0x1.b804888bb8e94p+2"),
+    ((3.4636047735873072, -2.3689344345096206), (0.448300313522121, 2.200317124970402),
+     "0x1.c715c18c818f3p+1"),
+)
+
+
+def test_distance_bits_pinned(family10, sphere3, gaussian3):
+    fams = (family10, build_model("family", 6, 0.75, 0.03))
+    for k, p, q, pq, qp in PINNED_FAMILY:
+        assert distance(fams[k], p, q, return_paths=False)[0].hex() == pq
+        assert distance(fams[k], q, p, return_paths=False)[0].hex() == qp
+    for m, pinned in ((sphere3, PINNED_SPHERE), (gaussian3, PINNED_GAUSSIAN)):
+        for p, q, d in pinned:
+            assert distance(m, p, q, return_paths=False)[0].hex() == d
+
+
+def test_distance_above_broken_path_raises():
+    # The search misses the turn_lo minimizer just below the fold
+    # c = phi(r1) and finds only a turn_hi geodesic of length 5.014685,
+    # twice the path through the north pole (r1 + r2 = 2.579162).  A fold
+    # fix that brackets across the join of direct and turn_lo will make
+    # this pair return 2.2550119638566 instead of raising.
+    m = build_model("family", 4, 0.8388910574360728, 0.027451879604040195)
+    p = (0.37070086839835403, -0.29685276869587796)
+    q = (2.2084615704061545, 1.5220917279130264)
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(SearchError, match=r"5\.0146.*2\.5791624388045"):
+            distance(m, a, b, return_paths=False)
 
 
 def test_realizing_path_hits_target(sphere3):

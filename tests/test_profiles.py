@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from pinchlab import (ConstructionError, RadialProfile, SegmentSpec,
-                      build_model, check_c2, doubling_point, eval_profile,
-                      manifold_from_dict, manifold_to_dict,
+from pinchlab import (ConstructionError, DomainError, RadialProfile,
+                      SegmentSpec, build_model, check_c2, doubling_point,
+                      eval_profile, manifold_from_dict, manifold_to_dict,
                       solve_smoothing_band)
 from pinchlab.profiles import PL2_BAND, SINE, CONSTANT, c2_ok, _pl_integral
 
@@ -244,3 +244,25 @@ def test_scalar_fn_equals_eval_on_every_segment(kind):
                     own = own[own < seg.hi]
                 np.testing.assert_array_equal(seg.eval(own, order),
                                               prof.eval(own, order))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "round_sphere", "family"])
+def test_unchecked_eval_equals_eval(kind):
+    # _eval skips eval's domain check and clip; on radii already in
+    # [0, r_max] the two give the same bits, at the poles, L and every kink
+    # and one ulp to either side of each
+    m = build_model(kind, 10, 0.8, 0.02)
+    for prof in (m.phi, m.f):
+        R = prof.r_max
+        marks = np.array([0.0, R] + prof.kinks()
+                         + ([prof.reflect_at] if prof.reflect_at else []))
+        rs = np.concatenate([np.linspace(0.0, R, 4001), marks,
+                             np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)])
+        rs = np.clip(rs, 0.0, R)
+        for order in (0, 1, 2):
+            np.testing.assert_array_equal(prof._eval(rs, order).view(np.int64),
+                                          prof.eval(rs, order).view(np.int64))
+            assert prof.eval(np.array([]), order).shape == (0,)
+        for bad in (-1e-11, R + 1e-11):
+            with pytest.raises(DomainError):
+                prof.eval(bad)
