@@ -70,13 +70,45 @@ def _emit_text(text, out):
         sys.stdout.write(text)
 
 
+def _int_at_least(low):
+    """argparse type: an integer >= ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _positive_float(text):
+    """argparse type: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
+def _positive_floats(text):
+    """argparse type: a comma-separated list of finite floats > 0."""
+    values = [_positive_float(x) for x in text.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of values")
+    return values
+
+
 def _add_model_flags(p):
     p.add_argument("--model", choices=["gaussian", "round_sphere", "family"])
     p.add_argument("--from", dest="from_json", metavar="PATH",
                    help="load the model from a profile JSON file")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--n", type=_int_at_least(2), default=3)
+    p.add_argument("--eps", type=_positive_float)
+    p.add_argument("--delta", type=_positive_float)
     p.add_argument("--scale", choices=["ricci", "sec"], default="ricci",
                    help="potential scaling mode (sec divides by n-1)")
 
@@ -107,14 +139,14 @@ def build_parser():
 
     p = sub.add_parser("curvature", help="17-column curvature CSV over a radial grid")
     _add_model_flags(p)
-    p.add_argument("--grid", type=int, default=DEFAULTS["grid"])
+    p.add_argument("--grid", type=_int_at_least(1), default=DEFAULTS["grid"])
     p.add_argument("--out")
 
     p = sub.add_parser("pinch", help="pinching verification report")
     _add_model_flags(p)
     p.add_argument("--mode", choices=["ricci", "sec"], default="ricci")
     p.add_argument("--upper", type=float)
-    p.add_argument("--grid", type=int, default=DEFAULTS["grid"])
+    p.add_argument("--grid", type=_int_at_least(1), default=DEFAULTS["grid"])
     p.add_argument("--out")
 
     p = sub.add_parser("geodesic", help="shoot a geodesic, dump the path CSV")
@@ -137,11 +169,11 @@ def build_parser():
     p.add_argument("--out")
 
     p = sub.add_parser("family-limit", help="delta-sweep CSV of the example family")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--deltas", required=True,
+    p.add_argument("--n", type=_int_at_least(2), required=True)
+    p.add_argument("--eps", type=_positive_float, required=True)
+    p.add_argument("--deltas", type=_positive_floats, required=True,
                    help="comma-separated list of delta values")
-    p.add_argument("--grid", type=int, default=2000)
+    p.add_argument("--grid", type=_int_at_least(1), default=2000)
     p.add_argument("--out")
 
     p = sub.add_parser("klingenberg", help="loop-condition delta search report")
@@ -231,12 +263,9 @@ def _dispatch(args):
         return 0 if doc["pass"] else 1
 
     if args.cmd == "family-limit":
-        deltas = [float(x) for x in args.deltas.split(",") if x]
-        if not deltas or any(d <= 0 for d in deltas):
-            raise PinchlabError("--deltas must be a list of positive values")
         rows = ["delta,L_delta,pi_over_eps,inj_p,pinch_lower_margin,pinch_upper_margin"]
         ok = True
-        for d in deltas:
+        for d in args.deltas:
             m = build_model("family", args.n, args.eps, d)
             rep = verify_pinch(m, eps=args.eps, grid_size=args.grid)
             ok = ok and rep.passed

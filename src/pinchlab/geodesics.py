@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
+from ._scipy import brentq, solve_ivp
 from .errors import DomainError, IntegrationError, SearchError
 from .profiles import CAP, DOUBLED_SPHERE
 
@@ -483,7 +482,7 @@ def distance(m, p, q, n_angles=DEFAULT_N_ANGLES, tol=DEFAULT_DISTANCE_TOL,
     r1, th1 = float(p[0]), float(p[1])
     r2, th2 = float(q[0]), float(q[1])
     for r in (r1, r2):
-        if r < -1e-12 or r > m.r_max + 1e-12:
+        if not -1e-12 <= r <= m.r_max + 1e-12:
             raise DomainError("point outside the manifold domain")
     r1, r2 = max(r1, 0.0), max(r2, 0.0)
 

@@ -36,7 +36,9 @@ LINEAR = "LINEAR"
 CONSTANT = "CONSTANT"
 PARABOLA = "PARABOLA"
 PL2_BAND = "PL2_BAND"
-KINDS = (SINE, LINEAR, CONSTANT, PARABOLA, PL2_BAND)
+# segment kind -> the parameters its closed form reads
+KINDS = {SINE: (), LINEAR: (), CONSTANT: ("value",), PARABOLA: ("c0", "c1", "c2"),
+         PL2_BAND: ("left_value", "left_slope", "nodes")}
 
 CAP = "CAP"
 DOUBLED_SPHERE = "DOUBLED_SPHERE"
@@ -65,6 +67,9 @@ class SegmentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConstructionError(f"unknown segment kind {self.kind!r}")
+        for key in KINDS[self.kind]:
+            if key not in self.params:
+                raise ConstructionError(f"{self.kind} segment lacks parameter {key!r}")
         if not self.hi > self.lo:
             raise ConstructionError(f"empty segment interval [{self.lo}, {self.hi})")
         if self.kind == PL2_BAND:
@@ -191,9 +196,10 @@ class RadialProfile:
         return sorted(k for k in set(ks) if 0.0 < k < self.r_max)
 
     def eval(self, r, order=0):
-        """Vectorized evaluation; raises DomainError outside [0, r_max]."""
+        """Vectorized evaluation; raises DomainError outside [0, r_max] and on NaN."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(r < -1e-12) or np.any(r > self.r_max + 1e-12):
+        # written so that NaN fails the check
+        if not ((r >= -1e-12).all() and (r <= self.r_max + 1e-12).all()):
             raise DomainError(
                 f"radius outside profile domain [0, {self.r_max}]")
         return self._eval(np.clip(r, 0.0, self.r_max), order)
@@ -426,7 +432,16 @@ def _family_fdot_third_branch(n, eps, delta, r):
 
 
 def build_model(kind, n, eps=None, delta=None, potential_scale=1.0, r_max=DEFAULT_CAP_RMAX):
-    """Assemble one of the builtin models.  ``kind`` in {gaussian, round_sphere, family}."""
+    """Assemble one of the builtin models.  ``kind`` in {gaussian, round_sphere, family}.
+
+    Raises ConstructionError naming ``n``, ``eps`` or ``delta`` when n < 2 or
+    a given eps or delta is not finite and positive.
+    """
+    if not n >= 2:
+        raise ConstructionError(f"n must be at least 2, got {n}")
+    for name, value in (("eps", eps), ("delta", delta)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConstructionError(f"{name} must be finite and positive, got {value}")
     kind = kind.upper()
     if kind == "GAUSSIAN":
         phi = RadialProfile((SegmentSpec(LINEAR, 0.0, r_max),))
@@ -457,10 +472,10 @@ def build_family(n, eps, delta, potential_scale=1.0):
     """
     if n < 3:
         raise ConstructionError("family requires n >= 3")
-    if eps is None or eps <= 0:
-        raise ConstructionError("family requires eps > 0")
-    if delta is None or delta <= 0:
-        raise ConstructionError("family requires delta > 0")
+    if eps is None:
+        raise ConstructionError("family requires eps")
+    if delta is None:
+        raise ConstructionError("family requires delta")
     half = math.pi / 2
     r_band_f = half - 2.0 * delta
     r_band_phi = half - delta
@@ -524,12 +539,25 @@ def _seg_to_dict(seg):
     return d
 
 
+def _field(d, key, where="top level"):
+    """``d[key]``, or a ConstructionError naming the missing field."""
+    if not isinstance(d, dict) or key not in d:
+        raise ConstructionError(f"profile JSON: {where} lacks field {key!r}")
+    return d[key]
+
+
 def _seg_from_dict(d):
-    lo, hi = d["domain"]
+    kind = _field(d, "kind", "segment")
+    lo, hi = _field(d, "domain", "segment")
     params = {k: v for k, v in d.items() if k not in ("kind", "domain")}
-    if d["kind"] == PL2_BAND:
-        params["nodes"] = [(o, v) for o, v in d["nodes"]]
-    return SegmentSpec(d["kind"], lo, hi, params)
+    if kind == PL2_BAND and "nodes" in params:
+        params["nodes"] = [(o, v) for o, v in params["nodes"]]
+    return SegmentSpec(kind, lo, hi, params)
+
+
+def _profile_from_dict(d, name, reflect_at):
+    segments = _field(_field(d, name), "segments", name)
+    return RadialProfile(tuple(_seg_from_dict(s) for s in segments), reflect_at=reflect_at)
 
 
 def manifold_to_dict(m):
@@ -546,12 +574,12 @@ def manifold_to_dict(m):
 
 
 def manifold_from_dict(d):
-    reflect = d["L"] if d["topology"] == DOUBLED_SPHERE else None
-    phi = RadialProfile(tuple(_seg_from_dict(s) for s in d["phi"]["segments"]),
-                        reflect_at=reflect)
-    f = RadialProfile(tuple(_seg_from_dict(s) for s in d["f"]["segments"]),
-                      reflect_at=reflect)
-    return ManifoldWithDensity(d["n"], phi, f, d["topology"],
+    """Inverse of :func:`manifold_to_dict`; a missing field raises
+    ConstructionError naming it."""
+    topology = _field(d, "topology")
+    reflect = _field(d, "L") if topology == DOUBLED_SPHERE else None
+    return ManifoldWithDensity(_field(d, "n"), _profile_from_dict(d, "phi", reflect),
+                               _profile_from_dict(d, "f", reflect), topology,
                                d.get("potential_scale", 1.0), d.get("meta", {}))
 
 
@@ -563,4 +591,8 @@ def save_manifold(m, path):
 
 def load_manifold(path):
     with open(path) as fh:
-        return manifold_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as e:
+            raise ConstructionError(f"{path} is not a profile JSON file: {e}") from None
+    return manifold_from_dict(d)

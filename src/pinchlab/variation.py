@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigvalsh_tridiagonal
 
+from ._scipy import eigvalsh_tridiagonal, solve_ivp
 from .errors import DomainError, IntegrationError
 from .curvature import curvature_table, ricci_eigenvalues, sectional_fn
 

@@ -32,8 +32,8 @@ DEFAULT_GRID = 10_000
 def _model_eps(m, eps):
     if eps is None:
         eps = m.meta.get("eps")
-    if eps is None or eps <= 0:
-        raise DomainError("a positive eps is required (pass it or set model meta)")
+    if eps is None or not (math.isfinite(eps) and eps > 0):
+        raise DomainError("a finite positive eps is required (pass it or set model meta)")
     return float(eps)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import pinchlab
 from pinchlab.cli import run_cli
+from test_golden import README_COMMANDS
 
 
 def run(capsys, *argv):
@@ -151,6 +152,71 @@ def test_deterministic_output(capsys):
     assert a == b
 
 
+def test_malformed_profile_json_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    missing.write_text(json.dumps({"n": 3}))
+    code, _, err = run(capsys, "pinch", "--from", str(missing))
+    assert code == 2
+    assert "'topology'" in err
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("not json")
+    code, _, err = run(capsys, "pinch", "--from", str(garbled))
+    assert code == 2
+    assert "garbled.json" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("family-limit", "--n", "10", "--eps", "0.8", "--deltas", "abc"), "--deltas"),
+    (("curvature", "--model", "gaussian", "--n", "3", "--grid", "-5"), "--grid"),
+    (("pinch", "--model", "gaussian", "--n", "1"), "--n"),
+    (("pinch", "--model", "family", "--n", "10", "--eps", "nan", "--delta", "0.02"),
+     "--eps"),
+])
+def test_bad_argument_values_exit_two(capsys, argv, name):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"argument {name}:" in err
+
+
+def _child_env():
+    src = str(pathlib.Path(pinchlab.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+SCIPY_PROBE = """
+import json, sys
+from pinchlab.cli import run_cli
+codes = [run_cli(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(k for k in sys.modules if k.startswith("scipy"))]))
+"""
+
+
+def _scipy_after(commands, tmp_path):
+    """Exit codes of ``commands`` run in one fresh interpreter, and the scipy
+    modules loaded after them."""
+    argvs = [[a.format(d=tmp_path) for a in args] for args in commands]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_solver_free_commands_never_import_scipy(tmp_path):
+    # scipy loads on the first ODE, root-finding or eigenvalue call
+    solver_free = [(args, code) for _, args, code in README_COMMANDS
+                   if args[0] in ("build", "curvature", "pinch", "gap", "family-limit")]
+    assert len(solver_free) == 6
+    codes, loaded = _scipy_after([args for args, _ in solver_free], tmp_path)
+    assert codes == [code for _, code in solver_free]
+    assert loaded == []
+    geodesic = [args for _, args, _ in README_COMMANDS if args[0] == "geodesic"]
+    codes, loaded = _scipy_after(geodesic, tmp_path)
+    assert codes == [0]
+    assert "scipy.integrate" in loaded
+
+
 @pytest.mark.parametrize("argv", [
     ("geodesic", "--model", "round_sphere", "--length", "nan"),
     ("index", "--model", "family", "--n", "10", "--eps", "0.8", "--delta",
@@ -161,10 +227,7 @@ def test_deterministic_output(capsys):
 def test_nan_lengths_exit_two_promptly(argv):
     # a NaN length can keep the ODE solver stepping forever, so each command
     # runs in a child process that a timeout can stop
-    src = str(pathlib.Path(pinchlab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "pinchlab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=30)
+                          capture_output=True, text=True, env=_child_env(), timeout=30)
     assert proc.returncode == 2, proc.stderr
     assert "error" in proc.stderr

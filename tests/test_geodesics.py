@@ -239,6 +239,12 @@ def test_farthest_from_pole(sphere3, family10):
     assert q == (2 * family10.L, 0.0)
 
 
+def test_distance_rejects_nan_radius(family10):
+    for p, q in (((math.nan, 0.0), (1.0, 1.0)), ((1.0, 1.0), (math.nan, 0.0))):
+        with pytest.raises(DomainError):
+            distance(family10, p, q)
+
+
 def test_farthest_from_pole_cap_errors(gaussian3):
     with pytest.raises(DomainError):
         farthest_from_pole(gaussian3)

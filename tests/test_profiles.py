@@ -124,6 +124,12 @@ def test_family_rejects_bad_parameters():
     with pytest.raises(ConstructionError):
         # doubling point falls inside the cap: no cylinder left
         build_model("family", 10, 1.2, 0.02)
+    with pytest.raises(ConstructionError, match="eps"):
+        build_model("family", 10, math.nan, 0.02)
+    with pytest.raises(ConstructionError, match="delta"):
+        build_model("family", 10, 0.8, math.inf)
+    with pytest.raises(ConstructionError, match="n must"):
+        build_model("gaussian", 1)
 
 
 # -- C2 checks --------------------------------------------------------------
@@ -263,6 +269,7 @@ def test_unchecked_eval_equals_eval(kind):
             np.testing.assert_array_equal(prof._eval(rs, order).view(np.int64),
                                           prof.eval(rs, order).view(np.int64))
             assert prof.eval(np.array([]), order).shape == (0,)
-        for bad in (-1e-11, R + 1e-11):
-            with pytest.raises(DomainError):
-                prof.eval(bad)
+        for bad in (-1e-11, R + 1e-11, math.nan):
+            for order in (0, 1):
+                with pytest.raises(DomainError):
+                    prof.eval(bad, order)

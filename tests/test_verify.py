@@ -85,8 +85,9 @@ def test_critical_radius_values(gaussian3, family10):
 
 
 def test_critical_radius_requires_positive_eps(sphere3):
-    with pytest.raises(DomainError):
-        critical_radius(sphere3, eps=-1.0)
+    for eps in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            critical_radius(sphere3, eps=eps)
 
 
 def test_gaussian_certificate_noncritical(gaussian3):
