@@ -83,14 +83,22 @@ def _int_at_least(low):
     return parse
 
 
-def _positive_float(text):
-    """argparse type: a finite float > 0."""
+def _finite_float(text):
+    """argparse type: a finite float."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_float(text):
+    """argparse type: a finite float > 0."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
@@ -145,7 +153,7 @@ def build_parser():
     p = sub.add_parser("pinch", help="pinching verification report")
     _add_model_flags(p)
     p.add_argument("--mode", choices=["ricci", "sec"], default="ricci")
-    p.add_argument("--upper", type=float)
+    p.add_argument("--upper", type=_finite_float)
     p.add_argument("--grid", type=_int_at_least(1), default=DEFAULTS["grid"])
     p.add_argument("--out")
 

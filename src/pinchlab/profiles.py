@@ -546,9 +546,18 @@ def _field(d, key, where="top level"):
     return d[key]
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _seg_from_dict(d):
     kind = _field(d, "kind", "segment")
-    lo, hi = _field(d, "domain", "segment")
+    domain = _field(d, "domain", "segment")
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 2
+            and all(_is_number(x) for x in domain)):
+        raise ConstructionError(
+            f"profile JSON: segment field 'domain' must be [lo, hi], got {domain!r}")
+    lo, hi = domain
     params = {k: v for k, v in d.items() if k not in ("kind", "domain")}
     if kind == PL2_BAND and "nodes" in params:
         params["nodes"] = [(o, v) for o, v in params["nodes"]]
@@ -574,11 +583,15 @@ def manifold_to_dict(m):
 
 
 def manifold_from_dict(d):
-    """Inverse of :func:`manifold_to_dict`; a missing field raises
+    """Inverse of :func:`manifold_to_dict`; a missing field, a non-integer
+    ``n`` or a segment ``domain`` other than [lo, hi] raises
     ConstructionError naming it."""
     topology = _field(d, "topology")
     reflect = _field(d, "L") if topology == DOUBLED_SPHERE else None
-    return ManifoldWithDensity(_field(d, "n"), _profile_from_dict(d, "phi", reflect),
+    n = _field(d, "n")
+    if not (_is_number(n) and isinstance(n, int)):
+        raise ConstructionError(f"profile JSON: field 'n' must be an integer, got {n!r}")
+    return ManifoldWithDensity(n, _profile_from_dict(d, "phi", reflect),
                                _profile_from_dict(d, "f", reflect), topology,
                                d.get("potential_scale", 1.0), d.get("meta", {}))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,14 @@ def _pinch_grid(m, grid_size):
 
 @dataclass(frozen=True)
 class PinchReport:
+    """Outcome of :func:`verify_pinch`: achieved bounds, targets and violations.
+
+    ``violations`` lists every grid point that breaks a bound, as dicts
+    {"r", "quantity", "value", "bound"} sorted by r, then by quantity name.
+    The report stores them as plain columns and builds the dicts on first
+    read, so callers that read only ``passed`` or ``margins()`` build none.
+    """
+
     mode: str
     eps_target: float
     upper_target: float
@@ -60,9 +69,14 @@ class PinchReport:
     achieved_lower: float
     achieved_upper: float
     lower_scale: float
-    violations: tuple
+    _violation_columns: tuple = field(repr=False)  # (r, quantity, value, bound)
     tol_lower: float
     tol_upper: float
+
+    @cached_property
+    def violations(self):
+        return tuple({"r": r, "quantity": q, "value": v, "bound": b}
+                     for r, q, v, b in zip(*self._violation_columns))
 
     @property
     def passed(self):
@@ -86,10 +100,15 @@ def verify_pinch(m, mode=RICCI_MODE, eps=None, upper=None, grid_size=DEFAULT_GRI
     RICCI mode checks min(bakry_rr, bakry_tt) >= (n-1) eps and
     max(ric_rr, ric_tt) <= (n-1) upper with the unscaled potential; SEC mode
     checks min(wsec_*) >= eps and max(sec_rad, sec_tan) <= upper with the
-    manifold's potential scale.
+    manifold's potential scale.  A non-finite ``upper`` raises DomainError.
+
+    The report's ``violations`` lists every failing (r, quantity) pair of the
+    grid, sorted by r, then by quantity name; it is built on first read.
     """
     if grid_size < 100:
         raise DomainError("grid_size must be at least 100")
+    if upper is not None and not math.isfinite(upper):
+        raise DomainError(f"upper must be finite, got {upper}")
     mode = mode.upper()
     if mode not in (RICCI_MODE, SEC_MODE):
         raise DomainError(f"unknown pinch mode {mode!r}")
@@ -120,20 +139,27 @@ def verify_pinch(m, mode=RICCI_MODE, eps=None, upper=None, grid_size=DEFAULT_GRI
     achieved_upper = max(float(v.max()) for v in upper_q.values())
     lower_bound = eps * scale
 
-    violations = []
-    for name, v in lower_q.items():
-        for i in np.nonzero(v < lower_bound - tol_lower)[0]:
-            violations.append({"r": float(rs[i]), "quantity": name,
-                               "value": float(v[i]), "bound": lower_bound})
-    for name, v in upper_q.items():
-        for i in np.nonzero(v > upper_target + tol_upper)[0]:
-            violations.append({"r": float(rs[i]), "quantity": name,
-                               "value": float(v[i]), "bound": upper_target})
-    violations.sort(key=lambda d: (d["r"], d["quantity"]))
+    # (quantity, values, bound, violation mask), in quantity-name order
+    checks = sorted([(name, v, lower_bound, v < lower_bound - tol_lower)
+                     for name, v in lower_q.items()]
+                    + [(name, v, upper_target, v > upper_target + tol_upper)
+                       for name, v in upper_q.items()], key=lambda c: c[0])
+    names, values, bounds, masks = zip(*checks)
+    hits = [np.flatnonzero(bad) for bad in masks]
+    index = np.concatenate(hits)
+    rank = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
+    value = np.concatenate([v[h] for v, h in zip(values, hits)])
+    # rs is strictly increasing (np.unique), so grid-index order is r order
+    order = np.lexsort((rank, index))
+    rank = rank[order]
+    # object arrays hand every hit the same str and float objects
+    columns = (tuple(rs[index[order]].tolist()),
+               tuple(np.array(names, dtype=object)[rank].tolist()),
+               tuple(value[order].tolist()),
+               tuple(np.array(bounds, dtype=object)[rank].tolist()))
 
     return PinchReport(mode, eps, upper_target, len(rs), achieved_lower,
-                       achieved_upper, scale, tuple(violations),
-                       tol_lower, tol_upper)
+                       achieved_upper, scale, columns, tol_lower, tol_upper)
 
 
 # ---------------------------------------------------------------------------

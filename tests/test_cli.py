@@ -165,12 +165,29 @@ def test_malformed_profile_json_exits_two(tmp_path, capsys):
     assert "garbled.json" in err
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("'n'", lambda doc: doc.update(n="3")),
+    ("'domain'", lambda doc: doc["phi"]["segments"][0].update(domain=[0.0])),
+], ids=["n", "domain"])
+def test_wrongly_typed_profile_field_exits_two(tmp_path, capsys, field, edit):
+    out = tmp_path / "m.json"
+    run(capsys, "build", "--model", "round_sphere", "--n", "3", "--out", str(out))
+    doc = json.loads(out.read_text())
+    edit(doc)
+    out.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "pinch", "--from", str(out))
+    assert code == 2
+    assert field in err
+
+
 @pytest.mark.parametrize("argv, name", [
     (("family-limit", "--n", "10", "--eps", "0.8", "--deltas", "abc"), "--deltas"),
     (("curvature", "--model", "gaussian", "--n", "3", "--grid", "-5"), "--grid"),
     (("pinch", "--model", "gaussian", "--n", "1"), "--n"),
     (("pinch", "--model", "family", "--n", "10", "--eps", "nan", "--delta", "0.02"),
      "--eps"),
+    (("pinch", "--model", "gaussian", "--n", "3", "--upper", "nan", "--mode", "sec"),
+     "--upper"),
 ])
 def test_bad_argument_values_exit_two(capsys, argv, name):
     code, _, err = run(capsys, *argv)

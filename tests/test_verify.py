@@ -7,7 +7,9 @@ from pinchlab import (DomainError, INFEASIBLE, build_model, critical_radius,
                       criticality_certificate, diameter_gap,
                       inj_gap_hypothesis, klingenberg_delta_search,
                       verify_pinch, verify_quadratic_growth)
-from pinchlab.verify import make_report, pinch_report_doc
+from pinchlab.curvature import curvature_table
+from pinchlab.verify import (DEFAULT_GRID, _pinch_grid, make_report,
+                             pinch_report_doc)
 
 
 # -- pinch verification -----------------------------------------------------
@@ -66,6 +68,52 @@ def test_family_range_discrepancy_fails():
 def test_pinch_grid_size_validated(gaussian3):
     with pytest.raises(DomainError):
         verify_pinch(gaussian3, grid_size=50)
+
+
+def test_pinch_upper_must_be_finite(gaussian3):
+    for upper in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="upper"):
+            verify_pinch(gaussian3, "SEC", upper=upper, grid_size=1000)
+
+
+def _reference_violations(m, rep):
+    """The listing built point by point and sorted by (r, quantity)."""
+    rs = _pinch_grid(m, DEFAULT_GRID)
+    tab = curvature_table(m, rs)
+    if rep.mode == "RICCI":
+        lower_q = {k: tab[k] for k in ("bakry_rr", "bakry_tt")}
+        upper_q = {k: tab[k] for k in ("ric_rr", "ric_tt")}
+    else:
+        lower_q = {k: tab[k] for k in ("wsec_rT", "wsec_Tr", "wsec_TT")}
+        upper_q = {k: tab[k] for k in ("sec_rad", "sec_tan")}
+    lower_bound = rep.eps_target * rep.lower_scale
+    violations = []
+    for name, v in lower_q.items():
+        for i in np.nonzero(v < lower_bound - rep.tol_lower)[0]:
+            violations.append({"r": float(rs[i]), "quantity": name,
+                               "value": float(v[i]), "bound": lower_bound})
+    for name, v in upper_q.items():
+        for i in np.nonzero(v > rep.upper_target + rep.tol_upper)[0]:
+            violations.append({"r": float(rs[i]), "quantity": name,
+                               "value": float(v[i]), "bound": rep.upper_target})
+    violations.sort(key=lambda d: (d["r"], d["quantity"]))
+    return tuple(violations)
+
+
+@pytest.mark.parametrize("model, mode, eps, count", [
+    (("family", 3, 0.9, 0.02), "RICCI", None, 875),
+    (("family", 10, 0.8, 0.02, 1.0 / 9.0), "SEC", None, 1877),
+    (("gaussian", 5), "RICCI", 0.4, 20_002),
+    (("gaussian", 5, None, None, 0.25), "SEC", 0.4, 30_003),
+    (("round_sphere", 3), "SEC", 1.0, 0),
+])
+def test_pinch_violations_match_reference_listing(model, mode, eps, count):
+    m = build_model(*model)
+    rep = verify_pinch(m, mode, eps=eps)
+    ref = _reference_violations(m, rep)
+    assert len(ref) == count
+    assert rep.violations == ref
+    assert rep.violations is rep.violations
 
 
 def test_round_sphere_divergence_consistency(sphere3):
