@@ -21,6 +21,7 @@ whose shortest candidate exceeds the broken path through a pole raises
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .profiles import CAP, DOUBLED_SPHERE
 DEFAULT_SHOOT_TOL = 1e-12
 DEFAULT_DISTANCE_TOL = 1e-6
 DEFAULT_N_ANGLES = 256
+MAX_LENGTH_FACTOR = 100.0
 _POLE = 1e-12
 _TINY = 1e-300
 
@@ -74,7 +76,13 @@ class GeodesicPath:
     _phi2: object = field(repr=False, default=None)
 
     def state(self, t):
-        """(r, rdot, theta, thetadot) at arclength t."""
+        """(r, rdot, theta, thetadot) at arclength t.
+
+        An array of arclengths gives four arrays.  One float gives four
+        floats computed in float arithmetic: in closed form on a meridian,
+        and otherwise from the integrator's dense output with the same bits
+        the array evaluation gives at that point.
+        """
         return self._state_fn(t)
 
     @property
@@ -142,9 +150,16 @@ def _meridian_state_fn(m, r0, d0, theta0):
 
 def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
     """Integrate the geodesic launched from radius ``r0`` at angle ``alpha``
-    (measured from the outward radial direction) for arclength ``T``."""
+    (measured from the outward radial direction) for arclength ``T``.
+
+    ``T`` must be finite, positive and at most ``MAX_LENGTH_FACTOR * r_max``;
+    otherwise :class:`DomainError` is raised."""
     if not (math.isfinite(T) and T > 0):
         raise DomainError("arclength must be finite and positive")
+    if T > MAX_LENGTH_FACTOR * m.r_max:
+        # dense output is kept over the whole arc, so memory and time grow with T
+        raise DomainError(f"arclength {T} exceeds the bound {MAX_LENGTH_FACTOR:g} r_max"
+                          f" = {MAX_LENGTH_FACTOR * m.r_max}")
     if not math.isfinite(alpha):
         raise DomainError("launch angle must be finite")
     sa, ca = math.sin(alpha), math.cos(alpha)
@@ -208,12 +223,44 @@ def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
     speed = float(np.max(np.abs(rd**2 + phi**2 * td**2 - 1.0)))
     samples = np.column_stack([ts, r, th, rd])
 
-    def st(t, sol=sol):
-        y = sol.sol(t)
-        return y[0], y[1], y[2], y[3]
-
     return GeodesicPath(c, samples, T, clair, speed, False, thetadot=td,
-                        _state_fn=st, _phi2=phi2)
+                        _state_fn=_dense_state_fn(sol.sol), _phi2=phi2)
+
+
+def _dense_state_fn(sol):
+    """(r, rdot, theta, thetadot) from the DOP853 dense output ``sol``.
+
+    An array goes through ``sol``.  One float t is answered in float
+    arithmetic: the segment is picked as ``OdeSolution`` picks it, and the
+    interpolant is evaluated with ``Dop853DenseOutput``'s operations in its
+    order, so the result has the bits ``sol(t)`` has.  The step times are
+    read into a list on the first float call, and each segment's
+    coefficients on the first call that lands in it, so a path asked for
+    its end point alone does not pay for the whole table.
+    """
+    last = len(sol.interpolants) - 1
+    times = functools.cache(sol.ts.tolist)
+
+    @functools.cache
+    def segment(i):
+        seg = sol.interpolants[i]
+        rows = seg.F[::-1].T.tolist()            # per component: f0 .. f6
+        # scipy accumulates from zeros, so f0 enters as 0.0 + f0
+        coeffs = [(0.0 + f[0], *f[1:]) for f in rows]
+        return float(seg.t_old), float(seg.h), seg.y_old.tolist(), coeffs
+
+    def state(t):
+        if not isinstance(t, float):
+            y = sol(t)
+            return y[0], y[1], y[2], y[3]
+        t = float(t)
+        t_old, h, y_old, coeffs = segment(min(max(bisect.bisect_left(times(), t) - 1, 0), last))
+        x = (t - t_old) / h
+        x1 = 1.0 - x
+        return [((((((a * x + b) * x1 + c) * x + d) * x1 + e) * x + f) * x1 + g) * x + y
+                for (a, b, c, d, e, f, g), y in zip(coeffs, y_old)]
+
+    return state
 
 
 # ---------------------------------------------------------------------------

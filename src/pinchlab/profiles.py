@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -550,6 +551,23 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_finite(x):
+    return _is_number(x) and abs(x) <= sys.float_info.max
+
+
+def _is_node(p):
+    return isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_finite, p))
+
+
+def _finite_field(d, key, where="top level"):
+    """``d[key]`` if it is a finite number, else a ConstructionError naming it."""
+    v = _field(d, key, where)
+    if not _is_finite(v):
+        raise ConstructionError(
+            f"profile JSON: {where} field {key!r} must be a finite number, got {v!r}")
+    return v
+
+
 def _seg_from_dict(d):
     kind = _field(d, "kind", "segment")
     domain = _field(d, "domain", "segment")
@@ -559,8 +577,15 @@ def _seg_from_dict(d):
             f"profile JSON: segment field 'domain' must be [lo, hi], got {domain!r}")
     lo, hi = domain
     params = {k: v for k, v in d.items() if k not in ("kind", "domain")}
+    for key in KINDS.get(kind, ()):
+        if key != "nodes" and key in params:
+            _finite_field(params, key, "segment")
     if kind == PL2_BAND and "nodes" in params:
-        params["nodes"] = [(o, v) for o, v in params["nodes"]]
+        nodes = params["nodes"]
+        if not (isinstance(nodes, (list, tuple)) and nodes and all(map(_is_node, nodes))):
+            raise ConstructionError("profile JSON: segment field 'nodes' must be a "
+                                    f"non-empty list of [offset, value] pairs, got {nodes!r}")
+        params["nodes"] = [(o, v) for o, v in nodes]
     return SegmentSpec(kind, lo, hi, params)
 
 
@@ -584,16 +609,19 @@ def manifold_to_dict(m):
 
 def manifold_from_dict(d):
     """Inverse of :func:`manifold_to_dict`; a missing field, a non-integer
-    ``n`` or a segment ``domain`` other than [lo, hi] raises
-    ConstructionError naming it."""
+    ``n``, a segment ``domain`` other than [lo, hi], an ``L``,
+    ``potential_scale`` or segment parameter that is not a finite number, or
+    ``nodes`` that are not [offset, value] pairs raise ConstructionError
+    naming the field."""
     topology = _field(d, "topology")
-    reflect = _field(d, "L") if topology == DOUBLED_SPHERE else None
+    reflect = _finite_field(d, "L") if topology == DOUBLED_SPHERE else None
     n = _field(d, "n")
     if not (_is_number(n) and isinstance(n, int)):
         raise ConstructionError(f"profile JSON: field 'n' must be an integer, got {n!r}")
+    scale = _finite_field(d, "potential_scale") if "potential_scale" in d else 1.0
     return ManifoldWithDensity(n, _profile_from_dict(d, "phi", reflect),
                                _profile_from_dict(d, "f", reflect), topology,
-                               d.get("potential_scale", 1.0), d.get("meta", {}))
+                               scale, d.get("meta", {}))
 
 
 def save_manifold(m, path):

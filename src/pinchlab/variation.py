@@ -19,6 +19,7 @@ eigenvalues of the discretized index form int (psi')^2 - K psi^2
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -125,6 +126,10 @@ def second_variation(K, psi, length=None, breakpoints=(), tol=QUAD_TOL):
     ``psi`` is a :class:`TestField` or a (value, derivative) pair of
     callables, in which case ``length`` is required.  ``K`` is the sectional
     curvature sampled along the geodesic, as a callable of arclength.
+    Quadrature nodes are forced at the field's breakpoints and at
+    ``breakpoints``; for a K from :func:`path_curvature` pass
+    ``breakpoints=path_kinks(m, path)``, without which the kinks of K keep
+    the quadrature from converging and it raises :class:`IntegrationError`.
     """
     if isinstance(psi, TestField):
         val, der = psi.value, psi.derivative
@@ -147,12 +152,19 @@ def second_variation(K, psi, length=None, breakpoints=(), tol=QUAD_TOL):
 # curvature along a path
 
 
-def _path_breakpoints(m, path, grid=2048):
-    """Arclengths where the path crosses a kink of phi (forced quad nodes).
+def path_kinks(m, path, grid=2048):
+    """Arclengths where the path crosses a kink of phi, in increasing order.
+
+    Pass them as ``breakpoints`` wherever a K from :func:`path_curvature` is
+    integrated: as forced quadrature nodes, or as restarts of the Jacobi
+    solve.
 
     Every integrand along a path is built from sec_rad and sec_tan, which
     read phi alone, so the radii of :meth:`RadialProfile.kinks` -- junctions,
     band nodes and their mirror images -- are where it loses smoothness.
+    A stretch of the path that runs along a kink radius (the equator of the
+    round sphere) counts by its two ends: the rounding noise of r about the
+    kink inside it would otherwise give a crossing at every sample.
     """
     ts = np.linspace(0.0, path.length, grid + 1)
     r, _, _, _ = path.state(ts)
@@ -160,7 +172,10 @@ def _path_breakpoints(m, path, grid=2048):
     out = set()
     for j in m.phi.kinks():
         d = r - j
-        for i in np.nonzero(d[:-1] * d[1:] < 0)[0]:
+        on = np.abs(d) < 1e-12
+        inside = np.zeros_like(on)
+        inside[1:-1] = on[:-2] & on[2:]
+        for i in np.nonzero((d[:-1] * d[1:] < 0) & ~(on[:-1] & on[1:]))[0]:
             lo, hi = ts[i], ts[i + 1]
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
@@ -170,7 +185,7 @@ def _path_breakpoints(m, path, grid=2048):
                     hi = mid
             out.add(0.5 * (lo + hi))
         # tangential crossings (the meridian touches a junction exactly)
-        for i in np.nonzero(np.abs(d) < 1e-12)[0]:
+        for i in np.nonzero(on & ~inside)[0]:
             out.add(float(ts[i]))
     return sorted(out)
 
@@ -224,7 +239,7 @@ def line_integral(m, path, kind=RICCI, direction="fiber", tol=QUAD_TOL):
     raises :class:`IntegrationError`.
     """
     K = path_curvature(m, path, kind, direction)
-    bps = _path_breakpoints(m, path)
+    bps = path_kinks(m, path)
     return quad_piecewise(K, 0.0, path.length, bps, tol=tol)
 
 
@@ -236,9 +251,16 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(),
                             rtol=1e-11, grid=4096):
     """Interior zeros of psi'' + K psi = 0, psi(0) = 0, psi'(0) = 1.
 
-    Zeros are bracketed on a sample grid and refined by bisection of the
-    dense solution; a zero within ``tol`` of the endpoint is excluded
-    (Morse convention counts only interior conjugate points).
+    ``breakpoints`` are the arclengths where ``K`` is not smooth (for a
+    path's K, :func:`path_kinks`).  The solve restarts at each of them:
+    [0, length] is cut there, pieces shorter than 1e-15 are skipped, and
+    each piece gets its own DOP853 run from the previous piece's final state
+    (Hairer, Norsett and Wanner, *Solving ODEs I*, II.6), so no step
+    straddles a kink.  Every piece keeps ``max_step = length / 16`` of the
+    whole length; with no breakpoints there is one piece.  Zeros are
+    bracketed on a sample grid and refined by bisection of the dense
+    solution of their piece; a zero within ``tol`` of the endpoint is
+    excluded (Morse convention counts only interior conjugate points).
     """
     if not (math.isfinite(length) and length > 0):
         raise DomainError("Jacobi length must be finite and positive")
@@ -250,16 +272,28 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(),
             raise IntegrationError(f"curvature {k} at t = {t}", reached=float(t))
         return [y[1], -k * y[0]]
 
-    sol = solve_ivp(rhs, (0.0, length), [0.0, 1.0], method="DOP853",
-                    rtol=rtol, atol=1e-13, dense_output=True,
-                    max_step=length / 16.0)
-    if not sol.success:
-        raise IntegrationError(f"Jacobi integration failed: {sol.message}",
-                               reached=float(sol.t[-1]))
-    psi = lambda t: float(sol.sol(t)[0])
+    cuts = sorted({0.0, float(length), *(b for b in breakpoints if 0.0 < b < length)})
+    pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo >= 1e-15] \
+        or [(0.0, length)]
+    ends, sols, y0 = [], [], [0.0, 1.0]
+    for lo, hi in pieces:
+        sol = solve_ivp(rhs, (lo, hi), y0, method="DOP853", rtol=rtol, atol=1e-13,
+                        dense_output=True, max_step=length / 16.0)
+        if not sol.success:
+            raise IntegrationError(f"Jacobi integration failed: {sol.message}",
+                                   reached=float(sol.t[-1]))
+        ends.append(hi)
+        sols.append(sol.sol)
+        y0 = sol.y[:, -1]
+    last = len(sols) - 1
+    psi = lambda t: float(sols[min(bisect.bisect_left(ends, t), last)](t)[0])
     ts = np.unique(np.concatenate([np.linspace(0.0, length, grid + 1),
                                    np.asarray(list(breakpoints), dtype=float)]))
-    vals = sol.sol(ts)[0]
+    piece = np.minimum(np.searchsorted(ends, ts), last)
+    vals = np.empty_like(ts)
+    for k, s in enumerate(sols):
+        at = piece == k
+        vals[at] = s(ts[at])[0]
     zeros = []
     for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
         lo, hi = ts[i], ts[i + 1]
@@ -320,7 +354,7 @@ def geodesic_index(m, path, n_nodes=1500):
     Meridians use the single tangential Jacobi equation with multiplicity
     n-1; other paths are evaluated per perpendicular direction class.
     """
-    bps = _path_breakpoints(m, path)
+    bps = path_kinks(m, path)
     if path.meridian or m.n == 2:
         classes = [("all", m.n - 1, "slice")]
     else:

@@ -18,7 +18,7 @@ from .errors import DomainError
 from .profiles import DOUBLED_SPHERE, PL2_BAND, manifold_to_dict
 from .curvature import curvature_table, x_field_norm
 from .geodesics import distance, inj_at_pole, farthest_from_pole, shoot
-from .variation import jacobi_conjugate_points, path_curvature, SEC_PERP
+from .variation import jacobi_conjugate_points, path_curvature, path_kinks, SEC_PERP
 
 RICCI_MODE = "RICCI"
 SEC_MODE = "SEC"
@@ -353,7 +353,8 @@ def klingenberg_delta_search(m, eps=None, l=None, tol=1e-9):
     # non-conjugacy of gamma(l - delta): shrink by halving until the Jacobi
     # solution has no zero within tol of l - delta
     loop = shoot(m, 0.0, 0.0, l)
-    zeros = jacobi_conjugate_points(path_curvature(m, loop, SEC_PERP, "slice"), l)
+    zeros = jacobi_conjugate_points(path_curvature(m, loop, SEC_PERP, "slice"), l,
+                                    breakpoints=path_kinks(m, loop))
     delta = delta_max / 2.0
     ok = False
     for _ in range(60):

@@ -165,13 +165,30 @@ def test_malformed_profile_json_exits_two(tmp_path, capsys):
     assert "garbled.json" in err
 
 
+def _segment(doc, kind):
+    """The first segment of ``kind`` in a profile JSON document."""
+    return next(s for name in ("phi", "f") for s in doc[name]["segments"]
+                if s["kind"] == kind)
+
+
 @pytest.mark.parametrize("field, edit", [
     ("'n'", lambda doc: doc.update(n="3")),
     ("'domain'", lambda doc: doc["phi"]["segments"][0].update(domain=[0.0])),
-], ids=["n", "domain"])
+    ("'L'", lambda doc: doc.update(L="x")),
+    ("'potential_scale'", lambda doc: doc.update(potential_scale="x")),
+    ("'value'", lambda doc: _segment(doc, "CONSTANT").update(value="x")),
+    ("'c0'", lambda doc: _segment(doc, "PARABOLA").update(c0="x")),
+    ("'c2'", lambda doc: _segment(doc, "PARABOLA").update(c2=None)),
+    ("'left_value'", lambda doc: _segment(doc, "PL2_BAND").update(left_value="x")),
+    ("'left_slope'", lambda doc: _segment(doc, "PL2_BAND").update(left_slope=[1.0])),
+    ("'nodes'", lambda doc: _segment(doc, "PL2_BAND").update(nodes="x")),
+    ("'nodes'", lambda doc: _segment(doc, "PL2_BAND").update(nodes=[[0.0, "x"]])),
+], ids=["n", "domain", "L", "potential_scale", "value", "c0", "c2", "left_value",
+        "left_slope", "nodes", "node_value"])
 def test_wrongly_typed_profile_field_exits_two(tmp_path, capsys, field, edit):
     out = tmp_path / "m.json"
-    run(capsys, "build", "--model", "round_sphere", "--n", "3", "--out", str(out))
+    run(capsys, "build", "--model", "family", "--n", "10", "--eps", "0.8",
+        "--delta", "0.02", "--out", str(out))
     doc = json.loads(out.read_text())
     edit(doc)
     out.write_text(json.dumps(doc))
@@ -232,6 +249,21 @@ def test_solver_free_commands_never_import_scipy(tmp_path):
     codes, loaded = _scipy_after(geodesic, tmp_path)
     assert codes == [0]
     assert "scipy.integrate" in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("geodesic", "--model", "round_sphere", "--r0", "1", "--dir", "0.5",
+     "--length", "1e7"),
+    ("index", "--model", "family", "--n", "10", "--eps", "0.8", "--delta",
+     "0.02", "--r0", "1", "--dir", "0.5", "--length", "1e6"),
+], ids=["geodesic", "index"])
+def test_huge_lengths_exit_two_promptly(argv):
+    # the arclength is bounded by 100 r_max; past it shoot raises at once
+    # instead of integrating for hours and keeping dense output of it all
+    proc = subprocess.run([sys.executable, "-m", "pinchlab.cli", *argv],
+                          capture_output=True, text=True, env=_child_env(), timeout=5)
+    assert proc.returncode == 2, proc.stderr
+    assert "100 r_max" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

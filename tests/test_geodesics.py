@@ -62,6 +62,32 @@ def test_shoot_rejects_bad_launch(sphere3):
                          (1.0, math.nan, 1.0)):
         with pytest.raises(DomainError):
             shoot(sphere3, r0, alpha, T)
+    with pytest.raises(DomainError, match=r"bound 100 r_max = 314\.159"):
+        shoot(sphere3, 1.0, 0.5, 1e7)
+
+
+def test_float_state_equals_dense_output_bits(family10, monkeypatch):
+    # a float t is answered in float arithmetic; it must give the bits of
+    # scipy's dense output at every t, step boundaries and both ends included
+    import pinchlab.geodesics as geodesics
+    solved = []
+    inner = geodesics.solve_ivp
+
+    def keeping(*args, **kwargs):
+        solved.append(inner(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(geodesics, "solve_ivp", keeping)
+    rng = np.random.default_rng(5)
+    R = family10.r_max
+    for r0, alpha, T in ((1.0, 0.7, 4.0), (R - 0.5, -2.5, 3.0),
+                         (0.5941844090111834, 0.849237945176744, 6.0)):
+        path = shoot(family10, r0, alpha, T)
+        sol = solved[-1].sol
+        ts = np.concatenate([rng.uniform(0.0, T, 1000), sol.ts, [0.0, T]])
+        scalar = np.array([path.state(t) for t in ts.tolist()])
+        assert all(type(v) is float for v in path.state(float(ts[0])))
+        assert np.array_equal(scalar.view(np.int64), sol(ts).T.view(np.int64))
 
 
 def test_conservation_residuals_random_launches(sphere3, gaussian3, family10):

@@ -6,10 +6,9 @@ import pytest
 
 from pinchlab import (DomainError, IntegrationError, berger_test_field,
                       build_model, geodesic_index, jacobi_conjugate_points,
-                      line_integral, loop_index_check, second_variation,
-                      shoot)
-from pinchlab.variation import (RICCI, SEC_PERP, _path_breakpoints,
-                                path_curvature, quad_piecewise)
+                      line_integral, loop_index_check, path_kinks,
+                      second_variation, shoot)
+from pinchlab.variation import RICCI, SEC_PERP, path_curvature, quad_piecewise
 
 K_ONE = lambda t: np.ones_like(np.asarray(t, dtype=float))
 K_ZERO = lambda t: np.zeros_like(np.asarray(t, dtype=float))
@@ -82,6 +81,18 @@ def test_second_variation_flat_space_positive():
     assert val > 0
 
 
+def test_second_variation_family_meridian_needs_path_kinks(family10):
+    # K = -phi''/phi has kinks where the meridian crosses the profile's
+    # junctions and band nodes; only with them as nodes does Simpson converge
+    path = shoot(family10, 0.0, 0.0, 2 * family10.L)
+    K = path_curvature(family10, path, SEC_PERP, "slice")
+    field = berger_test_field(path.length)
+    val = second_variation(K, field, breakpoints=path_kinks(family10, path))
+    assert val == pytest.approx(5.2e-12, abs=1e-12)
+    with pytest.raises(IntegrationError):
+        second_variation(K, field)
+
+
 def test_second_variation_requires_length_for_user_field():
     with pytest.raises(DomainError):
         second_variation(K_ZERO, (np.sin, np.cos))
@@ -140,6 +151,13 @@ def test_family_meridian_integral_evaluates_few_points(family10, monkeypatch,
     assert val == pytest.approx(loops / 2 * math.pi, abs=1e-8)
 
 
+def test_path_along_kink_radius_has_kinks_only_at_its_ends(sphere3):
+    # the equator runs along the junction r = pi/2; the rounding noise of r
+    # about it is not a crossing, so it splits neither quadrature nor solve
+    path = shoot(sphere3, math.pi / 2, math.pi / 2, 1.5 * math.pi)
+    assert set(path_kinks(sphere3, path)) <= {0.0, path.length}
+
+
 def test_equator_ricci_integral(sphere3):
     path = shoot(sphere3, math.pi / 2, math.pi / 2, 1.0)
     assert line_integral(sphere3, path, RICCI) == pytest.approx(2.0, abs=1e-7)
@@ -152,6 +170,8 @@ def test_jacobi_constant_curvature():
     zeros = jacobi_conjugate_points(K_ONE, 1.5 * math.pi)
     assert len(zeros) == 1
     assert zeros[0] == pytest.approx(math.pi, abs=1e-8)
+    # without breakpoints the solve is one piece, with the unsplit bits
+    assert zeros[0].hex() == "0x1.921fb5450be15p+1"
 
 
 def test_jacobi_flat():
@@ -170,6 +190,41 @@ def test_jacobi_family_meridian_endpoint_zero(family10):
     assert zeros[0] == pytest.approx(L2, abs=1e-6)
     interior = jacobi_conjugate_points(K, L2)
     assert interior == []
+
+
+def test_jacobi_step_curvature_restarts_at_breakpoint():
+    # psi = sin t up to a; after a, psi is a multiple of
+    # sin(2 (t - a) + arctan(2 tan a)), whose first zero is the one below
+    a = 1.0
+    K = lambda t: 1.0 if t < a else 4.0
+    zeros = jacobi_conjugate_points(K, 3.0, tol=1e-12, breakpoints=[a])
+    assert len(zeros) == 1
+    assert zeros[0] == pytest.approx(a + (math.pi - math.atan(2 * math.tan(a))) / 2,
+                                     abs=1e-10)
+
+
+def test_jacobi_family_meridian_restarts_at_kinks(family10, monkeypatch):
+    # stepping over the kinks of K costs 3071 evaluations; restarting at
+    # each of them, a few hundred
+    import pinchlab.variation as variation
+    nfev = []
+    inner = variation.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = inner(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(variation, "solve_ivp", counting)
+    L2 = 2 * family10.L
+    path = shoot(family10, 0.0, 0.0, L2 + 0.2)
+    K = path_curvature(family10, path, SEC_PERP, "slice")
+    zeros = jacobi_conjugate_points(K, path.length,
+                                    breakpoints=path_kinks(family10, path))
+    assert len(nfev) > 1
+    assert sum(nfev) <= 800
+    assert len(zeros) == 1
+    assert zeros[0] == pytest.approx(L2, abs=1e-6)
 
 
 # -- geodesic index ---------------------------------------------------------
@@ -274,7 +329,7 @@ def test_scalar_K_matches_vector_K(kind):
     m = build_model(kind, 10, 0.8, 0.02)
     for path in _paths(m):
         ts = np.unique(np.concatenate([np.linspace(0.0, path.length, 3001),
-                                       _path_breakpoints(m, path)]))
+                                       path_kinks(m, path)]))
         for integrand, direction in ((RICCI, "fiber"), (SEC_PERP, "slice"),
                                      (SEC_PERP, "fiber")):
             K = path_curvature(m, path, integrand, direction)
