@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PinchlabError
 from .profiles import (LINEAR, SINE, build_model, load_manifold,
-                       manifold_to_dict, check_c2)
+                       manifold_to_dict)
 from .curvature import dump_csv
 from .geodesics import (DEFAULT_DISTANCE_TOL, DEFAULT_SHOOT_TOL, inj_at_pole,
                         shoot)

@@ -107,12 +107,8 @@ def curvature_table(m, r):
     n = m.n
     s = m.potential_scale
 
-    phi = m.phi.eval(r, 0)
-    dphi = m.phi.eval(r, 1)
-    ddphi = m.phi.eval(r, 2)
-    fv = m.f.eval(r, 0)
-    df = m.f.eval(r, 1)
-    ddf = m.f.eval(r, 2)
+    phi, dphi, ddphi = m.phi.eval(r, (0, 1, 2))
+    fv, df, ddf = m.f.eval(r, (0, 1, 2))
 
     sec_rad, sec_tan, at_pole = _sectional(m, r, phi, dphi, ddphi)
     # f' phi'/phi, limit f'' at the pole

@@ -196,7 +196,8 @@ def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
     y0 = [r0, ca, theta0, sa / phi0]
 
     def rhs(t, y):
-        r, rd, th, td = y
+        # Python floats: cheaper arithmetic than numpy scalars, same bits
+        r, rd, th, td = y.tolist()
         p = phi_s(r)
         dp = dphi_s(r)
         return [rd, p * dp * td * td, td, -2.0 * dp / p * rd * td]

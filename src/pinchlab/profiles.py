@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -81,19 +81,22 @@ class SegmentSpec:
             if abs(offs[-1] - (self.hi - self.lo)) > 1e-12:
                 raise ConstructionError("PL2_BAND nodes must span the full segment width")
 
-    def eval(self, r, order):
-        """Exact value (order 0) or derivative (order 1, 2) at radii ``r`` (array ok)."""
-        r = np.asarray(r, dtype=float)
-        return np.full_like(r, self.closed_form(order, np)(r))
-
     def closed_form(self, order, xp):
         """Callable giving the value (order 0) or a derivative (order 1, 2).
 
         Each kind's formulas are written once: with ``xp=np`` the callable
         takes an array of radii, with ``xp=math`` one float, and both give the
         same bits.  A constant comes back as a scalar that broadcasts.
+
+        With ``xp=np``, ``order`` may also be a tuple of orders: the callable
+        then returns a tuple, one entry per order, with the bits each order
+        gives alone, and the orders share their work -- sin r on a SINE
+        segment; the piece index, the offset into the piece and the
+        coefficient gather on a PL2_BAND.
         """
         kind, p, lo = self.kind, self.params, self.lo
+        if isinstance(order, tuple):
+            return self._joint_form(order)
         if kind == SINE:
             return (xp.sin, xp.cos, lambda r: -xp.sin(r))[order]
         if kind == LINEAR:
@@ -107,29 +110,53 @@ class SegmentSpec:
                     lambda r: c1 + 2.0 * c2 * (r - lo),
                     lambda r: 2.0 * c2)[order]
         # PL2_BAND: exact integrals of the piecewise-linear second derivative
-        offs, d2s, d1s, d0s, slopes = self._band_table[xp]
+        if xp is np:
+            joint = self._joint_form((order,))
+            return lambda r: joint(r)[0]
+        offs, rows = self._band_table[math]
         # the piece holding s is the number of interior nodes <= s
         inner = offs[1:-1]
-        search = partial(np.searchsorted, side="right") if xp is np else bisect.bisect_right
+        form = _BAND_FORMS[order]
 
         def band(r):
             s = r - lo
-            i = search(inner, s)
-            ds = s - offs[i]
-            if order == 2:
-                return d2s[i] + slopes[i] * ds
-            if order == 1:
-                return d1s[i] + d2s[i] * ds + 0.5 * slopes[i] * (ds * ds)
-            return (d0s[i] + d1s[i] * ds + 0.5 * d2s[i] * (ds * ds)
-                    + slopes[i] * ds**3 / 6.0)
+            i = bisect.bisect_right(inner, s)
+            return form(rows[i], s - offs[i])
 
         return band
 
+    def _joint_form(self, orders):
+        """:meth:`closed_form` for a tuple of orders, on arrays."""
+        kind, lo = self.kind, self.lo
+        if kind == SINE:
+            def sine(r):
+                # phi'' = -phi, and negation is exact: sin r is taken once
+                sin = np.sin(r) if 0 in orders or 2 in orders else None
+                values = (sin, np.cos(r) if 1 in orders else None,
+                          -sin if 2 in orders else None)
+                return tuple(values[o] for o in orders)
+            return sine
+        if kind == PL2_BAND:
+            offs, cols = self._band_table[np]
+            inner = offs[1:-1]
+            forms = [_BAND_FORMS[o] for o in orders]
+
+            def band(r):
+                s = r - lo
+                i = np.searchsorted(inner, s, side="right")
+                c, ds = np.take(cols, i, axis=1), s - offs[i]
+                return tuple(form(c, ds) for form in forms)
+            return band
+        fns = [self.closed_form(o, np) for o in orders]
+        return lambda r: tuple(fn(r) for fn in fns)
+
     @cached_property
     def _band_table(self):
-        """Node offsets and second derivatives, the slope and value that exact
-        integration gives at each node, and the slope of the second derivative
-        on each piece; as lists under ``math`` and as arrays under ``np``."""
+        """Node offsets, and each piece's coefficients at its left node:
+        the value and slope that exact integration gives, the second
+        derivative and its slope on the piece.  Under ``math`` a list of
+        offsets and one tuple of coefficients per piece; under ``np`` arrays,
+        with one row per coefficient."""
         nodes = self.params["nodes"]
         offs = [float(o) for o, _ in nodes]
         d2s = [float(d) for _, d in nodes]
@@ -141,8 +168,18 @@ class SegmentSpec:
             d0s.append(d0s[-1] + d1s[-1] * h + (2.0 * a + b) * h**2 / 6.0)
             d1s.append(d1s[-1] + 0.5 * (a + b) * h)
             slopes.append((b - a) / h if h > 0 else 0.0)
-        lists = (offs, d2s, d1s, d0s, slopes)
-        return {math: lists, np: tuple(np.array(v) for v in lists)}
+        rows = list(zip(d0s, d1s, d2s, slopes))
+        return {math: (offs, rows), np: (np.array(offs), np.array(rows).T.copy())}
+
+
+# The value (order 0) and the derivatives (orders 1, 2) of a PL2_BAND at the
+# offset ds into a piece, from the piece's coefficients c = (value, slope,
+# second derivative, slope of the second derivative) at its left node.
+_BAND_FORMS = (
+    lambda c, ds: c[0] + c[1] * ds + 0.5 * c[2] * (ds * ds) + c[3] * ds**3 / 6.0,
+    lambda c, ds: c[1] + c[2] * ds + 0.5 * c[3] * (ds * ds),
+    lambda c, ds: c[2] + c[3] * ds,
+)
 
 
 @dataclass(frozen=True)
@@ -184,32 +221,50 @@ class RadialProfile:
         """Sorted radii in (0, r_max) where the second derivative is not smooth.
 
         The junctions, the interior nodes of every ``PL2_BAND`` and, on a
-        doubled profile, their mirror images about L.  Composite quadrature of
-        anything built from the second derivative needs a node at each.
+        doubled profile, their mirror images about L.  L itself is one only
+        after a ``PL2_BAND``, whose third derivative flips sign there: the
+        slopes of a doubled model vanish at L, and the even reflection of a
+        sine, a constant or a parabola with zero slope is smooth.  Composite
+        quadrature of anything built from the second derivative needs a node
+        at each.
         """
-        ks = self.junctions()
+        ks = [s.lo for s in self.segments[1:]]
         for seg in self.segments:
             if seg.kind == PL2_BAND:
                 ks.extend(seg.lo + o for o, _ in seg.params["nodes"][1:-1])
-        if self.reflect_at is not None:
-            L = self.reflect_at
+        L = self.reflect_at
+        if L is not None:
             ks.extend([L + (L - k) for k in ks])
+            if self.segments[-1].kind == PL2_BAND:
+                ks.append(L)
         return sorted(k for k in set(ks) if 0.0 < k < self.r_max)
 
     def eval(self, r, order=0):
-        """Vectorized evaluation; raises DomainError outside [0, r_max] and on NaN."""
+        """Vectorized evaluation: the value (order 0) or a derivative (order 1,
+        2) at radii ``r``, as a float array.
+
+        ``order`` may be a tuple of orders, such as ``(0, 1, 2)``; the result
+        is then a tuple of arrays, one per order, with the bits each order
+        gives alone, at the cost of one domain check, one reflection and one
+        segment split.  Raises DomainError outside [0, r_max] and on NaN.
+        """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        # written so that NaN fails the check
-        if not ((r >= -1e-12).all() and (r <= self.r_max + 1e-12).all()):
-            raise DomainError(
-                f"radius outside profile domain [0, {self.r_max}]")
-        return self._eval(np.clip(r, 0.0, self.r_max), order)
+        R = self.r_max
+        # min and max are NaN when r holds one, and NaN fails the check
+        lo, hi = (r.min(), r.max()) if r.size else (0.0, 0.0)
+        if not (lo >= -1e-12 and hi <= R + 1e-12):
+            raise DomainError(f"radius outside profile domain [0, {R}]")
+        if lo < 0.0 or hi > R:
+            r = np.clip(r, 0.0, R)
+        return self._eval(r, order)
 
     def _eval(self, r, order):
         """:meth:`eval` on a float array of radii already in [0, r_max].
 
         No domain check and no clip: for callers that clip themselves.
         """
+        joint = isinstance(order, tuple)
+        orders = order if joint else (order,)
         L = self.reflect_at
         if L is not None:
             mirrored = r > L
@@ -218,19 +273,26 @@ class RadialProfile:
         segs = self.segments
         first = last = 0
         if len(segs) > 1 and r.size:
-            idx = np.searchsorted(self._starts, r, side="right")
+            # the segment holding r is the number of starts <= r; on large
+            # arrays one comparison per start costs less than a searchsorted
+            idx = np.zeros(r.shape, np.min_scalar_type(len(segs)))
+            for start in self._starts:
+                idx += r >= start
             first, last = int(idx.min()), int(idx.max())
         if first == last:
             # one segment holds every radius: no masks
-            out = np.full_like(r, segs[first].closed_form(order, np)(r))
+            outs = [np.full_like(r, v) for v in segs[first].closed_form(orders, np)(r)]
         else:
-            out = np.empty_like(r)
+            outs = [np.empty_like(r) for _ in orders]
             for i in range(first, last + 1):
                 m = idx == i
-                out[m] = segs[i].closed_form(order, np)(r[m])
-        if L is not None and order % 2 == 1:
-            np.negative(out, out=out, where=mirrored)
-        return out
+                for out, v in zip(outs, segs[i].closed_form(orders, np)(r[m])):
+                    out[m] = v
+        if L is not None:
+            for o, out in zip(orders, outs):
+                if o % 2 == 1:
+                    np.negative(out, out=out, where=mirrored)
+        return tuple(outs) if joint else outs[0]
 
     @cached_property
     def _starts(self):
@@ -281,13 +343,13 @@ def check_c2(profile):
     segs = profile.segments
     for left, right in zip(segs, segs[1:]):
         rj = right.lo
-        out.append((rj, *(abs(float(left.eval(rj, o)) - float(right.eval(rj, o)))
+        out.append((rj, *(abs(left.closed_form(o, math)(rj) - right.closed_form(o, math)(rj))
                           for o in (0, 1, 2))))
     if profile.reflect_at is not None:
         L = profile.reflect_at
         last = segs[-1]
         # mirror image: even orders match themselves, odd orders flip sign
-        v1 = float(last.eval(L, 1))
+        v1 = last.closed_form(1, math)(L)
         out.append((L, 0.0, 2.0 * abs(v1), 0.0))
     return out
 
@@ -493,7 +555,7 @@ def build_family(n, eps, delta, potential_scale=1.0):
                            {"left_value": math.cos(delta),
                             "left_slope": math.sin(delta),
                             "nodes": phi_nodes})
-    A = float(phi_band.eval(half, 0))
+    A = phi_band.closed_form(0, math)(half)
     phi = RadialProfile((SegmentSpec(SINE, 0.0, r_band_phi),
                          phi_band,
                          SegmentSpec(CONSTANT, half, L, {"value": A})),
@@ -504,16 +566,16 @@ def build_family(n, eps, delta, potential_scale=1.0):
     cap = SegmentSpec(PARABOLA, 0.0, r_band_f, {"c0": 0.0, "c1": 0.0, "c2": c2_cap})
     f_nodes = solve_smoothing_band(-(n - 1) * (1.0 - eps), (n - 1) * eps, delta, 0.0)
     f_band = SegmentSpec(PL2_BAND, r_band_f, r_band_phi,
-                         {"left_value": float(cap.eval(r_band_f, 0)),
-                          "left_slope": float(cap.eval(r_band_f, 1)),
+                         {"left_value": cap.closed_form(0, math)(r_band_f),
+                          "left_slope": cap.closed_form(1, math)(r_band_f),
                           "nodes": f_nodes})
     f_tail = SegmentSpec(PARABOLA, r_band_phi, L,
-                         {"c0": float(f_band.eval(r_band_phi, 0)),
-                          "c1": float(f_band.eval(r_band_phi, 1)),
+                         {"c0": f_band.closed_form(0, math)(r_band_phi),
+                          "c1": f_band.closed_form(1, math)(r_band_phi),
                           "c2": 0.5 * (n - 1) * eps})
     f = RadialProfile((cap, f_band, f_tail), reflect_at=L)
 
-    fdot_L = float(f_tail.eval(L, 1))
+    fdot_L = f_tail.closed_form(1, math)(L)
     if abs(fdot_L) > C2_TOL:
         raise ConstructionError(f"potential slope at doubling point is {fdot_L:.3e}, not 0")
     if not c2_ok(phi) or not c2_ok(f):

@@ -270,7 +270,7 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(),
         if not math.isfinite(k):
             # a NaN step size never ends solve_ivp's step-rejection loop
             raise IntegrationError(f"curvature {k} at t = {t}", reached=float(t))
-        return [y[1], -k * y[0]]
+        return [float(y[1]), -k * float(y[0])]
 
     cuts = sorted({0.0, float(length), *(b for b in breakpoints if 0.0 < b < length)})
     pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo >= 1e-15] \

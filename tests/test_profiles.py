@@ -187,18 +187,27 @@ def test_doubled_profiles_reflection_symmetric(family10):
 
 
 def test_kinks(sphere3, gaussian3, family10):
-    assert sphere3.phi.kinks() == [math.pi / 2]
+    # L is no kink after a sine or a constant: their even reflections about
+    # a point of zero slope are smooth
+    assert sphere3.phi.kinks() == []
     assert gaussian3.phi.kinks() == []
     ks = family10.phi.kinks()
     L = family10.L
-    assert len(ks) == 9 and ks == sorted(ks)
+    assert len(ks) == 8 and ks == sorted(ks)
     assert all(0.0 < k < family10.r_max for k in ks)
-    assert set(family10.phi.junctions()) <= set(ks)
+    assert L not in ks and family10.phi.segments[-1].kind == CONSTANT
+    assert set(family10.phi.junctions()) - {L} <= set(ks)
     assert np.allclose([L + (L - k) for k in ks][::-1], ks, rtol=0.0, atol=1e-15)
     band = family10.phi.segments[1]
     assert band.kind == PL2_BAND
     interior = [band.lo + o for o, _ in band.params["nodes"][1:-1]]
     assert len(interior) == 2 and set(interior) <= set(ks)
+    # after a band, whose third derivative flips sign there, L is one
+    band_last = RadialProfile((SegmentSpec(PL2_BAND, 0.0, 1.0,
+                                           {"left_value": 1.0, "left_slope": -1.0,
+                                            "nodes": [(0.0, -1.0), (1.0, 1.0)]}),),
+                              reflect_at=1.0)
+    assert band_last.kinks() == [1.0]
 
 
 def test_family_cylinder_warning_recorded():
@@ -248,7 +257,8 @@ def test_scalar_fn_equals_eval_on_every_segment(kind):
                 own = np.linspace(seg.lo, seg.hi, 257)
                 if seg is not prof.segments[-1]:
                     own = own[own < seg.hi]
-                np.testing.assert_array_equal(seg.eval(own, order),
+                fn = seg.closed_form(order, math)
+                np.testing.assert_array_equal([fn(r) for r in own.tolist()],
                                               prof.eval(own, order))
 
 
@@ -256,8 +266,10 @@ def test_scalar_fn_equals_eval_on_every_segment(kind):
 def test_unchecked_eval_equals_eval(kind):
     # _eval skips eval's domain check and clip; on radii already in
     # [0, r_max] the two give the same bits, at the poles, L and every kink
-    # and one ulp to either side of each
+    # and one ulp to either side of each.  A tuple of orders gives each
+    # order's bits, as a call for that order alone does.
     m = build_model(kind, 10, 0.8, 0.02)
+    bits = lambda arrays: [a.view(np.int64) for a in arrays]
     for prof in (m.phi, m.f):
         R = prof.r_max
         marks = np.array([0.0, R] + prof.kinks()
@@ -269,7 +281,17 @@ def test_unchecked_eval_equals_eval(kind):
             np.testing.assert_array_equal(prof._eval(rs, order).view(np.int64),
                                           prof.eval(rs, order).view(np.int64))
             assert prof.eval(np.array([]), order).shape == (0,)
+        single = bits(prof.eval(rs, o) for o in (0, 1, 2))
+        for orders in ((0, 1, 2), (2, 0), (1,)):
+            joint = prof.eval(rs, orders)
+            assert isinstance(joint, tuple) and len(joint) == len(orders)
+            np.testing.assert_array_equal(bits(joint), [single[o] for o in orders])
+            np.testing.assert_array_equal(bits(prof._eval(rs, orders)),
+                                          [single[o] for o in orders])
+        for r in (rs[:1], rs[-1:], np.array([])):
+            np.testing.assert_array_equal(bits(prof.eval(r, (0, 1, 2))),
+                                          bits(prof.eval(r, o) for o in (0, 1, 2)))
         for bad in (-1e-11, R + 1e-11, math.nan):
-            for order in (0, 1):
+            for order in (0, 1, (0, 1, 2)):
                 with pytest.raises(DomainError):
                     prof.eval(bad, order)

@@ -151,11 +151,15 @@ def test_family_meridian_integral_evaluates_few_points(family10, monkeypatch,
     assert val == pytest.approx(loops / 2 * math.pi, abs=1e-8)
 
 
-def test_path_along_kink_radius_has_kinks_only_at_its_ends(sphere3):
-    # the equator runs along the junction r = pi/2; the rounding noise of r
+def test_path_along_kink_radius_has_kinks_only_at_its_ends(family10):
+    # the parallel r = pi/2 runs along the junction where the band meets the
+    # constant (phi' = 0 there, so it is a geodesic); the rounding noise of r
     # about it is not a crossing, so it splits neither quadrature nor solve
-    path = shoot(sphere3, math.pi / 2, math.pi / 2, 1.5 * math.pi)
-    assert set(path_kinks(sphere3, path)) <= {0.0, path.length}
+    assert math.pi / 2 in family10.phi.kinks()
+    path = shoot(family10, math.pi / 2, math.pi / 2, 1.5 * math.pi)
+    r = path.state(np.linspace(0.0, path.length, 257))[0]
+    assert np.max(np.abs(r - math.pi / 2)) <= 2.3e-16
+    assert path_kinks(family10, path) == [0.0, path.length]
 
 
 def test_equator_ricci_integral(sphere3):
@@ -201,6 +205,21 @@ def test_jacobi_step_curvature_restarts_at_breakpoint():
     assert len(zeros) == 1
     assert zeros[0] == pytest.approx(a + (math.pi - math.atan(2 * math.tan(a))) / 2,
                                      abs=1e-10)
+
+
+def test_jacobi_sphere_meridian_is_one_piece(sphere3):
+    # sin reflects smoothly about L = pi/2, so the meridian crosses no kink
+    # and its solve is one DOP853 run of 332 evaluations; a restart at L
+    # would make it two runs of 364
+    path = shoot(sphere3, 0.0, 0.0, 1.5 * math.pi)
+    bps = path_kinks(sphere3, path)
+    assert bps == []
+    K = path_curvature(sphere3, path, SEC_PERP, "slice")
+    calls = []
+    zeros = jacobi_conjugate_points(lambda t: calls.append(t) or K(t), path.length,
+                                    breakpoints=bps)
+    assert len(calls) <= 340
+    assert zeros[0].hex() == "0x1.921fb5450be15p+1"
 
 
 def test_jacobi_family_meridian_restarts_at_kinks(family10, monkeypatch):
