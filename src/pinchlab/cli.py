@@ -6,7 +6,8 @@ Exit codes: 0 all checks pass, 1 a verification reported violations,
 2 invalid input or construction failure.
 
 Output is deterministic: JSON is emitted with sorted keys and floats at
-17 significant digits; every report embeds the defaults it ran with.
+17 significant digits, a non-finite float as null; every report embeds the
+defaults it ran with.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .verify import (INFEASIBLE, diameter_gap, inj_gap_hypothesis,
                      klingenberg_delta_search, make_report, pinch_report_doc,
                      verify_pinch)
 
+MAX_GRID = 10**6   # --grid above this would ask for gigabytes of arrays
+
 DEFAULTS = {
     "grid": 10_000,
     "integrator_tol": DEFAULT_SHOOT_TOL,
@@ -37,10 +40,9 @@ DEFAULTS = {
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return float(f"{v:.17g}")
-    if isinstance(v, (np.floating,)):
-        return float(f"{float(v):.17g}")
+    if isinstance(v, (float, np.floating)):
+        # strict JSON has no Infinity or NaN
+        return float(f"{float(v):.17g}") if math.isfinite(v) else None
     if isinstance(v, (np.integer,)):
         return int(v)
     if isinstance(v, (np.bool_,)):
@@ -54,7 +56,7 @@ def _fmt(v):
 
 def _emit_json(doc, out):
     doc = _fmt(doc)
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -70,8 +72,8 @@ def _emit_text(text, out):
         sys.stdout.write(text)
 
 
-def _int_at_least(low):
-    """argparse type: an integer >= ``low``."""
+def _int_at_least(low, high=None):
+    """argparse type: an integer >= ``low``, and <= ``high`` when given."""
     def parse(text):
         try:
             value = int(text)
@@ -79,6 +81,8 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
 
@@ -147,14 +151,14 @@ def build_parser():
 
     p = sub.add_parser("curvature", help="17-column curvature CSV over a radial grid")
     _add_model_flags(p)
-    p.add_argument("--grid", type=_int_at_least(1), default=DEFAULTS["grid"])
+    p.add_argument("--grid", type=_int_at_least(1, MAX_GRID), default=DEFAULTS["grid"])
     p.add_argument("--out")
 
     p = sub.add_parser("pinch", help="pinching verification report")
     _add_model_flags(p)
     p.add_argument("--mode", choices=["ricci", "sec"], default="ricci")
     p.add_argument("--upper", type=_finite_float)
-    p.add_argument("--grid", type=_int_at_least(1), default=DEFAULTS["grid"])
+    p.add_argument("--grid", type=_int_at_least(1, MAX_GRID), default=DEFAULTS["grid"])
     p.add_argument("--out")
 
     p = sub.add_parser("geodesic", help="shoot a geodesic, dump the path CSV")
@@ -181,7 +185,7 @@ def build_parser():
     p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--deltas", type=_positive_floats, required=True,
                    help="comma-separated list of delta values")
-    p.add_argument("--grid", type=_int_at_least(1), default=2000)
+    p.add_argument("--grid", type=_int_at_least(1, MAX_GRID), default=2000)
     p.add_argument("--out")
 
     p = sub.add_parser("klingenberg", help="loop-condition delta search report")

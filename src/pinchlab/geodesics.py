@@ -148,18 +148,34 @@ def _meridian_state_fn(m, r0, d0, theta0):
     return state
 
 
-def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
-    """Integrate the geodesic launched from radius ``r0`` at angle ``alpha``
-    (measured from the outward radial direction) for arclength ``T``.
-
-    ``T`` must be finite, positive and at most ``MAX_LENGTH_FACTOR * r_max``;
-    otherwise :class:`DomainError` is raised."""
+def check_arclength(m, T):
+    """Raise DomainError unless the arclength ``T`` is finite, positive and at
+    most ``MAX_LENGTH_FACTOR * r_max``."""
     if not (math.isfinite(T) and T > 0):
         raise DomainError("arclength must be finite and positive")
     if T > MAX_LENGTH_FACTOR * m.r_max:
         # dense output is kept over the whole arc, so memory and time grow with T
         raise DomainError(f"arclength {T} exceeds the bound {MAX_LENGTH_FACTOR:g} r_max"
                           f" = {MAX_LENGTH_FACTOR * m.r_max}")
+
+
+def check_cap_meridian(m, r0, d0, T):
+    """Raise IntegrationError if the meridian of arclength ``T`` from radius
+    ``r0`` (outward for ``d0 > 0``) leaves the domain of a cap model."""
+    top = r0 + T if d0 > 0 else T - r0
+    if m.topology == CAP and top > m.r_max:
+        reached = (m.r_max - r0) if d0 > 0 else (r0 + m.r_max)
+        raise IntegrationError("meridian leaves the configured cap domain",
+                               reached=reached)
+
+
+def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
+    """Integrate the geodesic launched from radius ``r0`` at angle ``alpha``
+    (measured from the outward radial direction) for arclength ``T``.
+
+    ``T`` must be finite, positive and at most ``MAX_LENGTH_FACTOR * r_max``;
+    otherwise :class:`DomainError` is raised."""
+    check_arclength(m, T)
     if not math.isfinite(alpha):
         raise DomainError("launch angle must be finite")
     sa, ca = math.sin(alpha), math.cos(alpha)
@@ -179,12 +195,7 @@ def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
 
     if sa == 0.0:
         d0 = 1.0 if ca >= 0 else -1.0
-        if m.topology == CAP:
-            top = r0 + T if d0 > 0 else T - r0
-            if top > m.r_max:
-                reached = (m.r_max - r0) if d0 > 0 else (r0 + m.r_max)
-                raise IntegrationError("meridian leaves the configured cap domain",
-                                       reached=reached)
+        check_cap_meridian(m, r0, d0, T)
         st = _meridian_state_fn(m, r0, d0, theta0)
         r, rd, th, td = st(ts)
         samples = np.column_stack([ts, r, th, rd])
@@ -710,37 +721,16 @@ def _materialize(m, cls, c, r1, th1, r2, th2, length, target):
 # injectivity radius and farthest point
 
 
-def inj_at_pole(m, tol=1e-8):
-    """First conjugate distance along a meridian from the pole.
+def inj_at_pole(m):
+    """Injectivity radius at the pole: the first conjugate distance along a
+    meridian, since every geodesic from the pole is a meridian.
 
-    The tangential Jacobi field from a rotational pole is proportional to the
-    (doubled) warping profile, so this is its first positive zero; since all
-    geodesics from the pole are meridians, it equals the injectivity radius.
+    Along a meridian from the pole the tangential Jacobi field is the warping
+    profile phi itself (Petersen, Riemannian Geometry, 3rd ed., 4.2.3).  With
+    phi > 0 on (0, r_max), as :func:`farthest_from_pole` also assumes, its
+    first zero is the far pole r_max of a doubled model; a cap has none.
     """
-    if m.topology == CAP:
-        return math.inf
-    R = m.r_max
-    phi_s = m.phi.scalar_fn(0)
-
-    def h(t):
-        # odd continuation of the warping profile past the far pole
-        return phi_s(t) if t <= R else -phi_s(2.0 * R - t)
-
-    grid = np.linspace(1e-6, R + 0.25, 4097)
-    near = grid <= R
-    vals = np.where(near, 1.0, -1.0) * m.phi.eval(np.where(near, grid, 2.0 * R - grid))
-    neg = np.nonzero(vals <= 0)[0]
-    if not neg.size:
-        raise SearchError("no conjugate point found along the meridian")
-    i = int(neg[0])
-    lo, hi = grid[i - 1], grid[i]
-    while hi - lo > tol * 0.5:
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return math.inf if m.topology == CAP else m.r_max
 
 
 def farthest_from_pole(m):

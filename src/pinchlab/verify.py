@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DomainError
 from .profiles import DOUBLED_SPHERE, PL2_BAND, manifold_to_dict
 from .curvature import curvature_table, x_field_norm
-from .geodesics import distance, inj_at_pole, farthest_from_pole, shoot
-from .variation import jacobi_conjugate_points, path_curvature, path_kinks, SEC_PERP
+from .geodesics import (check_arclength, check_cap_meridian, distance,
+                        farthest_from_pole, inj_at_pole)
 
 RICCI_MODE = "RICCI"
 SEC_MODE = "SEC"
@@ -303,8 +303,9 @@ def klingenberg_delta_search(m, eps=None, l=None, tol=1e-9):
       loop_length:  3 delta < 2 pi - l
       global:       5 delta < 2 pi
       exp_diffeo:   2 delta < inj_p
-      non_conjugate: gamma(l - delta) is not conjugate to the pole, checked
-                    with the Jacobi solver; failure halves delta.
+      non_conjugate: gamma(l - delta) is not conjugate to the pole; along
+                    the meridian the Jacobi field is phi, so the conjugate
+                    points are the multiples k inj_p <= l; failure halves delta.
 
     Returns INFEASIBLE when eps <= 1/2 (the right side of field_bound is
     non-positive).  Geometric genericity beyond these checks (Sard) is
@@ -350,21 +351,20 @@ def klingenberg_delta_search(m, eps=None, l=None, tol=1e-9):
     delta_max = min(caps.values())
     binding = min(caps, key=caps.get)
 
-    # non-conjugacy of gamma(l - delta): shrink by halving until the Jacobi
-    # solution has no zero within tol of l - delta
-    loop = shoot(m, 0.0, 0.0, l)
-    zeros = jacobi_conjugate_points(path_curvature(m, loop, SEC_PERP, "slice"), l,
-                                    breakpoints=path_kinks(m, loop))
+    # the loop is the pole meridian of length l, which must stay on the model
+    check_arclength(m, l)
+    check_cap_meridian(m, 0.0, 1.0, l)
+    # non-conjugacy of gamma(l - delta): shrink by halving until no conjugate
+    # point k inj lies within 1e-6 of l - delta (none on a cap, inj = inf)
+    zeros = [k * inj for k in range(1, int(l // inj) + 1)]
     delta = delta_max / 2.0
-    ok = False
     for _ in range(60):
         if l - delta <= 0:
-            break
+            return INFEASIBLE
         if all(abs(z - (l - delta)) > 1e-6 for z in zeros):
-            ok = True
             break
         delta *= 0.5
-    if not ok:
+    else:
         return INFEASIBLE
 
     margins = {name: cap - delta for name, cap in caps.items()}

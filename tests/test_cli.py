@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import pinchlab
+from pinchlab import build_model, save_manifold
 from pinchlab.cli import run_cli
 from test_golden import README_COMMANDS
 
@@ -124,6 +125,32 @@ def test_klingenberg_infeasible(capsys):
     assert json.loads(text)["margins"]["status"] == "INFEASIBLE"
 
 
+def test_klingenberg_writes_non_finite_margins_as_null(capsys):
+    # on a cap inj_p is infinite, and so is the exp_diffeo margin
+    code, text, _ = run(capsys, "klingenberg", "--model", "gaussian", "--eps",
+                        "0.9", "--loop-length", "3")
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    doc = json.loads(text, parse_constant=reject)
+    assert doc["margins"]["exp_diffeo"] is None
+
+
+@pytest.mark.parametrize("r_max, loop_length, message", [
+    (1.0, "3", "meridian leaves the configured cap domain"),
+    (0.05, "6", "exceeds the bound 100 r_max"),
+], ids=["leaves_cap", "above_100_r_max"])
+def test_klingenberg_loop_off_the_model_exits_two(tmp_path, capsys, r_max,
+                                                  loop_length, message):
+    path = tmp_path / "cap.json"
+    save_manifold(build_model("gaussian", 3, 0.9, r_max=r_max), str(path))
+    code, _, err = run(capsys, "klingenberg", "--from", str(path),
+                       "--loop-length", loop_length)
+    assert code == 2
+    assert message in err
+
+
 def test_invalid_inputs_exit_two(capsys):
     assert run(capsys, "build", "--model", "family", "--n", "2", "--eps",
                "0.8", "--delta", "0.02")[0] == 2
@@ -205,6 +232,9 @@ def test_wrongly_typed_profile_field_exits_two(tmp_path, capsys, field, edit):
      "--eps"),
     (("pinch", "--model", "gaussian", "--n", "3", "--upper", "nan", "--mode", "sec"),
      "--upper"),
+    (("curvature", "--model", "gaussian", "--n", "3", "--grid", "1000000000"), "--grid"),
+    (("family-limit", "--n", "10", "--eps", "0.8", "--deltas", "0.02", "--grid",
+      "1000001"), "--grid"),
 ])
 def test_bad_argument_values_exit_two(capsys, argv, name):
     code, _, err = run(capsys, *argv)
@@ -240,8 +270,9 @@ def _scipy_after(commands, tmp_path):
 def test_solver_free_commands_never_import_scipy(tmp_path):
     # scipy loads on the first ODE, root-finding or eigenvalue call
     solver_free = [(args, code) for _, args, code in README_COMMANDS
-                   if args[0] in ("build", "curvature", "pinch", "gap", "family-limit")]
-    assert len(solver_free) == 6
+                   if args[0] in ("build", "curvature", "pinch", "gap", "family-limit",
+                                  "klingenberg")]
+    assert len(solver_free) == 7
     codes, loaded = _scipy_after([args for args, _ in solver_free], tmp_path)
     assert codes == [code for _, code in solver_free]
     assert loaded == []

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pinchlab import (DomainError, SearchError, build_model, distance,
-                      farthest_from_pole, inj_at_pole, shoot)
+                      farthest_from_pole, inj_at_pole, jacobi_conjugate_points,
+                      path_kinks, shoot)
+from pinchlab.variation import JACOBI_ZERO_TOL, SEC_PERP, path_curvature
 
 
 def sphere_oracle(p, q):
@@ -238,18 +240,14 @@ def test_inj_at_pole_family(family10):
     assert inj_at_pole(family10) == pytest.approx(3.866991, abs=1e-6)
 
 
-def test_inj_at_pole_equals_scalar_scan(sphere3, family10):
-    # reference: the same grid scanned one scalar phi call at a time
+def test_inj_at_pole_is_first_jacobi_zero(sphere3, family10):
+    # oracle: the Jacobi solve along the pole meridian, past the far pole
     for m in (sphere3, family10):
-        R = m.r_max
-        h = lambda t: float(m.phi(t)) if t <= R else -float(m.phi(2.0 * R - t))
-        grid = np.linspace(1e-6, R + 0.25, 4097)
-        i = next(i for i, t in enumerate(grid) if h(t) <= 0)
-        lo, hi = grid[i - 1], grid[i]
-        while hi - lo > 0.5e-8:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if h(mid) > 0 else (lo, mid)
-        assert inj_at_pole(m) == 0.5 * (lo + hi)
+        assert inj_at_pole(m) == m.r_max
+        path = shoot(m, 0.0, 0.0, m.r_max + 0.2)
+        K = path_curvature(m, path, SEC_PERP, "slice")
+        zeros = jacobi_conjugate_points(K, path.length, breakpoints=path_kinks(m, path))
+        assert abs(zeros[0] - m.r_max) <= JACOBI_ZERO_TOL
 
 
 def test_inj_at_pole_cap_is_infinite(gaussian3):

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pinchlab import build_model, load_manifold, manifold_from_dict, save_manifold  # noqa: E402
-from pinchlab.cli import run_cli  # noqa: E402
+from pinchlab.cli import MAX_GRID, run_cli  # noqa: E402
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -73,12 +73,13 @@ BAD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-300,
 
 @st.composite
 def invocations(draw):
-    """CLI arguments for build or pinch, and whether every one is in range.
+    """CLI arguments for build, pinch or klingenberg, and whether every one
+    is in range.
 
     Either every argument is in range or exactly one is out of range, so
     each one is seen to exit 2 on its own.
     """
-    cmd = draw(st.sampled_from(["build", "pinch"]))
+    cmd = draw(st.sampled_from(["build", "pinch", "klingenberg"]))
     model = draw(st.sampled_from(["family", "round_sphere", "gaussian"]))
     family = model == "family"
     # flag -> (in-range values, out-of-range values)
@@ -88,16 +89,25 @@ def invocations(draw):
     if family or draw(st.booleans()):
         flags["delta"] = (FAMILY_DELTA if family else st.floats(0.01, 1.0), BAD_FLOATS)
     if cmd == "pinch":
-        flags["grid"] = (st.integers(100, 400), st.integers(-5, 99))
+        flags["grid"] = (st.integers(100, 400),
+                         st.integers(-5, 99) | st.integers(MAX_GRID + 1, 10**12))
         if draw(st.booleans()):
             flags["upper"] = (st.floats(-2.0, 20.0),
                               st.sampled_from([math.nan, math.inf, -math.inf]))
+    if cmd == "klingenberg":
+        # no loop this short leaves the Gaussian cap (r_max 50); from 2 pi on
+        # the search is INFEASIBLE and exits 1
+        flags["loop-length"] = (st.floats(0.01, 10.0), BAD_FLOATS)
     broken = draw(st.one_of(st.none(), st.sampled_from(sorted(flags))))
     # --flag=value, so that argparse reads a negative value as a value
     return ([cmd, f"--model={model}"]
             + [f"--{k}={draw(bad if k == broken else ok)!r}"
                for k, (ok, bad) in flags.items()],
             broken is None)
+
+
+def _reject(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def _run(argv):
@@ -109,14 +119,17 @@ def _run(argv):
 
 @PROPERTY
 @given(invocations())
-def test_build_and_pinch_exit_two_exactly_on_out_of_range_arguments(invocation):
+# the 50 drawn examples break no --grid, so the bound is checked explicitly
+@example((["pinch", "--model=gaussian", "--n=3", "--eps=0.5", f"--grid={MAX_GRID + 1}"],
+          False))
+def test_cli_exits_two_exactly_on_out_of_range_arguments(invocation):
     argv, in_range = invocation
     code, out, err = _run(argv)
     if not in_range:
         assert code == 2 and out == "", (argv, code, err)
         return
     assert code in (0, 1), (argv, code, err)
-    doc = json.loads(out)
+    doc = json.loads(out, parse_constant=_reject)
     if argv[0] == "build":
         assert code == 0
     else:

@@ -274,6 +274,16 @@ def test_klingenberg_loop_length_binds(family10):
     assert res["delta_max"] == pytest.approx(0.1, abs=1e-12)
 
 
+def test_klingenberg_halves_delta_at_a_conjugate_point(family10):
+    # gamma(l - delta_max/2) is the far pole r_max, conjugate to the pole, so
+    # the search halves once more
+    delta_max = klingenberg_delta_search(family10, l=3.0)["delta_max"]
+    res = klingenberg_delta_search(family10, l=family10.r_max + delta_max / 2)
+    assert res["delta_max"] == delta_max
+    assert res["binding"] == "field_bound"
+    assert res["delta"] == delta_max / 4 == 0.07853981633969082
+
+
 def test_klingenberg_infeasible_at_half(family10):
     assert klingenberg_delta_search(family10, eps=0.5, l=3.0) == INFEASIBLE
 
