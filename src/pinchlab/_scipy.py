@@ -2,7 +2,7 @@
 
 Modules bind these names at module level (``from ._scipy import solve_ivp``),
 so a caller can replace ``geodesics.solve_ivp`` and the like in one module.
-Commands that need no ODE solve, root finder or eigensolver never load scipy.
+Commands that need no ODE solve or root finder never load scipy.
 """
 
 
@@ -17,8 +17,3 @@ def brentq(*args, **kwargs):
     from scipy.optimize import brentq
     return brentq(*args, **kwargs)
 
-
-# scipy.linalg costs about 0.3 s to import
-def eigvalsh_tridiagonal(*args, **kwargs):
-    from scipy.linalg import eigvalsh_tridiagonal
-    return eigvalsh_tridiagonal(*args, **kwargs)

@@ -85,10 +85,6 @@ class GeodesicPath:
         """
         return self._state_fn(t)
 
-    @property
-    def conservation_residuals(self):
-        return (self.clairaut_residual, self.speed_residual)
-
     def dump_csv(self, out):
         close = False
         if isinstance(out, (str, bytes)):
@@ -240,7 +236,7 @@ def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
 
 
 def _dense_state_fn(sol):
-    """(r, rdot, theta, thetadot) from the DOP853 dense output ``sol``.
+    """(r, rdot, theta, thetadot), or (psi, psi'), from the dense output ``sol``.
 
     An array goes through ``sol``.  One float t is answered in float
     arithmetic: the segment is picked as ``OdeSolution`` picks it, and the
@@ -263,8 +259,7 @@ def _dense_state_fn(sol):
 
     def state(t):
         if not isinstance(t, float):
-            y = sol(t)
-            return y[0], y[1], y[2], y[3]
+            return tuple(sol(t))
         t = float(t)
         t_old, h, y_old, coeffs = segment(min(max(bisect.bisect_left(times(), t) - 1, 0), last))
         x = (t - t_old) / h

@@ -239,6 +239,31 @@ class RadialProfile:
                 ks.append(L)
         return sorted(k for k in set(ks) if 0.0 < k < self.r_max)
 
+    def inflections(self):
+        """Sorted radii in (0, r_max) where the second derivative has a zero
+        inside a segment: with the ends and :meth:`kinks`, every radius where
+        the slope can be extreme.
+
+        On a SINE segment they are the multiples of pi, on a ``PL2_BAND``
+        piece the zero of its linear second derivative; PARABOLA, LINEAR and
+        CONSTANT have a constant second derivative and none.  A doubled
+        profile adds their mirror images about L.
+        """
+        zs = []
+        for seg in self.segments:
+            if seg.kind == SINE:
+                zs.extend(k * math.pi for k in range(math.ceil(seg.lo / math.pi),
+                                                     math.floor(seg.hi / math.pi) + 1))
+            elif seg.kind == PL2_BAND:
+                offs, rows = seg._band_table[math]
+                for o0, o1, (_, _, d2, slope) in zip(offs, offs[1:], rows):
+                    if slope != 0.0 and 0.0 < -d2 / slope < o1 - o0:
+                        zs.append(seg.lo + (o0 - d2 / slope))
+        L = self.reflect_at
+        if L is not None:
+            zs.extend([L + (L - z) for z in zs])
+        return sorted(z for z in set(zs) if 0.0 < z < self.r_max)
+
     def eval(self, r, order=0):
         """Vectorized evaluation: the value (order 0) or a derivative (order 1,
         2) at radii ``r``, as a float array.

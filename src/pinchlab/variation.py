@@ -19,19 +19,25 @@ eigenvalues of the discretized index form int (psi')^2 - K psi^2
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._scipy import eigvalsh_tridiagonal, solve_ivp
+from ._scipy import solve_ivp
 from .errors import DomainError, IntegrationError
 from .curvature import curvature_table, ricci_eigenvalues, sectional_fn
+from .geodesics import _dense_state_fn
 
 QUAD_TOL = 1e-9
+QUAD_N0 = 16              # Simpson intervals of a first pass
+QUAD_MAX_DOUBLINGS = 16
+KINK_GRID = 2048          # path_kinks brackets crossings on this many cells
 JACOBI_ZERO_TOL = 1e-8
+JACOBI_RTOL = 1e-11
+JACOBI_GRID = 4096        # cells on which a sign change of psi brackets a zero
+EIGEN_NODES = 1500        # interior nodes of the discretized index form
 
 JACOBI_ZEROS = "JACOBI_ZEROS"
 EIGEN_COUNT = "EIGEN_COUNT"
@@ -44,12 +50,12 @@ SEC_PERP = "SEC_PERP"
 # quadrature
 
 
-def quad_piecewise(f, a, b, breakpoints=(), tol=QUAD_TOL, n0=16, max_doublings=16):
+def quad_piecewise(f, a, b, breakpoints=(), tol=QUAD_TOL):
     """Composite Simpson over [a, b], forced nodes at ``breakpoints``.
 
     Each smooth subinterval is refined by doubling until two successive
     Simpson values differ by less than ``tol``; ``f`` must accept arrays.
-    A subinterval still unconverged after ``max_doublings`` raises
+    A subinterval still unconverged after ``QUAD_MAX_DOUBLINGS`` raises
     :class:`IntegrationError` with ``reached`` at its left end: a kink of
     ``f`` that is not among the breakpoints usually causes it.
     """
@@ -58,9 +64,9 @@ def quad_piecewise(f, a, b, breakpoints=(), tol=QUAD_TOL, n0=16, max_doublings=1
     for lo, hi in zip(pts, pts[1:]):
         if hi - lo < 1e-15:
             continue
-        n = n0
+        n = QUAD_N0
         prev = None
-        for _ in range(max_doublings):
+        for _ in range(QUAD_MAX_DOUBLINGS):
             x = np.linspace(lo, hi, n + 1)
             y = f(x)
             h = (hi - lo) / n
@@ -152,7 +158,7 @@ def second_variation(K, psi, length=None, breakpoints=(), tol=QUAD_TOL):
 # curvature along a path
 
 
-def path_kinks(m, path, grid=2048):
+def path_kinks(m, path):
     """Arclengths where the path crosses a kink of phi, in increasing order.
 
     Pass them as ``breakpoints`` wherever a K from :func:`path_curvature` is
@@ -166,7 +172,7 @@ def path_kinks(m, path, grid=2048):
     round sphere) counts by its two ends: the rounding noise of r about the
     kink inside it would otherwise give a crossing at every sample.
     """
-    ts = np.linspace(0.0, path.length, grid + 1)
+    ts = np.linspace(0.0, path.length, KINK_GRID + 1)
     r, _, _, _ = path.state(ts)
     r = np.asarray(r, dtype=float)
     out = set()
@@ -247,8 +253,7 @@ def line_integral(m, path, kind=RICCI, direction="fiber", tol=QUAD_TOL):
 # Jacobi equation and index
 
 
-def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(),
-                            rtol=1e-11, grid=4096):
+def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
     """Interior zeros of psi'' + K psi = 0, psi(0) = 0, psi'(0) = 1.
 
     ``breakpoints`` are the arclengths where ``K`` is not smooth (for a
@@ -258,8 +263,8 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(),
     (Hairer, Norsett and Wanner, *Solving ODEs I*, II.6), so no step
     straddles a kink.  Every piece keeps ``max_step = length / 16`` of the
     whole length; with no breakpoints there is one piece.  Zeros are
-    bracketed on a sample grid and refined by bisection of the dense
-    solution of their piece; a zero within ``tol`` of the endpoint is
+    bracketed on a sample grid and refined by bisection of the pieces' dense
+    outputs, joined into one; a zero within ``tol`` of the endpoint is
     excluded (Morse convention counts only interior conjugate points).
     """
     if not (math.isfinite(length) and length > 0):
@@ -275,31 +280,26 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(),
     cuts = sorted({0.0, float(length), *(b for b in breakpoints if 0.0 < b < length)})
     pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo >= 1e-15] \
         or [(0.0, length)]
-    ends, sols, y0 = [], [], [0.0, 1.0]
+    times, interpolants, y0 = [[0.0]], [], [0.0, 1.0]
     for lo, hi in pieces:
-        sol = solve_ivp(rhs, (lo, hi), y0, method="DOP853", rtol=rtol, atol=1e-13,
-                        dense_output=True, max_step=length / 16.0)
+        sol = solve_ivp(rhs, (lo, hi), y0, method="DOP853", rtol=JACOBI_RTOL,
+                        atol=1e-13, dense_output=True, max_step=length / 16.0)
         if not sol.success:
             raise IntegrationError(f"Jacobi integration failed: {sol.message}",
                                    reached=float(sol.t[-1]))
-        ends.append(hi)
-        sols.append(sol.sol)
+        times.append(sol.sol.ts[1:])
+        interpolants.extend(sol.sol.interpolants)
         y0 = sol.y[:, -1]
-    last = len(sols) - 1
-    psi = lambda t: float(sols[min(bisect.bisect_left(ends, t), last)](t)[0])
-    ts = np.unique(np.concatenate([np.linspace(0.0, length, grid + 1),
+    state = _dense_state_fn(type(sol.sol)(np.concatenate(times), interpolants))
+    ts = np.unique(np.concatenate([np.linspace(0.0, length, JACOBI_GRID + 1),
                                    np.asarray(list(breakpoints), dtype=float)]))
-    piece = np.minimum(np.searchsorted(ends, ts), last)
-    vals = np.empty_like(ts)
-    for k, s in enumerate(sols):
-        at = piece == k
-        vals[at] = s(ts[at])[0]
+    vals = state(ts)[0]
     zeros = []
     for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
         lo, hi = ts[i], ts[i + 1]
         while hi - lo > tol * 0.25:
             mid = 0.5 * (lo + hi)
-            if psi(mid) * vals[i] > 0:
+            if state(mid)[0] * vals[i] > 0:
                 lo = mid
             else:
                 hi = mid
@@ -307,22 +307,27 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(),
     return [z for z in zeros if tol < z < length - tol]
 
 
-def eigen_index(K, length, n_nodes=1500):
+def eigen_index(K, length):
     """Negative-eigenvalue count of the discretized form int (psi')^2 - K psi^2.
 
     Second-difference discretization with Dirichlet ends.  Eigenvalues within
     the O(h^2) discretization error of zero are not counted, matching the
-    Morse convention for endpoint conjugate points.
+    Morse convention for endpoint conjugate points.  By Sylvester's law of
+    inertia the count below that cutoff is the number of negative LDL^T
+    pivots of the shifted matrix (Golub and Van Loan, *Matrix Computations*,
+    8.4); a zero pivot counts as positive, leaving out an eigenvalue equal
+    to the cutoff.
     """
-    h = length / (n_nodes + 1)
-    t = np.linspace(h, length - h, n_nodes)
+    h = length / (EIGEN_NODES + 1)
+    t = np.linspace(h, length - h, EIGEN_NODES)
     Kv = np.asarray(K(t), dtype=float)
-    diag = 2.0 / h**2 - Kv
-    off = np.full(n_nodes - 1, -1.0 / h**2)
     cutoff = -10.0 * h**2 * max(1.0, float(np.max(np.abs(Kv))))
-    ev = eigvalsh_tridiagonal(diag, off, select="v",
-                              select_range=(-np.inf, 0.0))
-    return int(np.count_nonzero(ev < cutoff))
+    off2 = (1.0 / h**2) ** 2
+    count, pivot = 0, math.inf          # off2 / inf = 0: the first pivot is d
+    for d in (2.0 / h**2 - Kv - cutoff).tolist():
+        pivot = d - off2 / pivot or math.ulp(0.0)     # a zero pivot is positive
+        count += pivot < 0.0
+    return count
 
 
 @dataclass(frozen=True)
@@ -348,7 +353,7 @@ class IndexResult:
         return json.dumps(self.to_dict(length), sort_keys=True)
 
 
-def geodesic_index(m, path, n_nodes=1500):
+def geodesic_index(m, path):
     """Index of the path with Dirichlet ends, with the eigenvalue cross-check.
 
     Meridians use the single tangential Jacobi equation with multiplicity
@@ -364,7 +369,7 @@ def geodesic_index(m, path, n_nodes=1500):
     for name, mult, direction in classes:
         K = path_curvature(m, path, SEC_PERP, direction)
         zeros = jacobi_conjugate_points(K, path.length, breakpoints=bps)
-        ne = eigen_index(K, path.length, n_nodes=n_nodes)
+        ne = eigen_index(K, path.length)
         conj.extend(zeros)
         index_j += mult * len(zeros)
         index_e += mult * ne

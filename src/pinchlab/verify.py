@@ -299,7 +299,8 @@ def klingenberg_delta_search(m, eps=None, l=None, tol=1e-9):
     pole (a zero of the field):
 
       field_bound:  3 eps delta + N(delta) < pi (2 eps - 1),
-                    N(delta) = max |X| on [0, 2 delta]
+                    N(delta) = max |X| on [0, 2 delta], taken at 0, 2 delta
+                    and the kinks and inflections of f below 2 delta
       loop_length:  3 delta < 2 pi - l
       global:       5 delta < 2 pi
       exp_diffeo:   2 delta < inj_p
@@ -320,10 +321,13 @@ def klingenberg_delta_search(m, eps=None, l=None, tol=1e-9):
         return INFEASIBLE
 
     rhs = math.pi * (2.0 * eps - 1.0)
+    # |f'| is extreme at the ends of [0, 2 delta], at a kink or where f'' = 0
+    extremes = [0.0, *m.f.kinks(), *m.f.inflections()]
 
     def field_cond(d):
-        ts = np.linspace(0.0, min(2.0 * d, m.r_max), 257)
-        nd = float(np.max(m.potential_scale * np.abs(m.f.eval(ts, 1))))
+        b = min(2.0 * d, m.r_max)
+        rs = np.array([b, *(r for r in extremes if r < b)])
+        nd = float(np.max(m.potential_scale * np.abs(m.f.eval(rs, 1))))
         return 3.0 * eps * d + nd - rhs
 
     hi = m.r_max / 2.0

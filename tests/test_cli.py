@@ -268,7 +268,7 @@ def _scipy_after(commands, tmp_path):
 
 
 def test_solver_free_commands_never_import_scipy(tmp_path):
-    # scipy loads on the first ODE, root-finding or eigenvalue call
+    # scipy loads on the first ODE solve or root finding
     solver_free = [(args, code) for _, args, code in README_COMMANDS
                    if args[0] in ("build", "curvature", "pinch", "gap", "family-limit",
                                   "klingenberg")]

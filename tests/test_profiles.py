@@ -210,6 +210,23 @@ def test_kinks(sphere3, gaussian3, family10):
     assert band_last.kinks() == [1.0]
 
 
+def test_inflections_are_zeros_of_the_second_derivative(gaussian3, family10):
+    assert gaussian3.f.inflections() == []
+    assert RadialProfile((SegmentSpec(SINE, 0.0, 4.0),)).inflections() == [math.pi]
+    # phi'' = -1 + 2 s on the band, doubled about 1
+    band = RadialProfile((SegmentSpec(PL2_BAND, 0.0, 1.0,
+                                      {"left_value": 1.0, "left_slope": -1.0,
+                                       "nodes": [(0.0, -1.0), (1.0, 1.0)]}),),
+                         reflect_at=1.0)
+    assert band.inflections() == [0.5, 1.5]
+    zs = family10.f.inflections()
+    L = family10.L
+    assert len(zs) == 2 and zs[0] < L < zs[1]
+    assert zs[1] == pytest.approx(L + (L - zs[0]), abs=1e-15)
+    assert np.max(np.abs(family10.f.eval(zs, 2))) <= 1e-12
+    assert not set(zs) & set(family10.f.kinks())
+
+
 def test_family_cylinder_warning_recorded():
     m = build_model("family", 3, 0.9, 0.02)
     assert "warning" in m.meta

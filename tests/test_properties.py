@@ -69,41 +69,82 @@ def test_profile_json_round_trip_is_bit_exact(m):
 # -- exit codes ---------------------------------------------------------------
 
 BAD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-300, -2.5])
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+LAUNCH = ["n", "eps", "delta", "r0", "dir", "length"]
+# each command's flags, drawn in this order; delta is optional off the
+# family, and so is --upper
+FLAGS = {"build": ["n", "eps", "delta"],
+         "pinch": ["n", "eps", "delta", "grid", "upper"],
+         "klingenberg": ["n", "eps", "delta", "loop-length"],
+         "gap": ["n", "eps", "delta"],
+         "family-limit": ["n", "eps", "deltas", "grid"],
+         "geodesic": LAUNCH,
+         "index": LAUNCH}
+DRAW = "draw"
+
+
+def _arg(value):
+    """A flag value as the CLI reads it; a list is comma-separated."""
+    return ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
+
+
+def _values(flag, family):
+    """(in-range values, out-of-range values) of one flag."""
+    if flag == "n":
+        return (FAMILY_N, st.integers(-3, 2)) if family \
+            else (st.integers(2, 12), st.integers(-3, 1))
+    if flag == "eps":
+        return FAMILY_EPS if family else st.floats(0.01, 10.0), BAD_FLOATS
+    if flag == "delta":
+        return FAMILY_DELTA if family else st.floats(0.01, 1.0), BAD_FLOATS
+    if flag == "deltas":
+        # one bad delta among good ones; from pi/4 on the band starts below 0
+        good = st.lists(FAMILY_DELTA, max_size=2)
+        return (st.lists(FAMILY_DELTA, min_size=1, max_size=3),
+                st.tuples(good, BAD_FLOATS | st.floats(0.8, 10.0), good)
+                .map(lambda t: [*t[0], t[1], *t[2]]))
+    if flag == "grid":
+        return st.integers(100, 400), st.integers(-5, 99) | st.integers(MAX_GRID + 1, 10**12)
+    if flag == "upper":
+        return st.floats(-2.0, 20.0), NON_FINITE
+    if flag == "loop-length":
+        # no loop this short leaves the Gaussian cap (r_max 50); from 2 pi on
+        # the search is INFEASIBLE and exits 1
+        return st.floats(0.01, 10.0), BAD_FLOATS
+    if flag == "r0":
+        # inside every model (the sphere's r_max is pi) and off the pole, so
+        # that any angle may be drawn
+        return st.floats(0.05, 1.5), st.sampled_from(
+            [math.nan, math.inf, -math.inf, -1e-300, -2.5, 1e3])
+    if flag == "dir":
+        return st.floats(-3.0, 3.0), NON_FINITE
+    # length: no arc this short leaves the cap; past 100 r_max it is refused
+    return st.floats(0.1, 3.0), BAD_FLOATS | st.just(1e7)
 
 
 @st.composite
-def invocations(draw):
-    """CLI arguments for build, pinch or klingenberg, and whether every one
-    is in range.
+def invocations(draw, commands, broken=DRAW):
+    """CLI arguments for one of ``commands``, and the flag out of range
+    (None when every one is in range).
 
-    Either every argument is in range or exactly one is out of range, so
-    each one is seen to exit 2 on its own.
+    The command is drawn first and then which of its own flags to break,
+    unless ``broken`` names it.  At most one is out of range, so each one is
+    seen to exit 2 on its own.
     """
-    cmd = draw(st.sampled_from(["build", "pinch", "klingenberg"]))
-    model = draw(st.sampled_from(["family", "round_sphere", "gaussian"]))
-    family = model == "family"
-    # flag -> (in-range values, out-of-range values)
-    flags = {"n": (FAMILY_N, st.integers(-3, 2)) if family
-             else (st.integers(2, 12), st.integers(-3, 1)),
-             "eps": (FAMILY_EPS if family else st.floats(0.01, 10.0), BAD_FLOATS)}
-    if family or draw(st.booleans()):
-        flags["delta"] = (FAMILY_DELTA if family else st.floats(0.01, 1.0), BAD_FLOATS)
-    if cmd == "pinch":
-        flags["grid"] = (st.integers(100, 400),
-                         st.integers(-5, 99) | st.integers(MAX_GRID + 1, 10**12))
-        if draw(st.booleans()):
-            flags["upper"] = (st.floats(-2.0, 20.0),
-                              st.sampled_from([math.nan, math.inf, -math.inf]))
-    if cmd == "klingenberg":
-        # no loop this short leaves the Gaussian cap (r_max 50); from 2 pi on
-        # the search is INFEASIBLE and exits 1
-        flags["loop-length"] = (st.floats(0.01, 10.0), BAD_FLOATS)
-    broken = draw(st.one_of(st.none(), st.sampled_from(sorted(flags))))
+    cmd = draw(st.sampled_from(commands))
+    # gap needs a compact model; family-limit builds families itself
+    model = None if cmd == "family-limit" else draw(st.sampled_from(
+        ["family", "round_sphere"] + ([] if cmd == "gap" else ["gaussian"])))
+    family = model in ("family", None)
+    optional = {"upper"} if family else {"upper", "delta"}
+    flags = [f for f in FLAGS[cmd]
+             if f not in optional or f == broken or draw(st.booleans())]
+    if broken == DRAW:
+        broken = draw(st.one_of(st.none(), st.sampled_from(flags)))
     # --flag=value, so that argparse reads a negative value as a value
-    return ([cmd, f"--model={model}"]
-            + [f"--{k}={draw(bad if k == broken else ok)!r}"
-               for k, (ok, bad) in flags.items()],
-            broken is None)
+    return ([cmd] + ([f"--model={model}"] if model else [])
+            + [f"--{f}={_arg(draw(_values(f, family)[f == broken]))}" for f in flags],
+            broken)
 
 
 def _reject(name):
@@ -117,19 +158,26 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@PROPERTY
-@given(invocations())
-# the 50 drawn examples break no --grid, so the bound is checked explicitly
-@example((["pinch", "--model=gaussian", "--n=3", "--eps=0.5", f"--grid={MAX_GRID + 1}"],
-          False))
-def test_cli_exits_two_exactly_on_out_of_range_arguments(invocation):
-    argv, in_range = invocation
+def _check_exit_codes(argv, broken):
     code, out, err = _run(argv)
-    if not in_range:
+    if broken:
         assert code == 2 and out == "", (argv, code, err)
         return
     assert code in (0, 1), (argv, code, err)
+    kw = dict(a.lstrip("-").split("=") for a in argv[1:])
+    if argv[0] == "geodesic":
+        assert code == 0
+        assert out.startswith("t,r,theta,rdot,")
+        return
+    if argv[0] == "family-limit":
+        assert out.splitlines()[0].startswith("delta,") and \
+            len(out.splitlines()) == 1 + len(kw["deltas"].split(","))
+        return
     doc = json.loads(out, parse_constant=_reject)
+    if argv[0] == "index":
+        assert doc["cross_check_agree"] is (code == 0)
+        assert doc["length"] == float(kw["length"])
+        return
     if argv[0] == "build":
         assert code == 0
     else:
@@ -137,6 +185,26 @@ def test_cli_exits_two_exactly_on_out_of_range_arguments(invocation):
         doc = doc["model"]
     # the model the CLI wrote reads back to the model it built
     m = manifold_from_dict(doc)
-    kw = dict(a.lstrip("-").split("=") for a in argv[1:])
     assert _same(build_model(kw["model"], int(kw["n"]), float(kw["eps"]),
                              float(kw["delta"]) if "delta" in kw else None), m)
+
+
+@PROPERTY
+@given(invocations(["build", "pinch", "klingenberg", "gap", "family-limit"]))
+# the 50 drawn examples break no --grid, so the bound is checked explicitly
+@example((["pinch", "--model=gaussian", "--n=3", "--eps=0.5", f"--grid={MAX_GRID + 1}"],
+          "grid"))
+def test_cli_exits_two_exactly_on_out_of_range_arguments(invocation):
+    _check_exit_codes(*invocation)
+
+
+# drawn examples break some flags far more often than others, so every
+# command gets a few examples with each of its flags broken, and with none;
+# each in-range index example shoots a geodesic and solves for its
+# conjugate points
+@pytest.mark.parametrize("cmd,broken", [(cmd, flag) for cmd, flags in FLAGS.items()
+                                        for flag in (None, *flags)])
+@settings(PROPERTY, max_examples=2)
+@given(data=st.data())
+def test_each_flag_out_of_range_exits_two(cmd, broken, data):
+    _check_exit_codes(*data.draw(invocations([cmd], broken)))

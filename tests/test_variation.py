@@ -8,7 +8,8 @@ from pinchlab import (DomainError, IntegrationError, berger_test_field,
                       build_model, geodesic_index, jacobi_conjugate_points,
                       line_integral, loop_index_check, path_kinks,
                       second_variation, shoot)
-from pinchlab.variation import RICCI, SEC_PERP, path_curvature, quad_piecewise
+from pinchlab.variation import (EIGEN_NODES, RICCI, SEC_PERP, eigen_index,
+                                path_curvature, quad_piecewise)
 
 K_ONE = lambda t: np.ones_like(np.asarray(t, dtype=float))
 K_ZERO = lambda t: np.zeros_like(np.asarray(t, dtype=float))
@@ -288,6 +289,48 @@ def test_index_json_schema(sphere3):
                         "index", "method", "cross_check_agree"}
     assert doc["method"] == "JACOBI_ZEROS"
     assert doc["cross_check_agree"] is True
+
+
+def _lapack_count(K, length):
+    """eigen_index's count, from the eigenvalues LAPACK computes."""
+    from scipy.linalg import eigvalsh_tridiagonal
+    h = length / (EIGEN_NODES + 1)
+    Kv = np.asarray(K(np.linspace(h, length - h, EIGEN_NODES)), dtype=float)
+    cutoff = -10.0 * h**2 * max(1.0, float(np.max(np.abs(Kv))))
+    ev = eigvalsh_tridiagonal(2.0 / h**2 - Kv, np.full(EIGEN_NODES - 1, -1.0 / h**2))
+    return int(np.count_nonzero(ev < cutoff))
+
+
+def test_eigen_index_matches_lapack_count(sphere3, family10):
+    cases = []
+    for m in (sphere3, family10):
+        for T in (0.5 * m.r_max, 1.3 * m.r_max, 2.6 * m.r_max):
+            path = shoot(m, 0.0, 0.0, T)
+            cases.append((path_curvature(m, path, SEC_PERP, "slice"), T))
+        path = shoot(m, 1.0, 0.7, 2.0 * m.r_max)
+        cases.extend((path_curvature(m, path, SEC_PERP, d), path.length)
+                     for d in ("slice", "fiber"))
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        a, b, w, p = rng.uniform(-1.0, 4.0), rng.uniform(0.0, 3.0), \
+            rng.uniform(0.5, 5.0), rng.uniform(0.0, 2 * math.pi)
+        cases.append((lambda t, a=a, b=b, w=w, p=p: a + b * np.cos(w * t + p),
+                      rng.uniform(1.0, 12.0)))
+    counts = [eigen_index(K, length) for K, length in cases]
+    assert counts == [_lapack_count(K, length) for K, length in cases]
+    assert max(counts) >= 3
+
+
+@pytest.mark.parametrize("gap", [1e-7, -1e-7])
+def test_eigen_index_at_the_cutoff(gap):
+    # for K = c the least eigenvalue is mu - c with mu = 4/h^2 sin^2(pi h/2L),
+    # and the cutoff is -10 h^2 c: pick c to put mu - c at the cutoff + gap
+    length = 2.0
+    h = length / (EIGEN_NODES + 1)
+    mu = 4.0 / h**2 * math.sin(math.pi * h / (2.0 * length)) ** 2
+    c = (mu - gap) / (1.0 - 10.0 * h**2)
+    K = lambda t: np.full_like(np.asarray(t, dtype=float), c)
+    assert eigen_index(K, length) == _lapack_count(K, length) == (gap < 0)
 
 
 # -- loop index check -------------------------------------------------------

@@ -284,6 +284,20 @@ def test_klingenberg_halves_delta_at_a_conjugate_point(family10):
     assert res["delta"] == delta_max / 4 == 0.07853981633969082
 
 
+@pytest.mark.parametrize("delta", [0.02, 0.01])
+def test_klingenberg_field_bound_meets_its_condition(delta):
+    # |f'| peaks inside the potential band, between the points of a coarse
+    # grid; a grid of 257 points on [0, 2 delta] reported a field_bound that
+    # broke the condition by 4.45e-5 (delta 0.02) and 1.19e-6 (delta 0.01)
+    m = build_model("family", 3, 0.95, delta)
+    res = klingenberg_delta_search(m, l=0.5)
+    assert res["binding"] == "field_bound"
+    d = res["caps"]["field_bound"]
+    rs = np.linspace(0.0, 2.0 * d, 400_001)
+    nd = float(np.max(m.potential_scale * np.abs(m.f.eval(rs, 1))))
+    assert 3.0 * 0.95 * d + nd - math.pi * (2.0 * 0.95 - 1.0) <= 1e-9
+
+
 def test_klingenberg_infeasible_at_half(family10):
     assert klingenberg_delta_search(family10, eps=0.5, l=3.0) == INFEASIBLE
 
