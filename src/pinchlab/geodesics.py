@@ -7,16 +7,16 @@ full second-order system (without using the conservation laws), so the
 Clairaut and unit-speed residuals are genuine diagnostics of integration
 quality.
 
-The distance search sweeps a fixed grid of launch angles (256 by default),
+The distance search sweeps a fixed grid of ``N_ANGLES`` launch angles,
 evaluates every geodesic class through the first-order form of the reduction
 (arc integrals with a sqrt substitution at turning points, so the integrable
 endpoint singularity is removed exactly), brackets each class/target crossing
-and refines it by bracketed bisection (Brent).  Candidates within ``tol`` of
-the shortest are kept once per length rounded to ``tol``, so of two minimizers
-of equal length (a theta-mirror pair) only one survives.  The survivors are
-re-shot through the ODE integrator to produce the returned paths.  A search
-whose shortest candidate exceeds the broken path through a pole raises
-``SearchError`` instead of returning it.
+and refines it by bracketed bisection (Brent).  Candidates within
+``DEFAULT_DISTANCE_TOL`` of the shortest are kept once per length rounded to
+it, so of two minimizers of equal length (a theta-mirror pair) only one
+survives.  The survivors are re-shot through the ODE integrator to produce
+the returned paths.  A search whose shortest candidate exceeds the broken
+path through a pole raises ``SearchError`` instead of returning it.
 """
 
 from __future__ import annotations
@@ -32,12 +32,13 @@ from ._scipy import brentq, solve_ivp
 from .errors import DomainError, IntegrationError, SearchError
 from .profiles import CAP, DOUBLED_SPHERE
 
-DEFAULT_SHOOT_TOL = 1e-12
-DEFAULT_DISTANCE_TOL = 1e-6
-DEFAULT_N_ANGLES = 256
+DEFAULT_SHOOT_TOL = 1e-12       # shoot's DOP853 rtol; atol is 1e-2 of it
+DEFAULT_DISTANCE_TOL = 1e-6     # distance's tie window and dedupe rounding
+N_ANGLES = 256                  # launch angles of distance's scan
+SHOOT_SAMPLES = 1025            # rows of a shot path's ``samples``
+ANCHOR_ORDER = 32               # Gauss-Legendre nodes per panel of _anchored
 MAX_LENGTH_FACTOR = 100.0
 _POLE = 1e-12
-_TINY = 1e-300
 
 
 @functools.cache
@@ -165,7 +166,7 @@ def check_cap_meridian(m, r0, d0, T):
                                reached=reached)
 
 
-def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
+def shoot(m, r0, alpha, T, theta0=0.0):
     """Integrate the geodesic launched from radius ``r0`` at angle ``alpha``
     (measured from the outward radial direction) for arclength ``T``.
 
@@ -182,7 +183,7 @@ def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
     if not 0 <= r0 <= m.r_max + 1e-12:
         raise DomainError("launch radius outside the manifold domain")
 
-    ts = np.linspace(0.0, T, n_samples)
+    ts = np.linspace(0.0, T, SHOOT_SAMPLES)
     R = m.r_max
     phi_s = m.phi.scalar_fn(0)
     dphi_s = m.phi.scalar_fn(1)
@@ -216,8 +217,8 @@ def shoot(m, r0, alpha, T, tol=DEFAULT_SHOOT_TOL, theta0=0.0, n_samples=1025):
         leave.terminal = True
         events = [leave]
 
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-2, dense_output=True, events=events)
+    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=DEFAULT_SHOOT_TOL,
+                    atol=DEFAULT_SHOOT_TOL * 1e-2, dense_output=True, events=events)
     if not sol.success:
         raise IntegrationError(f"geodesic integration failed: {sol.message}",
                                reached=float(sol.t[-1]))
@@ -402,7 +403,7 @@ class _Geometry:
         g = 1.0 / np.sqrt(q)
         return g * cb / p**2, g
 
-    def _anchored(self, c, rstar, sgn, r_far, order=32):
+    def _anchored(self, c, rstar, sgn, r_far):
         """(dtheta, dt) over radii between the turning point ``rstar`` and
         ``r_far`` under r = rstar + sgn s^2, scalar c.
 
@@ -432,7 +433,7 @@ class _Geometry:
         geo = edges[0] * np.power(2.0, -np.arange(levels, 0, -1.0))
         E = np.concatenate([[0.0], geo, np.asarray(edges)])
         s0, s1 = E[:-1], E[1:]
-        x, w = _leggauss(order)
+        x, w = _leggauss(ANCHOR_ORDER)
         mid = 0.5 * (s0 + s1)[:, None]
         half = 0.5 * (s1 - s0)[:, None]
         s = mid + half * x
@@ -516,22 +517,22 @@ def _pole_kind(m, r):
     return None
 
 
-def distance(m, p, q, n_angles=DEFAULT_N_ANGLES, tol=DEFAULT_DISTANCE_TOL,
-             return_paths=True):
+def distance(m, p, q, return_paths=True):
     """Distance between points (r, theta) and realizing geodesics found.
 
-    Pole queries reduce to meridians exactly.  General queries sweep the
-    launch-angle grid, bracket every geodesic class that can hit the target
-    angle and refine by bracketed bisection.  Candidates within ``tol`` of
-    the shortest are deduplicated by their length rounded to ``tol``: one
-    path is returned per distinct length, so a second minimizer of the same
-    length (such as the theta-mirror image) is dropped.  A returned path
-    may be missing when re-shooting it fails.
+    Every returned path runs from p to q.  Pole queries reduce to meridians
+    exactly.  General queries sweep the launch-angle grid, bracket every
+    geodesic class that can hit the target angle and refine by bracketed
+    bisection.  Candidates within ``DEFAULT_DISTANCE_TOL`` of the shortest
+    are deduplicated by their length rounded to it: one path is returned
+    per distinct length, so a second minimizer of the same length (such as
+    the theta-mirror image) is dropped.  A returned path may be missing
+    when re-shooting it fails.
 
     Raises SearchError when no candidate is found, and when the shortest
     candidate exceeds the broken path through a pole, min(r1 + r2,
-    2 r_max - r1 - r2) (only r1 + r2 on a cap), by more than ``tol``; the
-    message names both numbers.
+    2 r_max - r1 - r2) (only r1 + r2 on a cap), by more than
+    ``DEFAULT_DISTANCE_TOL``; the message names both numbers.
     """
     r1, th1 = float(p[0]), float(p[1])
     r2, th2 = float(q[0]), float(q[1])
@@ -542,19 +543,20 @@ def distance(m, p, q, n_angles=DEFAULT_N_ANGLES, tol=DEFAULT_DISTANCE_TOL,
 
     pk, qk = _pole_kind(m, r1), _pole_kind(m, r2)
     if pk or qk:
-        if qk and not pk:
-            r1, th1, r2, th2 = r2, th2, r1, th1
-            pk, qk = qk, pk
-        d = r2 if pk == "north" else m.r_max - r2
+        # the meridian from p to q: (length, launch radius, angle, theta0)
+        if pk == "north":
+            d, r0, alpha, theta0 = r2, 0.0, 0.0, th2
+        elif pk == "south":
+            d, r0, alpha, theta0 = m.r_max - r2, m.r_max, math.pi, th2
+        elif qk == "north":
+            d, r0, alpha, theta0 = r1, r1, math.pi, th1
+        else:
+            d, r0, alpha, theta0 = m.r_max - r1, r1, 0.0, th1
         if d < 1e-15:
             return 0.0, []
         if not return_paths:
             return d, []
-        if pk == "north":
-            path = shoot(m, 0.0, 0.0, d, theta0=th2)
-        else:
-            path = shoot(m, m.r_max, math.pi, d, theta0=th2)
-        return d, [path]
+        return d, [shoot(m, r0, alpha, d, theta0=theta0)]
 
     dtheta = abs(_wrap_angle(th2 - th1))
     geom = _Geometry(m)
@@ -579,7 +581,7 @@ def distance(m, p, q, n_angles=DEFAULT_N_ANGLES, tol=DEFAULT_DISTANCE_TOL,
     if m.topology == DOUBLED_SPHERE:
         classes.append("turn_hi")
 
-    alphas = (np.arange(n_angles) + 0.5) * (math.pi / 2.0) / n_angles
+    alphas = (np.arange(N_ANGLES) + 0.5) * (math.pi / 2.0) / N_ANGLES
     cgrid = cmax_pair * np.sin(alphas)
     # extra nodes approaching the grazing limit c -> cmax geometrically
     near = cmax_pair * (1.0 - np.power(10.0, -np.arange(2.0, 13.0)))
@@ -630,14 +632,14 @@ def distance(m, p, q, n_angles=DEFAULT_N_ANGLES, tol=DEFAULT_DISTANCE_TOL,
     bound = r1 + r2
     if m.topology == DOUBLED_SPHERE:
         bound = min(bound, 2.0 * m.r_max - r1 - r2)
-    if d > bound + tol:
+    if d > bound + DEFAULT_DISTANCE_TOL:
         raise SearchError(f"distance search returned {d!r}, longer than the "
                           f"broken path through a pole ({bound!r})")
     winners, seen = [], set()
     for cand in candidates:
-        if cand[0] > d + tol:
+        if cand[0] > d + DEFAULT_DISTANCE_TOL:
             break
-        key = round(cand[0] / tol)
+        key = round(cand[0] / DEFAULT_DISTANCE_TOL)
         if key in seen:
             continue
         seen.add(key)

@@ -407,8 +407,8 @@ def solve_smoothing_band(a, b, width, target):
     * ``b == 0 > a`` (warping band): a monotone prescription cannot meet the
       required integral, so the band ramps from ``a`` into a slightly deeper
       plateau ``h`` and takes a terminal plunge back to 0.  The plateau is
-      pinned at h = 1/a and the matching ramp/plunge width is solved by
-      bisection of the exact integral.
+      pinned at h = min(a, 1/a).  The nodes integrate to u (a/2 - h) + h w,
+      so the ramp/plunge width is the closed form u = (target - h w)/(a/2 - h).
     """
     if width <= 0:
         raise ConstructionError("band width must be positive")
@@ -432,25 +432,11 @@ def solve_smoothing_band(a, b, width, target):
 
     if b == 0:
         h = min(a, 1.0 / a)
-
-        def integral(u):
-            return _pl_integral([(0.0, a), (u, h), (width - u, h), (width, 0.0)])
-
-        lo, hi = 0.0, 0.5 * width
-        flo, fhi = integral(lo) - target, integral(hi) - target
-        if flo > 0 or fhi < 0:
+        # a/2 - h > 0 for every a < 0, so the integral increases with u
+        u = (target - h * width) / (0.5 * a - h)
+        if not 0.0 <= u <= 0.5 * width:
             raise ConstructionError(
                 "boundary-layer band infeasible: integral target out of reach")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = integral(mid) - target
-            if fm <= 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-18 * max(1.0, width):
-                break
-        u = 0.5 * (lo + hi)
         nodes = [(0.0, a), (u, h), (width - u, h), (width, 0.0)]
         if abs(_pl_integral(nodes) - target) > BAND_INTEGRAL_TOL:
             raise ConstructionError("boundary-layer band integral failed to close")
@@ -512,11 +498,6 @@ def doubling_point(n, eps, delta):
     if delta <= 0:
         raise DomainError("delta must be positive")
     return math.pi / 2 - delta + (1.0 - eps) * (math.pi / 2 - 2.0 * delta) / eps
-
-
-def _family_fdot_third_branch(n, eps, delta, r):
-    return (n - 1) * eps * (r - math.pi / 2 + delta) \
-        - (n - 1) * (1.0 - eps) * (math.pi / 2 - 2.0 * delta)
 
 
 def build_model(kind, n, eps=None, delta=None, potential_scale=1.0, r_max=DEFAULT_CAP_RMAX):

@@ -50,11 +50,11 @@ SEC_PERP = "SEC_PERP"
 # quadrature
 
 
-def quad_piecewise(f, a, b, breakpoints=(), tol=QUAD_TOL):
+def quad_piecewise(f, a, b, breakpoints=()):
     """Composite Simpson over [a, b], forced nodes at ``breakpoints``.
 
     Each smooth subinterval is refined by doubling until two successive
-    Simpson values differ by less than ``tol``; ``f`` must accept arrays.
+    Simpson values differ by less than ``QUAD_TOL``; ``f`` must accept arrays.
     A subinterval still unconverged after ``QUAD_MAX_DOUBLINGS`` raises
     :class:`IntegrationError` with ``reached`` at its left end: a kink of
     ``f`` that is not among the breakpoints usually causes it.
@@ -72,14 +72,14 @@ def quad_piecewise(f, a, b, breakpoints=(), tol=QUAD_TOL):
             h = (hi - lo) / n
             s = h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
             diff = math.inf if prev is None else abs(s - prev)
-            if diff < tol * 0.5:
+            if diff < QUAD_TOL * 0.5:
                 break
             prev = s
             n *= 2
         else:
             raise IntegrationError(
                 f"quadrature on [{lo}, {hi}] did not converge: last |S2n - Sn| = "
-                f"{diff} against tol {tol}", reached=lo)
+                f"{diff} against tol {QUAD_TOL}", reached=lo)
         total += s
     return total
 
@@ -126,7 +126,7 @@ def berger_test_field(r):
     return TestField(float(r))
 
 
-def second_variation(K, psi, length=None, breakpoints=(), tol=QUAD_TOL):
+def second_variation(K, psi, length=None, breakpoints=()):
     """int (psi')^2 - psi^2 K dt for a field vanishing at both ends.
 
     ``psi`` is a :class:`TestField` or a (value, derivative) pair of
@@ -151,7 +151,7 @@ def second_variation(K, psi, length=None, breakpoints=(), tol=QUAD_TOL):
     def f(t):
         return der(t) ** 2 - val(t) ** 2 * np.asarray(K(t), dtype=float)
 
-    return quad_piecewise(f, 0.0, length, sorted(bps), tol=tol)
+    return quad_piecewise(f, 0.0, length, sorted(bps))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def path_curvature(m, path, kind=RICCI, direction="fiber"):
     return K
 
 
-def line_integral(m, path, kind=RICCI, direction="fiber", tol=QUAD_TOL):
+def line_integral(m, path, kind=RICCI, direction="fiber"):
     """Composite quadrature of the chosen curvature along the path.
 
     Nodes are forced wherever the path crosses a kink of phi, so every
@@ -246,7 +246,7 @@ def line_integral(m, path, kind=RICCI, direction="fiber", tol=QUAD_TOL):
     """
     K = path_curvature(m, path, kind, direction)
     bps = path_kinks(m, path)
-    return quad_piecewise(K, 0.0, path.length, bps, tol=tol)
+    return quad_piecewise(K, 0.0, path.length, bps)
 
 
 # ---------------------------------------------------------------------------

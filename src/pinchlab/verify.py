@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .profiles import DOUBLED_SPHERE, PL2_BAND, manifold_to_dict
 from .curvature import curvature_table, x_field_norm
-from .geodesics import (check_arclength, check_cap_meridian, distance,
+from .geodesics import (N_ANGLES, check_arclength, check_cap_meridian, distance,
                         farthest_from_pole, inj_at_pole)
 
 RICCI_MODE = "RICCI"
@@ -27,6 +27,8 @@ INFEASIBLE = "INFEASIBLE"
 PINCH_TOL_LOWER = 1e-6
 GAP_TOL = 1e-6
 GROWTH_TOL = 1e-8
+GROWTH_GRID = 1000        # cells of verify_quadratic_growth's arclength grid
+DELTA_SEARCH_TOL = 1e-9   # field_bound bisection stops at 1e-3 of this width
 DEFAULT_GRID = 10_000
 
 
@@ -189,7 +191,7 @@ class CriticalityCertificate:
         return self.min_inner > 0.0
 
 
-def criticality_certificate(m, p, q, eps=None, n_angles=256):
+def criticality_certificate(m, p, q, eps=None):
     """Evaluate g(X(q), gdot) over every minimal geodesic found from p to q.
 
     ``xnorm_lower`` is the integral lower bound
@@ -197,7 +199,7 @@ def criticality_certificate(m, p, q, eps=None, n_angles=256):
     """
     eps = _model_eps(m, eps)
     n = m.n
-    d, paths = distance(m, p, q, n_angles=n_angles)
+    d, paths = distance(m, p, q)
     if not paths:
         raise DomainError("no realizing geodesic found between p and q")
     inners = []
@@ -209,7 +211,7 @@ def criticality_certificate(m, p, q, eps=None, n_angles=256):
     lower = -(n - 1) * math.pi - x_field_norm(m, p[0]) + (n - 1) * eps * d
     return CriticalityCertificate(tuple(p), tuple(q), d, min(inners),
                                   critical_radius(m, p[0], eps), lower,
-                                  len(paths), n_angles)
+                                  len(paths), N_ANGLES)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +236,6 @@ class GapReport:
     @property
     def berger_check(self):
         return self.berger_inner <= GAP_TOL
-
-    @property
-    def inj_hypothesis_met(self):
-        return self.inj_p >= self.inj_threshold - GAP_TOL
 
 
 def diameter_gap(m, p=(0.0, 0.0), eps=None):
@@ -266,7 +264,7 @@ def inj_gap_hypothesis(m, eps=None):
             "hypothesis_met": met, "boundary_case": boundary}
 
 
-def verify_quadratic_growth(m, p_r=0.0, grid=1000, t_max=None, eps=None):
+def verify_quadratic_growth(m, p_r=0.0, t_max=None, eps=None):
     """Max violation of the quadratic growth bound for f along radial geodesics.
 
     bound(t) = f(p) - ((n-1) pi + |X(p)|) t + (n-1) eps t^2 / 2; the report
@@ -277,7 +275,7 @@ def verify_quadratic_growth(m, p_r=0.0, grid=1000, t_max=None, eps=None):
     s = m.potential_scale
     if t_max is None:
         t_max = m.r_max - p_r
-    ts = np.linspace(0.0, t_max, grid + 1)
+    ts = np.linspace(0.0, t_max, GROWTH_GRID + 1)
     rs = np.clip(p_r + ts, 0.0, m.r_max)
     fvals = s * m.f.eval(rs, 0)
     f_p = s * float(m.f(p_r, 0))
@@ -285,14 +283,14 @@ def verify_quadratic_growth(m, p_r=0.0, grid=1000, t_max=None, eps=None):
     bound = f_p - ((n - 1) * math.pi + xp) * ts + 0.5 * (n - 1) * eps * ts**2
     worst = float(np.max(bound - fvals))
     return {"max_violation": worst, "pass": worst <= GROWTH_TOL,
-            "grid": grid, "t_max": float(t_max)}
+            "grid": GROWTH_GRID, "t_max": float(t_max)}
 
 
 # ---------------------------------------------------------------------------
 # Klingenberg-style delta search
 
 
-def klingenberg_delta_search(m, eps=None, l=None, tol=1e-9):
+def klingenberg_delta_search(m, eps=None, l=None):
     """Largest delta meeting the arithmetic loop conditions, then halved.
 
     Conditions on delta, for a hypothesized loop of length ``l`` based at the
@@ -342,7 +340,7 @@ def klingenberg_delta_search(m, eps=None, l=None, tol=1e-9):
                 lo = mid
             else:
                 hi = mid
-            if hi - lo < tol * 1e-3:
+            if hi - lo < DELTA_SEARCH_TOL * 1e-3:
                 break
         caps["field_bound"] = 0.5 * (lo + hi)
     caps["loop_length"] = (2.0 * math.pi - l) / 3.0

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pinchlab import (DomainError, SearchError, build_model, distance,
-                      farthest_from_pole, inj_at_pole, jacobi_conjugate_points,
-                      path_kinks, shoot)
+from pinchlab import (DomainError, SearchError, build_model,
+                      criticality_certificate, distance, farthest_from_pole,
+                      inj_at_pole, jacobi_conjugate_points, path_kinks, shoot)
 from pinchlab.variation import JACOBI_ZERO_TOL, SEC_PERP, path_curvature
 
 
@@ -125,6 +125,35 @@ def test_pole_distance_is_meridian(family10):
     assert len(paths) == 1 and paths[0].meridian
 
 
+def test_pole_paths_run_from_p_to_q(family10):
+    # f' vanishes at both poles, so g(X, gdot) read at a pole q is 0
+    R = family10.r_max
+    p = (1.0, 0.2)
+    for a, b in ((p, (0.0, 0.0)), ((0.0, 0.0), p), (p, (R, 0.0)), ((R, 0.0), p)):
+        _, paths = distance(family10, a, b)
+        assert len(paths) == 1
+        path = paths[0]
+        assert path.state(0.0)[0] == pytest.approx(a[0], abs=1e-12)
+        assert path.state(path.length)[0] == pytest.approx(b[0], abs=1e-12)
+        if b != p:
+            cert = criticality_certificate(family10, a, b)
+            assert abs(cert.min_inner) <= 1e-12
+
+
+def test_distance_meridian_candidates(family10, sphere3):
+    R = family10.r_max
+    cases = ((family10, (1.0, 0.3), (2.5, 0.3), 1.5),
+             (family10, (3.0, 0.3), (2.5, 0.3 - math.pi), 2 * R - 5.5),  # south pole
+             (sphere3, (1.0, 0.0), (2.0, math.pi), 3.0))                 # north pole
+    for m, p, q, want in cases:
+        d, paths = distance(m, p, q)
+        assert d == pytest.approx(want, abs=1e-12)
+        assert len(paths) == 1 and paths[0].meridian
+        r_end, _, th_end, _ = paths[0].state(paths[0].length)
+        assert r_end == pytest.approx(q[0], abs=1e-12)
+        assert math.remainder(th_end - q[1], 2 * math.pi) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_round_sphere_equator_distance(sphere3):
     d, _ = distance(sphere3, (math.pi / 2, 0.0), (math.pi / 2, 1.0))
     assert d == pytest.approx(1.0, abs=1e-6)
@@ -168,9 +197,11 @@ def test_distance_symmetry(family10):
 # float.hex of distance(m, p, q) as computed before the search moved onto
 # float closures and shared arc integrals; the search must keep every bit.
 # Family pairs on family(10, 0.8, 0.02) (index 0) and family(6, 0.75, 0.03)
-# (index 1), each in both directions.
+# (index 1), each in both directions.  The first p -> q value moved by
+# +5.9e-11 when the warping band's ramp width became a closed form, because
+# the band's nodes moved in their last digits.
 PINNED_FAMILY = (
-    (0, (2.34, 2.38), (2.83, -1.65), "0x1.0f133b41c3d04p+1", "0x1.0f133b41d6f3dp+1"),
+    (0, (2.34, 2.38), (2.83, -1.65), "0x1.0f133b41e4268p+1", "0x1.0f133b41d6f3dp+1"),
     (0, (2.9, -0.19), (1.29, -1.33), "0x1.f44456fd12eefp+0", "0x1.f44456fd13071p+0"),
     (1, (0.42, 0.09), (1.93, 2.5), "0x1.1c597b680b8acp+1", "0x1.1c597b680b8acp+1"),
     (1, (1.59, -2.98), (3.2, -2.07), "0x1.d50e8780be3d2p+0", "0x1.d50e8780be3d2p+0"),

@@ -8,7 +8,8 @@ from pinchlab import (ConstructionError, DomainError, RadialProfile,
                       SegmentSpec, build_model, check_c2, doubling_point,
                       eval_profile, manifold_from_dict, manifold_to_dict,
                       solve_smoothing_band)
-from pinchlab.profiles import PL2_BAND, SINE, CONSTANT, c2_ok, _pl_integral
+from pinchlab.profiles import (BAND_INTEGRAL_TOL, PL2_BAND, SINE, CONSTANT, c2_ok,
+                               _pl_integral)
 
 
 def test_eval_sine_segment():
@@ -67,6 +68,23 @@ def test_band_boundary_layer_shape():
     assert heights[1] == pytest.approx(-1.0002, abs=1e-4)   # plateau
     plunge = nodes[-1][0] - nodes[-2][0]
     assert plunge == pytest.approx(1.1e-5, rel=0.05)
+
+
+def test_band_boundary_layer_closes_for_seeded_deltas():
+    # the family's warping band, a = -cos d, target -sin d over width d
+    for d in np.random.default_rng(14).uniform(0.001, 0.4, 11):
+        nodes = solve_smoothing_band(-math.cos(d), 0.0, d, -math.sin(d))
+        assert abs(_pl_integral(nodes) - (-math.sin(d))) <= BAND_INTEGRAL_TOL
+        (_, a), (u, h), (v, h2), (w, z) = nodes
+        assert 0.0 <= u <= 0.5 * d and v == d - u and w == d
+        assert (a, h2, z) == (-math.cos(d), h, 0.0)
+
+
+def test_band_boundary_layer_unreachable_target_raises():
+    # a = -1, w = 1: the integral u (a/2 - h) + h w covers [-1, -0.75] only
+    for target in (-1.5, -0.5, math.nan):
+        with pytest.raises(ConstructionError, match="out of reach"):
+            solve_smoothing_band(-1.0, 0.0, 1.0, target)
 
 
 def test_band_rejects_bad_inputs():

@@ -9,6 +9,9 @@ import io
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -208,3 +211,21 @@ def test_cli_exits_two_exactly_on_out_of_range_arguments(invocation):
 @given(data=st.data())
 def test_each_flag_out_of_range_exits_two(cmd, broken, data):
     _check_exit_codes(*data.draw(invocations([cmd], broken)))
+
+
+def test_failing_property_prints_its_example(tmp_path):
+    # the project's pytest config makes every DeprecationWarning an error;
+    # a failing property must still end in hypothesis's report
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n")
+    config = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config),
+                           "-p", "no:cacheprovider", "test_fails.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "INTERNALERROR" not in out
