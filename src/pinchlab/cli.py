@@ -233,7 +233,7 @@ def _dispatch(args):
         rep = verify_pinch(m, args.mode.upper(), args.eps, args.upper,
                            grid_size=args.grid)
         doc = pinch_report_doc(m, rep, _model_params(args))
-        doc["resolution"].update(DEFAULTS)
+        doc["resolution"].update(DEFAULTS, grid=args.grid)
         _emit_json(doc, args.out)
         return 0 if rep.passed else 1
 
@@ -267,7 +267,7 @@ def _dispatch(args):
             gap.diameter_ok and gap.berger_check,
             {"farthest": gap.farthest, "bound": gap.bound,
              "zero_bound": gap.zero_bound, "inj_p": gap.inj_p,
-             "inj_threshold": gap.inj_threshold,
+             "inj_threshold": gap.bound,
              "inj_hypothesis_met": hyp["hypothesis_met"],
              "berger_inner": gap.berger_inner},
             violations, resolution=DEFAULTS)

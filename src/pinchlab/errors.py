@@ -22,11 +22,4 @@ class IntegrationError(PinchlabError, RuntimeError):
 
 
 class SearchError(PinchlabError, RuntimeError):
-    """An iterative search (distance, root finding) did not converge.
-
-    ``best`` holds the best candidate found, when there is one.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """An iterative search (distance, root finding) did not converge."""

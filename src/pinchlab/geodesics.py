@@ -7,9 +7,14 @@ full second-order system (without using the conservation laws), so the
 Clairaut and unit-speed residuals are genuine diagnostics of integration
 quality.
 
-The distance search sweeps a fixed grid of ``N_ANGLES`` launch angles,
-evaluates every geodesic class through the first-order form of the reduction
-(arc integrals with a sqrt substitution at turning points, so the integrable
+The distance search needs a warping profile that rises from the pole to its
+peak (L on a doubled model, r_max on a cap).  Unimodality is checked exactly
+at the slope's candidate extremes on that flank, which are the pole, the peak
+and the profile's kinks and inflections between; the same radii bracket each
+turning radius, and phi at the peak bounds the Clairaut constants that turn.
+The search sweeps a fixed grid of ``N_ANGLES`` launch angles, evaluates
+every geodesic class through the first-order form of the reduction (arc
+integrals with a sqrt substitution at turning points, so the integrable
 endpoint singularity is removed exactly), brackets each class/target crossing
 and refines it by bracketed bisection (Brent).  Candidates within
 ``DEFAULT_DISTANCE_TOL`` of the shortest are kept once per length rounded to
@@ -287,82 +292,67 @@ def _dense_state_fn(sol):
 
 
 class _Geometry:
-    """Unimodal-warping helper: turning radii and arc integrals."""
+    """Turning radii and arc integrals of a unimodal warping profile.
+
+    The warping profile must be nondecreasing on the flank [0, mid], mid = L
+    on a doubled model and r_max on a cap.  That is checked exactly: the
+    slope over the flank is least at 0, mid or one of the profile's kinks
+    and inflections between, and it must be at least -1e-9 at each (and
+    positive at the pole).  The same radii bracket every turning radius, and
+    the largest Clairaut constant of a turning geodesic is c_max = phi(mid).
+    """
 
     def __init__(self, m):
         self.m = m
         self.doubled = m.topology == DOUBLED_SPHERE
         self.R = m.r_max
-        half = m.L if self.doubled else m.r_max
-        self.mid = half
-        grid = np.linspace(0.0, half, 4097)
-        dphi = m.phi.eval(grid, 1)
-        if np.any(dphi < -1e-9):
-            raise SearchError("distance search requires a unimodal warping profile")
-        flat = np.nonzero(dphi <= 1e-13)[0]
-        if flat.size and flat[0] == 0:
-            raise SearchError("warping profile is flat at the pole")
+        self.mid = m.L if self.doubled else m.r_max
         # float closures for one-radius work; callers keep r in [0, r_max]
         self.phi_s = m.phi.scalar_fn(0)
         self.dphi_s = m.phi.scalar_fn(1)
-        if flat.size:
-            i = int(flat[0])
-            lo, hi = grid[i - 1], grid[i]
-            for _ in range(80):
-                mm = 0.5 * (lo + hi)
-                if self.dphi_s(mm) > 1e-13:
-                    lo = mm
-                else:
-                    hi = mm
-            self.r_inc_end = hi
-        else:
-            self.r_inc_end = half
-        self.c_max = float(self.phi_s(self.r_inc_end))
+        self._flank_r = m.phi.slope_extreme_radii(self.mid)
+        if min(map(self.dphi_s, self._flank_r)) < -1e-9:
+            raise SearchError("distance search requires a unimodal warping profile")
+        if self.dphi_s(0.0) <= 1e-13:
+            raise SearchError("warping profile is flat at the pole")
+        self._flank_phi = [self.phi_s(r) for r in self._flank_r]
+        self.c_max = self._flank_phi[-1]
         js = set(m.phi.junctions())
         if self.doubled:
             js |= {2.0 * m.L - j for j in m.phi.junctions()}
         self.junctions = sorted(j for j in js if 0.0 < j < m.r_max)
-        # monotone table of the increasing flank for turning-radius brackets
-        self._tab_r = np.linspace(0.0, self.r_inc_end, 4097)
-        self._tab_phi = m.phi.eval(self._tab_r)
 
     # -- turning radii ----------------------------------------------------
 
     def turn_lo(self, c):
         """Radius on the increasing flank where phi = c (scalar, accurate)."""
-        i = int(np.searchsorted(self._tab_phi, c))
-        i = min(max(i, 1), len(self._tab_r) - 1)
-        lo, hi = self._tab_r[i - 1], self._tab_r[i]
+        i = min(max(bisect.bisect_left(self._flank_phi, c), 1), len(self._flank_r) - 1)
         f = lambda r: self.phi_s(r) - c
-        flo, fhi = f(lo), f(hi)
-        k = 1
-        while flo * fhi > 0 and k < 8:
-            lo = self._tab_r[max(i - 1 - k, 0)]
-            hi = self._tab_r[min(i + k, len(self._tab_r) - 1)]
-            flo, fhi = f(lo), f(hi)
-            k += 1
-        if flo == 0.0:
-            rm = float(lo)
-        else:
-            rm = float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
+        rm = float(brentq(f, self._flank_r[i - 1], self._flank_r[i],
+                          xtol=1e-15, rtol=8.9e-16))
         # Newton polish: brentq's absolute xtol is not enough relative
         # precision for pole-adjacent turning radii (rm ~ c), and the arc
-        # integrals are sqrt-sensitive to relative errors in rm
+        # integrals are sqrt-sensitive to relative errors in rm.  A step is
+        # kept only when it brings phi closer to c: where the flank is nearly
+        # flat, the rounding of phi made plain Newton cycle between -2 and
+        # +2 ulp of c.
+        err = self.phi_s(rm) - c
         for _ in range(3):
             dp = self.dphi_s(rm)
-            if dp <= 0.0:
+            if dp <= 0.0 or err == 0.0:
                 break
-            step = (self.phi_s(rm) - c) / dp
-            if rm - step < 0.0:
+            r_new = rm - err / dp
+            if r_new < 0.0:
                 break
-            rm -= step
-            if abs(step) < 1e-17 * max(rm, 1e-300):
+            e_new = self.phi_s(r_new) - c
+            if abs(e_new) >= abs(err):
                 break
+            rm, err = r_new, e_new
         return rm
 
     def turn_lo_vec(self, c):
         lo = np.zeros_like(c)
-        hi = np.full_like(c, self.r_inc_end)
+        hi = np.full_like(c, self.mid)
         for _ in range(60):
             mm = 0.5 * (lo + hi)
             above = self.m.phi._eval(mm, 0) > c

@@ -264,6 +264,18 @@ class RadialProfile:
             zs.extend([L + (L - z) for z in zs])
         return sorted(z for z in set(zs) if 0.0 < z < self.r_max)
 
+    def slope_extreme_radii(self, b):
+        """Sorted radii of [0, b] where the slope can take its least or
+        greatest value over [0, b]: 0, b and the :meth:`kinks` and
+        :meth:`inflections` between them.  The slope's extremes over [0, b]
+        are its extremes over these radii, exactly."""
+        rs = self._slope_candidates
+        return [*rs[:bisect.bisect_left(rs, b)], b]
+
+    @cached_property
+    def _slope_candidates(self):
+        return sorted({0.0, *self.kinks(), *self.inflections()})
+
     def eval(self, r, order=0):
         """Vectorized evaluation: the value (order 0) or a derivative (order 1,
         2) at radii ``r``, as a float array.

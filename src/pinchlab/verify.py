@@ -226,7 +226,6 @@ class GapReport:
     bound: float                  # ((n-1) pi + |X(p)|)/((n-1) eps)
     zero_bound: float | None      # 2 pi / eps when X(p) = 0
     inj_p: float
-    inj_threshold: float
     berger_inner: float           # min g(X(q), gdot) at the farthest point
 
     @property
@@ -249,8 +248,7 @@ def diameter_gap(m, p=(0.0, 0.0), eps=None):
     zero_bound = 2.0 * math.pi / eps if xp < 1e-12 else None
     cert = criticality_certificate(m, p, q, eps)
     inj = inj_at_pole(m)
-    return GapReport(tuple(p), q, far, bound, zero_bound, inj, bound,
-                     cert.min_inner)
+    return GapReport(tuple(p), q, far, bound, zero_bound, inj, cert.min_inner)
 
 
 def inj_gap_hypothesis(m, eps=None):
@@ -319,12 +317,9 @@ def klingenberg_delta_search(m, eps=None, l=None):
         return INFEASIBLE
 
     rhs = math.pi * (2.0 * eps - 1.0)
-    # |f'| is extreme at the ends of [0, 2 delta], at a kink or where f'' = 0
-    extremes = [0.0, *m.f.kinks(), *m.f.inflections()]
 
     def field_cond(d):
-        b = min(2.0 * d, m.r_max)
-        rs = np.array([b, *(r for r in extremes if r < b)])
+        rs = m.f.slope_extreme_radii(min(2.0 * d, m.r_max))
         nd = float(np.max(m.potential_scale * np.abs(m.f.eval(rs, 1))))
         return 3.0 * eps * d + nd - rhs
 
@@ -342,7 +337,8 @@ def klingenberg_delta_search(m, eps=None, l=None):
                 hi = mid
             if hi - lo < DELTA_SEARCH_TOL * 1e-3:
                 break
-        caps["field_bound"] = 0.5 * (lo + hi)
+        # lo is the largest delta seen to meet the strict condition
+        caps["field_bound"] = lo
     caps["loop_length"] = (2.0 * math.pi - l) / 3.0
     caps["global"] = 2.0 * math.pi / 5.0
     inj = inj_at_pole(m)

@@ -58,6 +58,14 @@ def test_pinch_failure_exit_one(capsys):
     assert doc["violations"]
 
 
+def test_pinch_reports_the_grid_it_was_given(capsys):
+    # the resolution block used to copy the default grid over --grid
+    code, text, _ = run(capsys, "pinch", "--model", "gaussian", "--n", "3",
+                        "--eps", "0.5", "--grid", "500")
+    assert code == 0
+    assert json.loads(text)["resolution"]["grid"] == 500
+
+
 def test_curvature_csv(capsys):
     code, text, _ = run(capsys, "curvature", "--model", "gaussian", "--n",
                         "3", "--grid", "10")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from pinchlab import (DomainError, SearchError, build_model,
                       criticality_certificate, distance, farthest_from_pole,
                       inj_at_pole, jacobi_conjugate_points, path_kinks, shoot)
+from pinchlab.geodesics import _Geometry
+from pinchlab.profiles import PL2_BAND, SegmentSpec, load_manifold
 from pinchlab.variation import JACOBI_ZERO_TOL, SEC_PERP, path_curvature
 
 
@@ -199,12 +202,17 @@ def test_distance_symmetry(family10):
 # Family pairs on family(10, 0.8, 0.02) (index 0) and family(6, 0.75, 0.03)
 # (index 1), each in both directions.  The first p -> q value moved by
 # +5.9e-11 when the warping band's ramp width became a closed form, because
-# the band's nodes moved in their last digits.
+# the band's nodes moved in their last digits.  When the turning radius came
+# to be bracketed between the flank's kinks in place of a 4097-point table,
+# and its Newton polish to keep only steps that bring phi closer to c, the
+# first pair moved by -3.47e-11 (p -> q) and -9.88e-12 (q -> p); its two
+# directions, 2.4e-11 apart before, are now 8.6e-13 apart.  The last pair
+# moved by +2.32e-13 in each direction.
 PINNED_FAMILY = (
-    (0, (2.34, 2.38), (2.83, -1.65), "0x1.0f133b41e4268p+1", "0x1.0f133b41d6f3dp+1"),
+    (0, (2.34, 2.38), (2.83, -1.65), "0x1.0f133b41d10c2p+1", "0x1.0f133b41d184cp+1"),
     (0, (2.9, -0.19), (1.29, -1.33), "0x1.f44456fd12eefp+0", "0x1.f44456fd13071p+0"),
     (1, (0.42, 0.09), (1.93, 2.5), "0x1.1c597b680b8acp+1", "0x1.1c597b680b8acp+1"),
-    (1, (1.59, -2.98), (3.2, -2.07), "0x1.d50e8780be3d2p+0", "0x1.d50e8780be3d2p+0"),
+    (1, (1.59, -2.98), (3.2, -2.07), "0x1.d50e8780be7e6p+0", "0x1.d50e8780be7e6p+0"),
 )
 # pairs drawn with default_rng(6): sphere radii in (0.05, pi - 0.05),
 # Gaussian radii in (0.2, 5), angles in (-pi, pi)
@@ -248,6 +256,53 @@ def test_distance_above_broken_path_raises():
     for a, b in ((p, q), (q, p)):
         with pytest.raises(SearchError, match=r"5\.0146.*2\.5791624388045"):
             distance(m, a, b, return_paths=False)
+
+
+def test_distance_rejects_a_narrow_dip_in_the_warping_slope(tmp_path):
+    # phi' dips to -0.2 inside a band 0.004 wide, on a cap whose phi is
+    # increasing elsewhere.  The slope's least value sits at a kink of the
+    # band, between the points of the 4097-point grid that used to check
+    # unimodality, and distance returned 3.2399307170971916 silently.
+    nodes = [[0.0, 0.0], [0.001, -1200.0], [0.002, 0.0], [0.003, 1200.0],
+             [0.004, 0.0]]
+    band = SegmentSpec(PL2_BAND, 1.0, 1.004, {"left_value": 1.0, "left_slope": 1.0,
+                                              "nodes": nodes})
+    doc = {"n": 3, "topology": "CAP", "phi": {"segments": [
+        {"kind": "LINEAR", "domain": [0.0, 1.0]},
+        {"kind": "PL2_BAND", "domain": [1.0, 1.004], "left_value": 1.0,
+         "left_slope": 1.0, "nodes": nodes},
+        {"kind": "PARABOLA", "domain": [1.004, 50.0],
+         "c0": band.closed_form(0, math)(1.004), "c1": 1.0, "c2": 0.0}]},
+        "f": {"segments": [{"kind": "PARABOLA", "domain": [0.0, 50.0],
+                            "c0": 0.0, "c1": 0.0, "c2": 0.5}]}}
+    path = tmp_path / "dip.json"
+    path.write_text(json.dumps(doc))
+    m = load_manifold(path)
+    assert min(m.phi.eval(m.phi.slope_extreme_radii(m.r_max), 1)) < -0.19
+    with pytest.raises(SearchError, match="unimodal"):
+        distance(m, (0.5, 0.0), (3.0, 2.0))
+
+
+def test_turn_lo_inverts_phi_on_the_flank(sphere3, gaussian3):
+    # phi(turn_lo(c)) is c to within one ulp, for c from 1e-9 c_max up to
+    # the grazing limit the distance search uses, and turn_lo is monotone.
+    # A Newton polish that kept every step cycled between -2 and +2 ulp and
+    # ended 2 ulp off on one of these families, with either bracketing.
+    draw = np.random.default_rng(16)
+    fams = [build_model("family", int(draw.integers(3, 11)), float(draw.uniform(0.55, 0.9)),
+                        float(draw.uniform(0.005, 0.08))) for _ in range(20)]
+    rng = np.random.default_rng(15)
+    for m in (sphere3, gaussian3, *fams):
+        geom = _Geometry(m)
+        top = 1.0 - 1e-13
+        fracs = np.concatenate([[1e-9, 0.5, top], 10.0 ** rng.uniform(-9.0, 0.0, 60),
+                                rng.uniform(0.0, 1.0, 60),
+                                1.0 - 10.0 ** rng.uniform(-13.0, -1.0, 40)])
+        cs = np.sort(geom.c_max * np.clip(fracs, 1e-9, top))
+        rms = [geom.turn_lo(float(c)) for c in cs]
+        for c, rm in zip(cs, rms):
+            assert abs(geom.phi_s(rm) - c) <= math.ulp(c), (m.meta, c)
+        assert all(b >= a for a, b in zip(rms, rms[1:])), m.meta
 
 
 def test_realizing_path_hits_target(sphere3):

@@ -281,21 +281,26 @@ def test_klingenberg_halves_delta_at_a_conjugate_point(family10):
     res = klingenberg_delta_search(family10, l=family10.r_max + delta_max / 2)
     assert res["delta_max"] == delta_max
     assert res["binding"] == "field_bound"
-    assert res["delta"] == delta_max / 4 == 0.07853981633969082
+    assert res["delta"] == delta_max / 4 == 0.0785398163395809
 
 
-@pytest.mark.parametrize("delta", [0.02, 0.01])
-def test_klingenberg_field_bound_meets_its_condition(delta):
+@pytest.mark.parametrize("n, eps, delta", [(3, 0.95, 0.02), (3, 0.95, 0.01),
+                                           (5, 0.6, 0.05)])
+def test_klingenberg_field_bound_meets_its_condition(n, eps, delta):
     # |f'| peaks inside the potential band, between the points of a coarse
     # grid; a grid of 257 points on [0, 2 delta] reported a field_bound that
-    # broke the condition by 4.45e-5 (delta 0.02) and 1.19e-6 (delta 0.01)
-    m = build_model("family", 3, 0.95, delta)
+    # broke the condition by 4.45e-5 (3, 0.95, 0.02) and 1.19e-6 (3, 0.95,
+    # 0.01).  The midpoint of the last bisection bracket broke it by
+    # +1.02e-12 (3, 0.95, 0.01) and +1.19e-12 (5, 0.6, 0.05).
+    m = build_model("family", n, eps, delta)
     res = klingenberg_delta_search(m, l=0.5)
     assert res["binding"] == "field_bound"
     d = res["caps"]["field_bound"]
-    rs = np.linspace(0.0, 2.0 * d, 400_001)
+    b = 2.0 * d
+    exact = [0.0, b, *(r for r in (*m.f.kinks(), *m.f.inflections()) if r < b)]
+    rs = np.concatenate([exact, np.linspace(0.0, b, 400_001)])
     nd = float(np.max(m.potential_scale * np.abs(m.f.eval(rs, 1))))
-    assert 3.0 * 0.95 * d + nd - math.pi * (2.0 * 0.95 - 1.0) <= 1e-9
+    assert 3.0 * eps * d + nd - math.pi * (2.0 * eps - 1.0) < 0
 
 
 def test_klingenberg_infeasible_at_half(family10):
