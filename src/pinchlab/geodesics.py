@@ -12,16 +12,20 @@ peak (L on a doubled model, r_max on a cap).  Unimodality is checked exactly
 at the slope's candidate extremes on that flank, which are the pole, the peak
 and the profile's kinks and inflections between; the same radii bracket each
 turning radius, and phi at the peak bounds the Clairaut constants that turn.
-The search sweeps a fixed grid of ``N_ANGLES`` launch angles, evaluates
-every geodesic class through the first-order form of the reduction (arc
-integrals with a sqrt substitution at turning points, so the integrable
-endpoint singularity is removed exactly), brackets each class/target crossing
-and refines it by bracketed bisection (Brent).  Candidates within
-``DEFAULT_DISTANCE_TOL`` of the shortest are kept once per length rounded to
-it, so of two minimizers of equal length (a theta-mirror pair) only one
-survives.  The survivors are re-shot through the ODE integrator to produce
-the returned paths.  A search whose shortest candidate exceeds the broken
-path through a pole raises ``SearchError`` instead of returning it.
+Every geodesic class is evaluated through the first-order form of the
+reduction from one primitive: the arc integrals from the lower turning
+radius, summed over whole pieces of the flank, in closed form on SINE, LINEAR
+and CONSTANT segments and by Gauss-Legendre under a sqrt substitution at the
+turning radius on cubic pieces.  A doubled model's upper flank is the lower
+one reflected about L.  The search evaluates the primitive on a fixed grid of
+``N_ANGLES`` launch angles, brackets each class/target crossing and refines it
+by bracketed bisection (Brent) on the same function, so every bracket holds.
+Candidates within ``DEFAULT_DISTANCE_TOL`` of the shortest are kept once per
+length rounded to it, so of two minimizers of equal length (a theta-mirror
+pair) only one survives.  The survivors are re-shot through the ODE
+integrator to produce the returned paths.  A search whose shortest candidate
+exceeds the broken path through a pole raises ``SearchError`` instead of
+returning it.
 """
 
 from __future__ import annotations
@@ -35,13 +39,13 @@ import numpy as np
 
 from ._scipy import brentq, solve_ivp
 from .errors import DomainError, IntegrationError, SearchError
-from .profiles import CAP, DOUBLED_SPHERE
+from .profiles import CAP, CONSTANT, DOUBLED_SPHERE, LINEAR, PARABOLA, PL2_BAND, SINE
 
 DEFAULT_SHOOT_TOL = 1e-12       # shoot's DOP853 rtol; atol is 1e-2 of it
 DEFAULT_DISTANCE_TOL = 1e-6     # distance's tie window and dedupe rounding
 N_ANGLES = 256                  # launch angles of distance's scan
 SHOOT_SAMPLES = 1025            # rows of a shot path's ``samples``
-ANCHOR_ORDER = 32               # Gauss-Legendre nodes per panel of _anchored
+ANCHOR_ORDER = 32               # Gauss-Legendre nodes per panel of an arc quadrature
 MAX_LENGTH_FACTOR = 100.0
 _POLE = 1e-12
 
@@ -49,18 +53,6 @@ _POLE = 1e-12
 @functools.cache
 def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)
-
-
-@functools.cache
-def _scan_nodes():
-    """Fixed relative s-nodes/weights on [0, 1], geometric toward 0."""
-    x, w = _leggauss(6)
-    edges = np.concatenate([[0.0], np.power(2.0, -np.arange(14, -1, -1.0))])
-    s, ws = [], []
-    for s0, s1 in zip(edges, edges[1:]):
-        s.append(0.5 * (s0 + s1) + 0.5 * (s1 - s0) * x)
-        ws.append(0.5 * (s1 - s0) * w)
-    return np.concatenate(s), np.concatenate(ws)
 
 
 def _wrap_angle(a):
@@ -277,18 +269,44 @@ def _dense_state_fn(sol):
 
 
 # ---------------------------------------------------------------------------
-# first-order (quadrature) evaluation of candidate geodesics
+# first-order evaluation of candidate geodesics
 #
 # For a unit-speed geodesic with Clairaut constant c on a monotone-r arc,
-#     dtheta/dr = c / (phi^2 sqrt(1 - c^2/phi^2)),   dt/dr = 1/sqrt(...).
-# Every candidate reduces to the single primitive  up_to(c, r) = integral
-# from the lower turning radius r_-(c) up to r (crossing the warping peak if
-# needed), with the substitution r = r_* -/+ s^2 about turning points:
+#     dtheta/dr = c / (phi sqrt(phi^2 - c^2)),   dt/dr = phi / sqrt(phi^2 - c^2).
+# Every candidate reduces to the primitive arc(c, r): both integrals from the
+# turning radius r_-(c) on the rising flank [0, mid] up to r <= mid.  A
+# doubled model is even about L = mid, so the integral from r up to the upper
+# turning radius 2L - r_-(c) is arc(c, 2L - r), and H = 2 arc(c, L) is the
+# full swing between the two.  With up_to(r) = arc(r) for r <= L and
+# H - arc(2L - r) above:
 #     direct arc lo->hi  :  up_to(hi) - up_to(lo)
 #     one turn down      :  up_to(r1) + up_to(r2)
-#     one turn up        :  2 H - up_to(r1) - up_to(r2),   H = full half-swing
-# _Geometry._classes applies these to the accurate and to the scan-grade arc
-# integrals alike.
+#     one turn up        :  2 H - up_to(r1) - up_to(r2)
+# arc sums whole pieces of the flank: the integrals are elementary on SINE,
+# LINEAR and CONSTANT segments (do Carmo, Differential Geometry of Curves and
+# Surfaces, 4-4), and on the cubic pieces of PARABOLA and PL2_BAND segments
+# they are Gauss-Legendre sums under r = r_b + s^2, so no panel straddles a
+# kink and the sqrt singularity at a turning radius r_b is removed exactly.
+
+
+class _FloatMath:
+    """numpy's names for the closed forms, on one float.  math's sin, cos and
+    sqrt round as numpy's do; arctan2 is numpy's own, because libm's atan2
+    may differ from it in the last bit."""
+
+    sin, cos, sqrt, maximum = math.sin, math.cos, math.sqrt, max
+    arctan2 = lambda y, x: float(np.arctan2(y, x))
+    where = lambda cond, a, b: a if cond else b
+
+
+@functools.cache
+def _panels(levels):
+    """Gauss-Legendre nodes and weights on [0, 1], ``ANCHOR_ORDER`` per panel,
+    on panels graded geometrically toward 0: [0, 2^-levels], ..., [1/2, 1]."""
+    x, w = _leggauss(ANCHOR_ORDER)
+    edges = np.concatenate([[0.0], np.power(2.0, -np.arange(levels, -1, -1.0))])
+    a, b = edges[:-1, None], edges[1:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()
 
 
 class _Geometry:
@@ -300,12 +318,13 @@ class _Geometry:
     and inflections between, and it must be at least -1e-9 at each (and
     positive at the pole).  The same radii bracket every turning radius, and
     the largest Clairaut constant of a turning geodesic is c_max = phi(mid).
+
+    ``turn_lo``, ``arcs`` and ``classes`` take one float c or an array of
+    them, and give an array entry the bits the float gives.
     """
 
     def __init__(self, m):
-        self.m = m
         self.doubled = m.topology == DOUBLED_SPHERE
-        self.R = m.r_max
         self.mid = m.L if self.doubled else m.r_max
         # float closures for one-radius work; callers keep r in [0, r_max]
         self.phi_s = m.phi.scalar_fn(0)
@@ -317,25 +336,46 @@ class _Geometry:
             raise SearchError("warping profile is flat at the pole")
         self._flank_phi = [self.phi_s(r) for r in self._flank_r]
         self.c_max = self._flank_phi[-1]
-        js = set(m.phi.junctions())
-        if self.doubled:
-            js |= {2.0 * m.L - j for j in m.phi.junctions()}
-        self.junctions = sorted(j for j in js if 0.0 < j < m.r_max)
-
-    # -- turning radii ----------------------------------------------------
+        # the flank as (kind, lo, hi, k): SINE, LINEAR or CONSTANT (k its
+        # value), or PL2_BAND for a cubic with value and derivatives k at lo,
+        # which is one piece of a PL2_BAND or a whole PARABOLA
+        self._pieces = []
+        for seg in m.phi.segments:
+            if seg.kind == PL2_BAND:
+                offs, rows = seg._band_table[math]
+                self._pieces += [(PL2_BAND, seg.lo + o0, seg.lo + o1, row)
+                                 for o0, o1, row in zip(offs, offs[1:], rows)]
+            elif seg.kind == PARABOLA:
+                p = seg.params
+                self._pieces.append((PL2_BAND, seg.lo, seg.hi,
+                                     (p["c0"], p["c1"], 2.0 * p["c2"], 0.0)))
+            else:
+                self._pieces.append((seg.kind, seg.lo, seg.hi, seg.params.get("value")))
+        self._starts = [p[1] for p in self._pieces]
 
     def turn_lo(self, c):
-        """Radius on the increasing flank where phi = c (scalar, accurate)."""
+        """Radius on the increasing flank where phi = c."""
+        if isinstance(c, np.ndarray):
+            return np.array([self.turn_lo(x) for x in c.tolist()])
         i = min(max(bisect.bisect_left(self._flank_phi, c), 1), len(self._flank_r) - 1)
-        f = lambda r: self.phi_s(r) - c
-        rm = float(brentq(f, self._flank_r[i - 1], self._flank_r[i],
-                          xtol=1e-15, rtol=8.9e-16))
-        # Newton polish: brentq's absolute xtol is not enough relative
-        # precision for pole-adjacent turning radii (rm ~ c), and the arc
-        # integrals are sqrt-sensitive to relative errors in rm.  A step is
-        # kept only when it brings phi closer to c: where the flank is nearly
-        # flat, the rounding of phi made plain Newton cycle between -2 and
-        # +2 ulp of c.
+        lo, hi = self._flank_r[i - 1], self._flank_r[i]
+        kind, a, _, k = self._pieces[bisect.bisect_right(self._starts, 0.5 * (lo + hi)) - 1]
+        if kind == SINE:
+            rm = math.asin(c)
+        elif kind == LINEAR:
+            rm = c
+        elif kind == PL2_BAND and k[3] == 0.0:
+            # the root of k0 + k1 y + k2 y^2 / 2 = c, in cancellation-free form
+            d = c - k[0]
+            rm = a + 2.0 * d / (k[1] + math.sqrt(max(k[1] * k[1] + 2.0 * k[2] * d, 0.0)))
+        else:
+            rm = float(brentq(lambda r: self.phi_s(r) - c, lo, hi,
+                              xtol=1e-15, rtol=8.9e-16))
+        rm = min(max(rm, lo), hi)
+        # Newton polish: the closed forms and brentq's absolute xtol leave up
+        # to a few ulp of phi.  A step is kept only when it brings phi closer
+        # to c: where the flank is nearly flat, the rounding of phi made
+        # plain Newton cycle between -2 and +2 ulp of c.
         err = self.phi_s(rm) - c
         for _ in range(3):
             dp = self.dphi_s(rm)
@@ -350,149 +390,113 @@ class _Geometry:
             rm, err = r_new, e_new
         return rm
 
-    def turn_lo_vec(self, c):
-        lo = np.zeros_like(c)
-        hi = np.full_like(c, self.mid)
-        for _ in range(60):
-            mm = 0.5 * (lo + hi)
-            above = self.m.phi._eval(mm, 0) > c
-            hi = np.where(above, mm, hi)
-            lo = np.where(above, lo, mm)
-        rm = 0.5 * (lo + hi)
-        for _ in range(3):
-            dp = self.m.phi._eval(rm, 1)
-            step = np.where(dp > 0.0,
-                            (self.m.phi._eval(rm, 0) - c) / np.maximum(dp, 1e-300), 0.0)
-            rm = np.where(rm - step >= 0.0, rm - step, rm)
-        return rm
-
-    # -- quadrature kernels -----------------------------------------------
-
-    def _kernel_s(self, c, rstar, sgn, s):
-        """Integrand pair (g_theta, g_t) at substituted nodes r = rstar + sgn s^2.
-
-        Near the turning point the direct 1 - c^2/phi^2 is pure cancellation
-        noise, so it is replaced there by the midpoint-derivative form
-        q = sgn s^2 phi'(rstar + sgn s^2/2) (phi + c)/phi^2, which is exact to
-        O(s^4) relative and keeps the substituted integrand smooth down to
-        s = 0.
-        """
-        r = np.clip(rstar + sgn * s * s, 0.0, self.R)
-        p = self.m.phi._eval(r, 0)
-        cb = np.broadcast_to(np.asarray(c, dtype=float), p.shape)
-        q = 1.0 - (cb / p) ** 2
-        small = q < 1e-10
-        if np.any(small):
-            rmid = np.clip(np.broadcast_to(rstar + sgn * s * s * 0.5, p.shape),
-                           0.0, self.R)
-            dp = self.m.phi._eval(rmid[small], 1)
-            sb = np.broadcast_to(s, p.shape)
-            q[small] = sgn * sb[small] ** 2 * dp \
-                * (p[small] + cb[small]) / p[small] ** 2
-        q = np.maximum(q, 1e-30)
-        g = 1.0 / np.sqrt(q)
-        return g * cb / p**2, g
-
-    def _anchored(self, c, rstar, sgn, r_far):
-        """(dtheta, dt) over radii between the turning point ``rstar`` and
-        ``r_far`` under r = rstar + sgn s^2, scalar c.
-
-        The panel adjacent to s = 0 is refined geometrically: the integrand
-        lives on multiplicative s-scales (sqrt of the distance to a pole or
-        of the flank slope), which uniform panels cannot resolve.  The depth
-        adapts so the innermost panel resolves the turning layer.
-        """
-        s_top = math.sqrt(max(sgn * (r_far - rstar), 0.0))
-        if s_top == 0.0:
-            return 0.0, 0.0
-        a, b = (rstar, r_far) if sgn > 0 else (r_far, rstar)
-        pts = {s_top}
-        for j in self.junctions:
-            if a < j < b:
-                pts.add(math.sqrt(sgn * (j - rstar)))
-        knots = sorted(pts)
-        # width-cap the outer panels
-        edges = [knots[0]]
-        for s1 in knots[1:]:
-            k = max(1, int(math.ceil((s1 - edges[-1]) / 0.7)))
-            edges.extend(np.linspace(edges[-1], s1, k + 1)[1:])
-        # geometric refinement of [0, first edge]; depth covers the layer
-        # scale sqrt(rstar) (pole-adjacent turns have rstar ~ c)
-        layer = math.sqrt(max(min(rstar, self.R - rstar), 1e-28))
-        levels = int(min(60, max(30, math.log2(max(edges[0], 1e-10) / layer) + 10)))
-        geo = edges[0] * np.power(2.0, -np.arange(levels, 0, -1.0))
-        E = np.concatenate([[0.0], geo, np.asarray(edges)])
-        s0, s1 = E[:-1], E[1:]
-        x, w = _leggauss(ANCHOR_ORDER)
-        mid = 0.5 * (s0 + s1)[:, None]
-        half = 0.5 * (s1 - s0)[:, None]
-        s = mid + half * x
-        wt = half * w * 2.0 * s
-        gth, gt = self._kernel_s(c, rstar, sgn, s)
-        return float((wt * gth).sum()), float((wt * gt).sum())
-
-    # -- candidate classes ------------------------------------------------
-
-    def _classes(self, arc, r1, r2, classes):
-        """(dtheta, dt) of each class in ``classes`` from the arc primitive
-        ``arc(sgn, r_far)``: the integral from the lower (sgn = +1) or upper
-        (sgn = -1) turning radius to ``r_far``.
-
-        Works on floats and on arrays alike.  Each distinct arc is integrated
-        once: above ``mid`` both radii and the half swing share the two arcs
-        that end at the peak.
-        """
-        arc = functools.cache(arc)
-
-        def up_to(r):
-            th, tt = arc(+1.0, min(r, self.mid))
-            if self.doubled and r > self.mid + 1e-16:
-                ta, la = arc(-1.0, self.mid)
-                tb, lb = arc(-1.0, r)
-                th, tt = th + (ta - tb), tt + (la - lb)
-            return th, tt
-
-        u1, u2 = up_to(r1), up_to(r2)
-        out = {}
-        for cls in classes:
-            if cls == "direct":
-                out[cls] = abs(u2[0] - u1[0]), abs(u2[1] - u1[1])
-            elif cls == "turn_lo":
-                out[cls] = u1[0] + u2[0], u1[1] + u2[1]
-            elif cls == "turn_hi":
-                # H: the full half swing r_-(c) -> r_+(c)
-                (ta, la), (tb, lb) = arc(+1.0, self.mid), arc(-1.0, self.mid)
-                out[cls] = (2 * (ta + tb) - u1[0] - u2[0],
-                            2 * (la + lb) - u1[1] - u2[1])
-            else:
-                raise ValueError(cls)
+    def arcs(self, c, radii):
+        """{r: (dtheta, dt)} from the turning radius r_-(c) up to each radius
+        of ``radii`` in [0, mid]; zero where r_-(c) >= r.  The pieces below
+        a radius are integrated once for all of ``radii``."""
+        rm = self.turn_lo(c)
+        xp = np if isinstance(c, np.ndarray) else _FloatMath
+        out, todo = {}, sorted(radii)
+        th = t = 0.0           # the integrals up to the current piece's start
+        for piece in self._pieces:
+            # the last piece ends within 1e-12 of mid; it takes what is left
+            while todo and (todo[0] <= piece[2] or piece is self._pieces[-1]):
+                r = todo.pop(0)
+                dth, dt = self._piece_arc(piece, r, c, rm, xp)
+                out[r] = th + dth, t + dt
+            if not todo:
+                return out
+            dth, dt = self._piece_arc(piece, piece[2], c, rm, xp)
+            th, t = th + dth, t + dt
         return out
 
-    def class_eval(self, cls, r1, r2, c):
-        """(dtheta, length) of the class-``cls`` candidate, accurately."""
-        rm = self.turn_lo(c)
-        arc = lambda sgn, r_far: self._anchored(
-            c, rm if sgn > 0 else self.R - rm, sgn, r_far)
-        return self._classes(arc, r1, r2, (cls,))[cls]
+    def _piece_arc(self, piece, top, c, rm, xp):
+        """(dtheta, dt) over [max(lo, rm), top] of one flank piece, lo <= top;
+        zero where rm >= top."""
+        kind, a, _, k = piece
+        if kind == CONSTANT:
+            # c < k wherever rm < top; the floor keeps the other rows finite
+            w = xp.sqrt(xp.maximum((k - c) * (k + c), 1e-300))
+            dr = xp.maximum(top - xp.maximum(a, rm), 0.0)
+            return c * dr / (k * w), k * dr / w
+        if kind == PL2_BAND:
+            if xp is np:
+                return self._cubic_arc(k, a, top, c, rm)
+            th, t = self._cubic_arc(k, a, top, np.array([c]), np.array([rm]))
+            return float(th[0]), float(t[0])
 
-    def class_scan(self, c, rm, r1, r2, classes):
-        """Scan-grade (dtheta, dt) arrays of each class over the grid ``c``
-        with lower turning radii ``rm``."""
-        arc = lambda sgn, r_far: self._anchored_vec(
-            c, rm if sgn > 0 else self.R - rm, sgn, np.full_like(c, r_far))
-        return self._classes(arc, r1, r2, classes)
+        def prim(r):
+            # both integrals from the segment's own turning radius up to r
+            if kind == SINE:
+                s = xp.sin(r)
+                y = xp.sqrt(xp.maximum((s - c) * (s + c), 0.0))
+                return xp.arctan2(y, c * xp.cos(r)), xp.arctan2(y, xp.cos(r))
+            y = xp.sqrt(xp.maximum((r - c) * (r + c), 0.0))     # LINEAR
+            return xp.arctan2(y, c), y
 
-    # -- vectorized scan primitive (bracket-grade accuracy) ----------------
+        (th1, t1), (th0, t0) = prim(top), prim(a)
+        below = rm < a         # the turning radius lies below the piece
+        return th1 - xp.where(below, th0, 0.0), t1 - xp.where(below, t0, 0.0)
 
-    def _anchored_vec(self, c, rstar, sgn, r_far):
-        """Vectorized (dtheta, dt) between turning point and ``r_far``."""
-        st, wt = _scan_nodes()
-        s_top = np.sqrt(np.maximum(sgn * (np.asarray(r_far) - rstar), 0.0))
-        s = s_top[:, None] * st
-        ww = s_top[:, None] * wt * 2.0 * s
-        gth, gt = self._kernel_s(np.asarray(c)[:, None],
-                                 np.asarray(rstar)[:, None], sgn, s)
-        return (ww * gth).sum(axis=1), (ww * gt).sum(axis=1)
+    def _cubic_arc(self, k, a, top, c, rm):
+        """(dtheta, dt) arrays over [max(a, rm), top] of the cubic with value
+        and derivatives ``k`` at ``a``, for arrays c and rm.
+
+        Each row substitutes r = r_b + s^2.  Where the piece holds the turning
+        radius, r_b is the cubic's root, found again by Newton in offsets from
+        ``a`` to far finer than one ulp of rm, and phi - c is the Taylor
+        series there.  Below it, r_b = rm and phi - c = (k0 - c) + the series
+        at ``a``.  A row whose s-range starts closer to 0 than its length is
+        summed on 31 panels graded toward its start, to resolve the turning
+        layer; every other row on one.
+        """
+        k0, k1, k2, k3 = k
+        turn = rm >= a
+        t = np.where(turn, rm - a, 0.0)                 # r_b - a on turning rows
+        for _ in range(3):
+            e = (k0 - c) + t * (k1 + t * (0.5 * k2 + t * k3 / 6.0))
+            d = k1 + t * (k2 + 0.5 * k3 * t)
+            t = np.where(turn, t - e / np.where(d > 0.0, d, np.inf), t)
+        t = np.clip(t, 0.0, top - a)                    # rows with rm >= top get no width
+        e = np.where(turn, 0.0, k0 - c)                 # phi(a + t) - c
+        j1 = k1 + t * (k2 + 0.5 * k3 * t)               # phi' and phi'' at a + t
+        j2 = k2 + k3 * t
+        s_lo = np.sqrt(np.maximum(a - rm, 0.0))
+        width = (top - a) - t
+        s_hi = np.sqrt(s_lo * s_lo + width)
+        span = width / np.maximum(s_lo + s_hi, 1e-300)  # s_hi - s_lo, cancellation-free
+        th, tt = np.zeros_like(c), np.zeros_like(c)
+        for rows, levels in ((span > s_lo, 30), ((span <= s_lo) & (span > 0.0), 0)):
+            if not rows.any():
+                continue
+            u, w = _panels(levels)
+            lo, sp = s_lo[rows, None], span[rows, None]
+            s = lo + sp * u
+            x = sp * u * (s + lo)                       # r - (a + t), cancellation-free
+            dphi = e[rows, None] + x * (j1[rows, None]
+                                        + x * (0.5 * j2[rows, None] + x * k3 / 6.0))
+            cc = c[rows, None]
+            phi = cc + dphi
+            # 2 s dr/ds over sqrt(phi^2 - c^2), with dphi / s^2 finite at s = 0
+            g = 2.0 * w / np.sqrt(dphi / (s * s) * (phi + cc))
+            th[rows] = (g * (cc / phi)).sum(axis=-1) * sp[:, 0]
+            tt[rows] = (g * phi).sum(axis=-1) * sp[:, 0]
+        return th, tt
+
+    def classes(self, c, r1, r2):
+        """{cls: (dtheta, dt)} of every geodesic class between radii r1 and r2
+        in [0, r_max]: direct, turn_lo and, on a doubled model, turn_hi."""
+        mid = self.mid
+        fold = lambda r: r if r <= mid else mid - (r - mid)     # 2L - r, exactly
+        got = self.arcs(c, {fold(r1), fold(r2)} | ({mid} if self.doubled else set()))
+        H = self.doubled and [2.0 * v for v in got[mid]]
+        u1, u2 = (got[r] if r <= mid else [h - v for h, v in zip(H, got[fold(r)])]
+                  for r in (r1, r2))
+        out = {"direct": (abs(u2[0] - u1[0]), abs(u2[1] - u1[1])),
+               "turn_lo": (u1[0] + u2[0], u1[1] + u2[1])}
+        if self.doubled:
+            out["turn_hi"] = tuple(2.0 * h - v1 - v2 for h, v1, v2 in zip(H, u1, u2))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +533,8 @@ def distance(m, p, q, return_paths=True):
     for r in (r1, r2):
         if not -1e-12 <= r <= m.r_max + 1e-12:
             raise DomainError("point outside the manifold domain")
-    r1, r2 = max(r1, 0.0), max(r2, 0.0)
+    # r may stray past [0, r_max] by 1e-12; clip as eval does
+    r1, r2 = (min(max(r, 0.0), m.r_max) for r in (r1, r2))
 
     pk, qk = _pole_kind(m, r1), _pole_kind(m, r2)
     if pk or qk:
@@ -550,13 +555,12 @@ def distance(m, p, q, return_paths=True):
 
     dtheta = abs(_wrap_angle(th2 - th1))
     geom = _Geometry(m)
-    # r may exceed r_max by up to 1e-12; clip as eval does
-    phi1, phi2 = geom.phi_s(min(r1, geom.R)), geom.phi_s(min(r2, geom.R))
+    phi1, phi2 = geom.phi_s(r1), geom.phi_s(r2)
     cmax_pair = min(phi1, phi2, geom.c_max * (1.0 - 1e-13))
 
     candidates = []   # (length, cls, c, target)
 
-    if (abs(r1 - r2) < 1e-12 and abs(geom.dphi_s(min(r1, geom.R))) < 1e-12
+    if (abs(r1 - r2) < 1e-12 and abs(geom.dphi_s(r1)) < 1e-12
             and dtheta > 0):
         candidates.append((phi1 * dtheta, "parallel", None, dtheta))
     if dtheta < 1e-12 and abs(r1 - r2) > 0:
@@ -567,10 +571,6 @@ def distance(m, p, q, return_paths=True):
             candidates.append((2.0 * m.r_max - r1 - r2, "meridian_sp", None,
                                math.pi))
 
-    classes = ["direct", "turn_lo"]
-    if m.topology == DOUBLED_SPHERE:
-        classes.append("turn_hi")
-
     alphas = (np.arange(N_ANGLES) + 0.5) * (math.pi / 2.0) / N_ANGLES
     cgrid = cmax_pair * np.sin(alphas)
     # extra nodes approaching the grazing limit c -> cmax geometrically
@@ -580,18 +580,17 @@ def distance(m, p, q, return_paths=True):
     targets = [t for t in (dtheta, 2.0 * math.pi - dtheta)
                if 1e-12 < t < 2.0 * math.pi - 1e-12]
 
-    tables = geom.class_scan(cgrid, geom.turn_lo_vec(cgrid), r1, r2, classes)
+    tables = geom.classes(cgrid, r1, r2)
     # scan tables prepended with the exact meridian limits at c = 0
     cgrid0 = np.concatenate([[0.0], cgrid])
     limits = {"direct": (0.0, abs(r2 - r1)), "turn_lo": (math.pi, r1 + r2),
               "turn_hi": (math.pi, 2.0 * m.r_max - r1 - r2)}
     scan = {cls: tuple(np.concatenate([[lim], tab])
                        for lim, tab in zip(limits[cls], tables[cls]))
-            for cls in classes}
+            for cls in tables}
 
     brackets = []
-    for cls in classes:
-        fvals, tvals = scan[cls]
+    for cls, (fvals, tvals) in scan.items():
         for target in targets:
             fv = fvals - target
             for i in np.nonzero(fv[:-1] * fv[1:] <= 0)[0]:
@@ -646,31 +645,24 @@ def distance(m, p, q, return_paths=True):
 
 def _refine(geom, cls, r1, r2, target, cgrid, i):
     """(c*, (dtheta, length) at c*) for the root of dtheta = target bracketed
-    by scan cell ``i``, or None when the cell holds no true root."""
+    by scan cell ``i``, or None when the cell holds no true root.  The scan
+    evaluated this function at the cell's ends, so only the first cell, whose
+    c = 0 end holds the analytic meridian limit, can fail to bracket."""
     # brentq returns a point it has evaluated; the memo serves the check
-    ev = functools.cache(lambda c: geom.class_eval(cls, r1, r2, c))
+    ev = functools.cache(lambda c: geom.classes(c, r1, r2)[cls])
     f = lambda c: ev(c)[0] - target
-    lo, hi = cgrid[i], cgrid[i + 1]
+    lo, hi = float(cgrid[i]), float(cgrid[i + 1])
     if lo == 0.0:
-        # the c = 0 row holds the analytic meridian limit; quadrature needs
-        # a strictly positive Clairaut constant
+        # a cubic piece at the pole reaches that limit only as c -> 0
         lo = hi * 1e-6
     vlo, vhi = ev(lo), ev(hi)
     if (vlo[0] - target) * (vhi[0] - target) > 0:
-        # the scan is low-order; allow the bracket to shift by one cell
-        lo = cgrid[max(i - 1, 1)]
-        hi = cgrid[min(i + 2, len(cgrid) - 1)]
-        vlo, vhi = ev(lo), ev(hi)
-        if (vlo[0] - target) * (vhi[0] - target) > 0:
-            return None
-    if vlo[0] - target == 0.0:
-        return float(lo), vlo
-    if vhi[0] - target == 0.0:
-        return float(hi), vhi
-    try:
-        c_star = float(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
-    except ValueError:
         return None
+    if vlo[0] - target == 0.0:
+        return lo, vlo
+    if vhi[0] - target == 0.0:
+        return hi, vhi
+    c_star = float(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
     v = ev(c_star)
     # reject pseudo-roots where f merely jumps through zero
     if abs(v[0] - target) > 1e-5 * max(1.0, target):
@@ -693,7 +685,7 @@ def _materialize(m, cls, c, r1, th1, r2, th2, length, target):
         else:
             alpha = 0.0
         return shoot(m, r1, alpha, length, theta0=th1)
-    sa = min(c / m.phi.scalar_fn(0)(min(r1, m.r_max)), 1.0)
+    sa = min(c / m.phi.scalar_fn(0)(r1), 1.0)
     up = r2 >= r1 if cls == "direct" else cls == "turn_hi"
     alpha = math.asin(sa) if up else math.pi - math.asin(sa)
     if sgn_th < 0:

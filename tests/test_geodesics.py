@@ -13,11 +13,17 @@ from pinchlab.variation import JACOBI_ZERO_TOL, SEC_PERP, path_curvature
 
 
 def sphere_oracle(p, q):
-    r1, t1 = p
-    r2, t2 = q
-    c = (math.cos(r1) * math.cos(r2)
-         + math.sin(r1) * math.sin(r2) * math.cos(t2 - t1))
-    return math.acos(max(-1.0, min(1.0, c)))
+    # atan2(|u x v|, u . v) of the unit vectors: float-stable at every angle,
+    # where acos of the spherical law of cosines loses half the digits near
+    # 0 and pi
+    u, v = (np.array([math.sin(r) * math.cos(t), math.sin(r) * math.sin(t), math.cos(r)])
+            for r, t in (p, q))
+    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(u @ v))
+
+
+def flat_oracle(p, q):
+    return math.hypot(p[0] * math.cos(p[1]) - q[0] * math.cos(q[1]),
+                      p[0] * math.sin(p[1]) - q[0] * math.sin(q[1]))
 
 
 # -- shooting ---------------------------------------------------------------
@@ -145,9 +151,12 @@ def test_pole_paths_run_from_p_to_q(family10):
 
 def test_distance_meridian_candidates(family10, sphere3):
     R = family10.r_max
+    # the fourth case is the far-pole pair: refining its c -> 0 cell used to
+    # divide by phi = 0 on the upper flank, where R - r_-(c) rounds to R
     cases = ((family10, (1.0, 0.3), (2.5, 0.3), 1.5),
              (family10, (3.0, 0.3), (2.5, 0.3 - math.pi), 2 * R - 5.5),  # south pole
-             (sphere3, (1.0, 0.0), (2.0, math.pi), 3.0))                 # north pole
+             (sphere3, (1.0, 0.0), (2.0, math.pi), 3.0),                 # north pole
+             (family10, (1.0, 0.0), (R - 0.02, math.pi), 2 * R - 1 - (R - 0.02)))
     for m, p, q, want in cases:
         d, paths = distance(m, p, q)
         assert d == pytest.approx(want, abs=1e-12)
@@ -173,7 +182,7 @@ def test_round_sphere_distance_oracle_random_pairs(sphere3):
         p = (rng.uniform(0.05, math.pi - 0.05), rng.uniform(-math.pi, math.pi))
         q = (rng.uniform(0.05, math.pi - 0.05), rng.uniform(-math.pi, math.pi))
         d, _ = distance(sphere3, p, q, return_paths=False)
-        assert d == pytest.approx(sphere_oracle(p, q), abs=1e-6)
+        assert d == pytest.approx(sphere_oracle(p, q), abs=1e-10)
 
 
 def test_gaussian_distance_flat_oracle(gaussian3):
@@ -181,56 +190,56 @@ def test_gaussian_distance_flat_oracle(gaussian3):
     for _ in range(50):
         p = (rng.uniform(0.2, 5.0), rng.uniform(-math.pi, math.pi))
         q = (rng.uniform(0.2, 5.0), rng.uniform(-math.pi, math.pi))
-        oracle = math.sqrt(p[0]**2 + q[0]**2
-                           - 2 * p[0] * q[0] * math.cos(q[1] - p[1]))
         d, _ = distance(gaussian3, p, q, return_paths=False)
-        assert d == pytest.approx(oracle, abs=1e-6)
+        assert d == pytest.approx(flat_oracle(p, q), abs=1e-10)
 
 
 def test_distance_symmetry(family10):
+    # one pair on each of 100 seeded families besides 20 on family10; no
+    # distance may exceed the broken path through a pole
+    draw = np.random.default_rng(17)
+    fams = [build_model("family", int(draw.integers(3, 11)), float(draw.uniform(0.55, 0.9)),
+                        float(draw.uniform(0.005, 0.08))) for _ in range(100)]
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        p = (rng.uniform(0.1, family10.r_max - 0.1), rng.uniform(-3, 3))
-        q = (rng.uniform(0.1, family10.r_max - 0.1), rng.uniform(-3, 3))
-        d1, _ = distance(family10, p, q, return_paths=False)
-        d2, _ = distance(family10, q, p, return_paths=False)
-        assert d1 == pytest.approx(d2, abs=1e-6)
+    for m in [family10] * 20 + fams:
+        p = (rng.uniform(0.1, m.r_max - 0.1), rng.uniform(-3, 3))
+        q = (rng.uniform(0.1, m.r_max - 0.1), rng.uniform(-3, 3))
+        d1, _ = distance(m, p, q, return_paths=False)
+        d2, _ = distance(m, q, p, return_paths=False)
+        assert d1 == pytest.approx(d2, abs=1e-6), (m.meta, p, q)
+        assert d1 <= min(p[0] + q[0], 2 * m.r_max - p[0] - q[0]), (m.meta, p, q)
 
 
-# float.hex of distance(m, p, q) as computed before the search moved onto
-# float closures and shared arc integrals; the search must keep every bit.
-# Family pairs on family(10, 0.8, 0.02) (index 0) and family(6, 0.75, 0.03)
-# (index 1), each in both directions.  The first p -> q value moved by
-# +5.9e-11 when the warping band's ramp width became a closed form, because
-# the band's nodes moved in their last digits.  When the turning radius came
-# to be bracketed between the flank's kinks in place of a 4097-point table,
-# and its Newton polish to keep only steps that bring phi closer to c, the
-# first pair moved by -3.47e-11 (p -> q) and -9.88e-12 (q -> p); its two
-# directions, 2.4e-11 apart before, are now 8.6e-13 apart.  The last pair
-# moved by +2.32e-13 in each direction.
+# float.hex of distance(m, p, q) from the exact per-piece arc primitive.  A
+# change that moves a bit lists each moved value, old -> new with its
+# difference, in CHANGES.md.  Family pairs on family(10, 0.8, 0.02) (index 0)
+# and family(6, 0.75, 0.03) (index 1), each in both directions; the two
+# directions of the first pair are 2 ulp apart, of the others equal.  The
+# sphere and Gaussian values lie within 1 ulp of sphere_oracle and
+# flat_oracle.
 PINNED_FAMILY = (
-    (0, (2.34, 2.38), (2.83, -1.65), "0x1.0f133b41d10c2p+1", "0x1.0f133b41d184cp+1"),
-    (0, (2.9, -0.19), (1.29, -1.33), "0x1.f44456fd12eefp+0", "0x1.f44456fd13071p+0"),
-    (1, (0.42, 0.09), (1.93, 2.5), "0x1.1c597b680b8acp+1", "0x1.1c597b680b8acp+1"),
-    (1, (1.59, -2.98), (3.2, -2.07), "0x1.d50e8780be7e6p+0", "0x1.d50e8780be7e6p+0"),
+    (0, (2.34, 2.38), (2.83, -1.65), "0x1.0f133b41d6614p+1", "0x1.0f133b41d6612p+1"),
+    (0, (2.9, -0.19), (1.29, -1.33), "0x1.f44456fd13426p+0", "0x1.f44456fd13426p+0"),
+    (1, (0.42, 0.09), (1.93, 2.5), "0x1.1c597b680b99ep+1", "0x1.1c597b680b99ep+1"),
+    (1, (1.59, -2.98), (3.2, -2.07), "0x1.d50e8780be7abp+0", "0x1.d50e8780be7abp+0"),
 )
 # pairs drawn with default_rng(6): sphere radii in (0.05, pi - 0.05),
 # Gaussian radii in (0.2, 5), angles in (-pi, pi)
 PINNED_SPHERE = (
     ((1.686876737860978, -0.9847581679958686), (1.1725522052422852, -0.788560078461733),
-     "0x1.19131b19e6c36p-1"),
+     "0x1.19131b19e759cp-1"),
     ((3.053405427975202, 0.8341322614811477), (2.101018713162262, -1.0683711188056741),
-     "0x1.123e404888588p+0"),
+     "0x1.123e4048925c6p+0"),
     ((2.1180325632424446, -2.3689344345096206), (0.20733925197769287, 2.200317124970402),
-     "0x1.11350402e58f1p+1"),
+     "0x1.11350402e5308p+1"),
 )
 PINNED_GAUSSIAN = (
     ((2.7831888870653274, -0.9847581679958686), (1.9715227510178155, -0.788560078461733),
-     "0x1.dd61c631556dep-1"),
+     "0x1.dd61c631556c6p-1"),
     ((4.93973595289504, 0.8341322614811477), (3.4367548664215692, -1.0683711188056741),
-     "0x1.b804888bb8e94p+2"),
+     "0x1.b804888bb8e8cp+2"),
     ((3.4636047735873072, -2.3689344345096206), (0.448300313522121, 2.200317124970402),
-     "0x1.c715c18c818f3p+1"),
+     "0x1.c715c18c818f4p+1"),
 )
 
 
@@ -239,20 +248,38 @@ def test_distance_bits_pinned(family10, sphere3, gaussian3):
     for k, p, q, pq, qp in PINNED_FAMILY:
         assert distance(fams[k], p, q, return_paths=False)[0].hex() == pq
         assert distance(fams[k], q, p, return_paths=False)[0].hex() == qp
-    for m, pinned in ((sphere3, PINNED_SPHERE), (gaussian3, PINNED_GAUSSIAN)):
+    for m, pinned, law in ((sphere3, PINNED_SPHERE, sphere_oracle),
+                           (gaussian3, PINNED_GAUSSIAN, flat_oracle)):
         for p, q, d in pinned:
             assert distance(m, p, q, return_paths=False)[0].hex() == d
+            assert abs(float.fromhex(d) - law(p, q)) <= 1e-10
 
 
-def test_distance_above_broken_path_raises():
-    # The search misses the turn_lo minimizer just below the fold
-    # c = phi(r1) and finds only a turn_hi geodesic of length 5.014685,
-    # twice the path through the north pole (r1 + r2 = 2.579162).  A fold
-    # fix that brackets across the join of direct and turn_lo will make
-    # this pair return 2.2550119638566 instead of raising.
-    m = build_model("family", 4, 0.8388910574360728, 0.027451879604040195)
-    p = (0.37070086839835403, -0.29685276869587796)
-    q = (2.2084615704061545, 1.5220917279130264)
+FOLD = (build_model("family", 4, 0.8388910574360728, 0.027451879604040195),
+        (0.37070086839835403, -0.29685276869587796),
+        (2.2084615704061545, 1.5220917279130264))
+
+
+def test_distance_finds_the_minimizer_at_the_fold():
+    # The minimizer is a turn_lo geodesic with c = 0.36226877964682336, 6e-9
+    # below the fold c = phi(r1) where direct and turn_lo meet.  A scan whose
+    # theta ran 2.16e-4 high past the band never bracketed it, and the search
+    # found only a turn_hi geodesic longer than the path through a pole.
+    m, p, q = FOLD
+    for a, b in ((p, q), (q, p)):
+        d, _ = distance(m, a, b, return_paths=False)
+        assert d == pytest.approx(2.2550119638566, abs=1e-6)
+
+
+def test_distance_above_broken_path_raises(monkeypatch):
+    # With the turn_lo class withheld, the fold pair's shortest candidate is
+    # a turn_hi geodesic of length 5.014685, twice the path through the
+    # north pole (r1 + r2 = 2.579162); the guard raises rather than return it.
+    import pinchlab.geodesics as geodesics
+    inner = geodesics._refine
+    monkeypatch.setattr(geodesics, "_refine", lambda geom, cls, *args:
+                        None if cls == "turn_lo" else inner(geom, cls, *args))
+    m, p, q = FOLD
     for a, b in ((p, q), (q, p)):
         with pytest.raises(SearchError, match=r"5\.0146.*2\.5791624388045"):
             distance(m, a, b, return_paths=False)
@@ -287,7 +314,8 @@ def test_turn_lo_inverts_phi_on_the_flank(sphere3, gaussian3):
     # phi(turn_lo(c)) is c to within one ulp, for c from 1e-9 c_max up to
     # the grazing limit the distance search uses, and turn_lo is monotone.
     # A Newton polish that kept every step cycled between -2 and +2 ulp and
-    # ended 2 ulp off on one of these families, with either bracketing.
+    # ended 2 ulp off on one of these families, with either bracketing.  An
+    # array of c gives the float results.
     draw = np.random.default_rng(16)
     fams = [build_model("family", int(draw.integers(3, 11)), float(draw.uniform(0.55, 0.9)),
                         float(draw.uniform(0.005, 0.08))) for _ in range(20)]
@@ -303,6 +331,66 @@ def test_turn_lo_inverts_phi_on_the_flank(sphere3, gaussian3):
         for c, rm in zip(cs, rms):
             assert abs(geom.phi_s(rm) - c) <= math.ulp(c), (m.meta, c)
         assert all(b >= a for a, b in zip(rms, rms[1:])), m.meta
+        assert np.array_equal(geom.turn_lo(cs), rms)
+
+
+def _c_range(geom):
+    """c from 1e-9 c_max up to the grazing limit the distance search uses."""
+    fracs = np.concatenate([10.0 ** np.linspace(-9.0, 0.0, 40)[:-1],
+                            1.0 - 10.0 ** -np.arange(1.0, 14.0)])
+    return geom.c_max * np.minimum(fracs, 1.0 - 1e-13)
+
+
+def test_arc_primitives_match_their_closed_forms(sphere3, gaussian3, family10):
+    # SINE (sphere), LINEAR (Gaussian) and CONSTANT (family10's cylinder):
+    # theta and t from r_-(c) against the Clairaut integrals in closed form
+    # (do Carmo, Differential Geometry of Curves and Surfaces, 4-4), with
+    # their radicands factored as (phi - c)(phi + c)
+    for m, rmin, prim in (
+            (sphere3, math.asin, lambda c, r: (
+                math.atan2(math.sqrt((math.sin(r) - c) * (math.sin(r) + c)), c * math.cos(r)),
+                math.atan2(math.sqrt((math.sin(r) - c) * (math.sin(r) + c)), math.cos(r)))),
+            (gaussian3, lambda c: c, lambda c, r: (
+                math.atan2(math.sqrt((r - c) * (r + c)), c), math.sqrt((r - c) * (r + c))))):
+        geom = _Geometry(m)
+        for c in _c_range(geom).tolist():
+            rm = geom.turn_lo(c)
+            assert rm == pytest.approx(rmin(c), abs=1e-13)
+            radii = [rm + f * (geom.mid - rm) for f in (1e-6, 0.01, 0.5, 1.0)]
+            got = geom.arcs(c, radii)
+            for r in radii:
+                assert got[r] == pytest.approx(prim(c, r), abs=1e-13), (c, r)
+    geom = _Geometry(family10)
+    _, lo, hi, A = geom._pieces[-1]
+    a, b = lo + 0.1, hi
+    for c in _c_range(geom).tolist():
+        got = geom.arcs(c, [a, b])
+        w = math.sqrt((A - c) * (A + c))
+        want = (c * (b - a) / (A * w), A * (b - a) / w)
+        for j in (0, 1):
+            assert got[b][j] - got[a][j] == pytest.approx(want[j], rel=1e-13, abs=1e-13)
+
+
+def test_arcs_array_equals_float_bits_across_the_band():
+    # on the fold pair's model, over a grid of c like the search's scan, the
+    # array evaluation gives every entry the bits of the float one, for arcs
+    # that end inside the band, on the cylinder, at L and past it
+    m, p, q = FOLD
+    geom = _Geometry(m)
+    cs = _c_range(geom)
+    band = [r for r in geom._flank_r if r > 1.5][:3]
+    radii = [*band, 0.5 * (band[0] + band[1]), 1.6, geom.mid]
+    vec = geom.arcs(cs, radii)
+    for i, c in enumerate(cs.tolist()):
+        one = geom.arcs(c, radii)
+        for r in radii:
+            assert [float(v[i]) for v in vec[r]] == list(one[r]), (c, r)
+    for r1, r2 in ((p[0], q[0]), (q[0], 2.0 * m.L - 0.3)):
+        vec = geom.classes(cs, r1, r2)
+        for i, c in enumerate(cs.tolist()):
+            one = geom.classes(c, r1, r2)
+            assert {k: [float(x[i]) for x in v] for k, v in vec.items()} == \
+                {k: list(v) for k, v in one.items()}
 
 
 def test_realizing_path_hits_target(sphere3):
