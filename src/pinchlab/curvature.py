@@ -166,9 +166,9 @@ def sec_plane(m, r, w):
 
 
 def x_field_norm(m, r):
-    """|X| = potential_scale * |f'(r)|."""
-    t = curvature_table(m, r)
-    out = t["xnorm"]
+    """|X| = potential_scale * |f'(r)|, with the bits of curvature_table's
+    ``xnorm``."""
+    out = m.potential_scale * np.abs(m.f.eval(r, 1))
     return float(out[0]) if np.isscalar(r) else out
 
 

@@ -20,12 +20,14 @@ turning radius on cubic pieces.  A doubled model's upper flank is the lower
 one reflected about L.  The search evaluates the primitive on a fixed grid of
 ``N_ANGLES`` launch angles, brackets each class/target crossing and refines it
 by bracketed bisection (Brent) on the same function, so every bracket holds.
-Candidates within ``DEFAULT_DISTANCE_TOL`` of the shortest are kept once per
-length rounded to it, so of two minimizers of equal length (a theta-mirror
-pair) only one survives.  The survivors are re-shot through the ODE
-integrator to produce the returned paths.  A search whose shortest candidate
-exceeds the broken path through a pole raises ``SearchError`` instead of
-returning it.
+Each class is scanned for both theta sweeps, and its c = 0 end is the exact
+meridian.  A candidate is one record (length, class, c, side), where side is
+the sign of its theta sweep.  Candidates within ``DEFAULT_DISTANCE_TOL`` of
+the shortest are kept once per class and side, a meridian once per class, so
+both members of a theta-mirror pair survive.  The survivors are re-shot
+through the ODE integrator, all from one launch formula, to produce the
+returned paths.  A search whose shortest candidate exceeds the broken path
+through a pole raises ``SearchError`` instead of returning it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import DomainError, IntegrationError, SearchError
 from .profiles import CAP, CONSTANT, DOUBLED_SPHERE, LINEAR, PARABOLA, PL2_BAND, SINE
 
 DEFAULT_SHOOT_TOL = 1e-12       # shoot's DOP853 rtol; atol is 1e-2 of it
-DEFAULT_DISTANCE_TOL = 1e-6     # distance's tie window and dedupe rounding
+DEFAULT_DISTANCE_TOL = 1e-6     # distance's tie window
 N_ANGLES = 256                  # launch angles of distance's scan
 SHOOT_SAMPLES = 1025            # rows of a shot path's ``samples``
 ANCHOR_ORDER = 32               # Gauss-Legendre nodes per panel of an arc quadrature
@@ -503,25 +505,21 @@ class _Geometry:
 # distance
 
 
-def _pole_kind(m, r):
-    if r < _POLE:
-        return "north"
-    if m.topology == DOUBLED_SPHERE and abs(r - m.r_max) < _POLE:
-        return "south"
-    return None
-
-
 def distance(m, p, q, return_paths=True):
-    """Distance between points (r, theta) and realizing geodesics found.
+    """Distance between points (r, theta) and the minimal geodesics found.
 
-    Every returned path runs from p to q.  Pole queries reduce to meridians
-    exactly.  General queries sweep the launch-angle grid, bracket every
-    geodesic class that can hit the target angle and refine by bracketed
-    bisection.  Candidates within ``DEFAULT_DISTANCE_TOL`` of the shortest
-    are deduplicated by their length rounded to it: one path is returned
-    per distinct length, so a second minimizer of the same length (such as
-    the theta-mirror image) is dropped.  A returned path may be missing
-    when re-shooting it fails.
+    Every candidate geodesic is one record (length, class, c, side): its
+    class (direct, turn_lo, turn_hi or, on a parallel where phi' = 0,
+    parallel), its Clairaut constant c >= 0 and the sign of its theta sweep.
+    The search sweeps the launch-angle grid for both sweeps, |dtheta| one
+    way and 2 pi - |dtheta| the other, brackets every class that hits the
+    target angle and refines by bracketed bisection.  The c = 0 end of each
+    class is a meridian, taken exactly when its angle is the target's.  A
+    radius within ``_POLE`` of a pole is that pole, and the only candidate is
+    the meridian to it.  Candidates within ``DEFAULT_DISTANCE_TOL`` of the
+    shortest are kept once per (class, side), a meridian once per class, so
+    both members of a theta-mirror pair are returned.  A returned path may be
+    missing when re-shooting it fails; p = q gives 0 and no path.
 
     Raises SearchError when no candidate is found, and when the shortest
     candidate exceeds the broken path through a pole, min(r1 + r2,
@@ -530,116 +528,103 @@ def distance(m, p, q, return_paths=True):
     """
     r1, th1 = float(p[0]), float(p[1])
     r2, th2 = float(q[0]), float(q[1])
+    R, doubled = m.r_max, m.topology == DOUBLED_SPHERE
     for r in (r1, r2):
-        if not -1e-12 <= r <= m.r_max + 1e-12:
+        if not -1e-12 <= r <= R + 1e-12:
             raise DomainError("point outside the manifold domain")
-    # r may stray past [0, r_max] by 1e-12; clip as eval does
-    r1, r2 = (min(max(r, 0.0), m.r_max) for r in (r1, r2))
 
-    pk, qk = _pole_kind(m, r1), _pole_kind(m, r2)
-    if pk or qk:
-        # the meridian from p to q: (length, launch radius, angle, theta0)
-        if pk == "north":
-            d, r0, alpha, theta0 = r2, 0.0, 0.0, th2
-        elif pk == "south":
-            d, r0, alpha, theta0 = m.r_max - r2, m.r_max, math.pi, th2
-        elif qk == "north":
-            d, r0, alpha, theta0 = r1, r1, math.pi, th1
-        else:
-            d, r0, alpha, theta0 = m.r_max - r1, r1, 0.0, th1
-        if d < 1e-15:
-            return 0.0, []
-        if not return_paths:
-            return d, []
-        return d, [shoot(m, r0, alpha, d, theta0=theta0)]
+    def snap(r):
+        # r may stray past [0, r_max] by 1e-12; clip as eval does
+        r = min(max(r, 0.0), R)
+        if r < _POLE:
+            return 0.0, True
+        if doubled and R - r < _POLE:
+            return R, True
+        return r, False
 
-    dtheta = abs(_wrap_angle(th2 - th1))
-    geom = _Geometry(m)
-    phi1, phi2 = geom.phi_s(r1), geom.phi_s(r2)
-    cmax_pair = min(phi1, phi2, geom.c_max * (1.0 - 1e-13))
+    # a point at a pole takes the other point's theta
+    (r1, pole1), (r2, pole2) = snap(r1), snap(r2)
+    if pole1:
+        th1 = th2
+    elif pole2:
+        th2 = th1
+    raw = _wrap_angle(th2 - th1)
+    dtheta, side = abs(raw), (1.0 if raw >= 0 else -1.0)
+    targets = ((dtheta, side), (2.0 * math.pi - dtheta, -side))
+    phi1 = m.phi.scalar_fn(0)(r1)
 
-    candidates = []   # (length, cls, c, target)
+    candidates = []   # (length, class, c, side)
+    if pole1 or pole2:
+        candidates.append((abs(r2 - r1), "direct", 0.0, 1.0))
+    else:
+        geom = _Geometry(m)
+        if abs(r1 - r2) < 1e-12 and abs(geom.dphi_s(r1)) < 1e-12 and dtheta > 0:
+            candidates += [(phi1 * t, "parallel", phi1, s) for t, s in targets]
+        cmax_pair = min(phi1, geom.phi_s(r2), geom.c_max * (1.0 - 1e-13))
+        alphas = (np.arange(N_ANGLES) + 0.5) * (math.pi / 2.0) / N_ANGLES
+        cgrid = cmax_pair * np.sin(alphas)
+        # extra nodes approaching the grazing limit c -> cmax geometrically
+        near = cmax_pair * (1.0 - np.power(10.0, -np.arange(2.0, 13.0)))
+        cgrid = np.unique(np.concatenate([[cmax_pair * 1e-8], cgrid,
+                                          near[near > cgrid[-1]]]))
+        # scan tables prepended with the exact meridian limits at c = 0
+        cgrid0 = np.concatenate([[0.0], cgrid])
+        limits = {"direct": (0.0, abs(r2 - r1)), "turn_lo": (math.pi, r1 + r2),
+                  "turn_hi": (math.pi, 2.0 * R - r1 - r2)}
+        brackets = []
+        for cls, (thetas, lengths) in geom.classes(cgrid, r1, r2).items():
+            lim, lim_t = limits[cls]
+            fvals, tvals = np.concatenate([[lim], thetas]), np.concatenate([[lim_t], lengths])
+            for target, s in targets:
+                fv = fvals - target
+                cells = np.nonzero(fv[:-1] * fv[1:] <= 0)[0]
+                if abs(lim - target) < 1e-12:
+                    # the meridian hits the target; near c = 0 brentq would
+                    # only chase the rounding of its limit
+                    candidates.append((lim_t, cls, 0.0, s))
+                    cells = cells[cells > 0]
+                for i in cells.tolist():
+                    if fv[i] != 0.0 or fv[i + 1] != 0.0:
+                        brackets.append((min(tvals[i], tvals[i + 1]), cls, target, s, i))
 
-    if (abs(r1 - r2) < 1e-12 and abs(geom.dphi_s(r1)) < 1e-12
-            and dtheta > 0):
-        candidates.append((phi1 * dtheta, "parallel", None, dtheta))
-    if dtheta < 1e-12 and abs(r1 - r2) > 0:
-        candidates.append((abs(r1 - r2), "meridian", None, 0.0))
-    if abs(dtheta - math.pi) < 1e-12:
-        candidates.append((r1 + r2, "meridian_np", None, math.pi))
-        if m.topology == DOUBLED_SPHERE:
-            candidates.append((2.0 * m.r_max - r1 - r2, "meridian_sp", None,
-                               math.pi))
-
-    alphas = (np.arange(N_ANGLES) + 0.5) * (math.pi / 2.0) / N_ANGLES
-    cgrid = cmax_pair * np.sin(alphas)
-    # extra nodes approaching the grazing limit c -> cmax geometrically
-    near = cmax_pair * (1.0 - np.power(10.0, -np.arange(2.0, 13.0)))
-    cgrid = np.unique(np.concatenate([[cmax_pair * 1e-8], cgrid,
-                                      near[near > cgrid[-1]]]))
-    targets = [t for t in (dtheta, 2.0 * math.pi - dtheta)
-               if 1e-12 < t < 2.0 * math.pi - 1e-12]
-
-    tables = geom.classes(cgrid, r1, r2)
-    # scan tables prepended with the exact meridian limits at c = 0
-    cgrid0 = np.concatenate([[0.0], cgrid])
-    limits = {"direct": (0.0, abs(r2 - r1)), "turn_lo": (math.pi, r1 + r2),
-              "turn_hi": (math.pi, 2.0 * m.r_max - r1 - r2)}
-    scan = {cls: tuple(np.concatenate([[lim], tab])
-                       for lim, tab in zip(limits[cls], tables[cls]))
-            for cls in tables}
-
-    brackets = []
-    for cls, (fvals, tvals) in scan.items():
-        for target in targets:
-            fv = fvals - target
-            for i in np.nonzero(fv[:-1] * fv[1:] <= 0)[0]:
-                if fv[i] == 0.0 and fv[i + 1] == 0.0:
-                    continue
-                approx = min(tvals[i], tvals[i + 1])
-                brackets.append((float(approx), cls, target, int(i)))
-
-    # refine cheapest-first; stop once a bracket cannot beat the best length
-    brackets.sort()
-    best = min((cand[0] for cand in candidates), default=math.inf)
-    for approx, cls, target, i in brackets:
-        if approx > best + 0.1:
-            break
-        found = _refine(geom, cls, r1, r2, target, cgrid0, int(i))
-        if found is None:
-            continue
-        c_star, (_, length) = found
-        best = min(best, length)
-        candidates.append((length, cls, c_star, target))
+        # refine cheapest-first; stop once a bracket cannot beat the best length
+        brackets.sort()
+        best = min((cand[0] for cand in candidates), default=math.inf)
+        for approx, cls, target, s, i in brackets:
+            if approx > best + 0.1:
+                break
+            found = _refine(geom, cls, r1, r2, target, cgrid0, i)
+            if found is not None:
+                c_star, (_, length) = found
+                best = min(best, length)
+                candidates.append((length, cls, c_star, s))
 
     if not candidates:
         raise SearchError("no geodesic candidate found between the given points")
-
     candidates.sort(key=lambda t: t[0])
     d = candidates[0][0]
     # the broken path through a pole bounds every distance
-    bound = r1 + r2
-    if m.topology == DOUBLED_SPHERE:
-        bound = min(bound, 2.0 * m.r_max - r1 - r2)
+    bound = min(r1 + r2, 2.0 * R - r1 - r2) if doubled else r1 + r2
     if d > bound + DEFAULT_DISTANCE_TOL:
         raise SearchError(f"distance search returned {d!r}, longer than the "
                           f"broken path through a pole ({bound!r})")
-    winners, seen = [], set()
-    for cand in candidates:
-        if cand[0] > d + DEFAULT_DISTANCE_TOL:
-            break
-        key = round(cand[0] / DEFAULT_DISTANCE_TOL)
-        if key in seen:
-            continue
-        seen.add(key)
-        winners.append(cand)
-    if not return_paths:
+    if d == 0.0 or not return_paths:
         return d, []
+    # a meridian is its own theta-mirror, so it is kept once per class
+    winners = {}
+    for length, cls, c, s in candidates:
+        if length > d + DEFAULT_DISTANCE_TOL:
+            break
+        winners.setdefault((cls, s if c else 0.0), (length, cls, c, s))
     paths = []
-    for length, cls, c, target in winners:
-        path = _materialize(m, cls, c, r1, th1, r2, th2, length, target)
-        if path is not None:
-            paths.append(path)
+    for length, cls, c, s in winners.values():
+        sa = min(c / phi1, 1.0) if c else 0.0
+        up = r2 >= r1 if cls == "direct" else cls == "turn_hi"
+        alpha = math.asin(sa) if up else math.pi - math.asin(sa)
+        try:
+            paths.append(shoot(m, r1, s * alpha, length, theta0=th1))
+        except IntegrationError:
+            continue
     return d, paths
 
 
@@ -668,32 +653,6 @@ def _refine(geom, cls, r1, r2, target, cgrid, i):
     if abs(v[0] - target) > 1e-5 * max(1.0, target):
         return None
     return c_star, v
-
-
-def _materialize(m, cls, c, r1, th1, r2, th2, length, target):
-    """Re-shoot a winning candidate through the ODE integrator."""
-    raw = _wrap_angle(th2 - th1)
-    sgn_th = 1.0 if abs(raw - target) <= abs(raw + target) else -1.0
-    if cls == "parallel":
-        alpha = sgn_th * math.pi / 2.0
-        return shoot(m, r1, alpha, length, theta0=th1)
-    if cls in ("meridian", "meridian_np", "meridian_sp"):
-        if cls == "meridian":
-            alpha = 0.0 if r2 >= r1 else math.pi
-        elif cls == "meridian_np":
-            alpha = math.pi
-        else:
-            alpha = 0.0
-        return shoot(m, r1, alpha, length, theta0=th1)
-    sa = min(c / m.phi.scalar_fn(0)(r1), 1.0)
-    up = r2 >= r1 if cls == "direct" else cls == "turn_hi"
-    alpha = math.asin(sa) if up else math.pi - math.asin(sa)
-    if sgn_th < 0:
-        alpha = -alpha
-    try:
-        return shoot(m, r1, alpha, length, theta0=th1)
-    except IntegrationError:
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -283,8 +283,10 @@ class RadialProfile:
         ``order`` may be a tuple of orders, such as ``(0, 1, 2)``; the result
         is then a tuple of arrays, one per order, with the bits each order
         gives alone, at the cost of one domain check, one reflection and one
-        segment split.  Raises DomainError outside [0, r_max] and on NaN.
+        segment split.  Raises DomainError outside [0, r_max], on NaN and on
+        an order other than 0, 1 or 2.
         """
+        _check_order(order)
         r = np.atleast_1d(np.asarray(r, dtype=float))
         R = self.r_max
         # min and max are NaN when r holds one, and NaN fails the check
@@ -343,9 +345,11 @@ class RadialProfile:
         """Closure evaluating one scalar radius fast (no array round-trips).
 
         Built for ODE right-hand sides, where the array machinery of
-        :meth:`eval` dominates the step cost.  No domain checks: the caller
-        guarantees 0 <= r <= r_max.
+        :meth:`eval` dominates the step cost.  Raises DomainError on an order
+        other than 0, 1 or 2; no domain checks: the caller guarantees
+        0 <= r <= r_max.
         """
+        _check_order(order)
         edges = [s.lo for s in self.segments[1:]]
         evals = [seg.closed_form(order, math) for seg in self.segments]
         L = self.reflect_at
@@ -362,10 +366,15 @@ class RadialProfile:
         return fn
 
 
+def _check_order(order):
+    """Raise DomainError unless ``order``, or each order of a tuple, is 0, 1 or 2."""
+    for o in order if isinstance(order, tuple) else (order,):
+        if o not in (0, 1, 2):
+            raise DomainError("order must be 0, 1 or 2")
+
+
 def eval_profile(profile, r, order=0):
     """Closed-form value/derivative of ``profile`` at radius ``r``."""
-    if order not in (0, 1, 2):
-        raise DomainError("order must be 0, 1 or 2")
     return profile(r, order)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._scipy import solve_ivp
 from .errors import DomainError, IntegrationError
-from .curvature import curvature_table, ricci_eigenvalues, sectional_fn
+from .curvature import curvature_table, ricci_eigenvalues, sectional_fn, x_field_norm
 from .geodesics import _dense_state_fn
 
 QUAD_TOL = 1e-9
@@ -391,8 +391,6 @@ def loop_index_check(m, loop, eps=None):
     (so the boundary term of int sec_X cancels and int sec_X = int sec per
     perpendicular parallel direction).
     """
-    from .curvature import x_field_norm
-
     r_start = float(loop.state(0.0)[0])
     r_end = float(loop.state(loop.length)[0])
     if r_start > 1e-9 or r_end > 1e-9:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .profiles import DOUBLED_SPHERE, PL2_BAND, manifold_to_dict
 from .curvature import curvature_table, x_field_norm
-from .geodesics import (N_ANGLES, check_arclength, check_cap_meridian, distance,
+from .geodesics import (_POLE, N_ANGLES, check_arclength, check_cap_meridian, distance,
                         farthest_from_pole, inj_at_pole)
 
 RICCI_MODE = "RICCI"
@@ -194,6 +194,9 @@ class CriticalityCertificate:
 def criticality_certificate(m, p, q, eps=None):
     """Evaluate g(X(q), gdot) over every minimal geodesic found from p to q.
 
+    ``n_geodesics`` counts the paths :func:`distance` returns, both members
+    of a theta-mirror pair included.
+
     ``xnorm_lower`` is the integral lower bound
     -(n-1) pi - |X(p)| + (n-1) eps d(p,q), which also bounds |X(q)| below.
     """
@@ -238,9 +241,15 @@ class GapReport:
 
 
 def diameter_gap(m, p=(0.0, 0.0), eps=None):
-    """Farthest distance from p against the diameter gap bounds."""
+    """Farthest distance from the pole p against the diameter gap bounds.
+
+    The farthest point is taken as the far pole, which it is only as seen
+    from the pole, so a p with r >= ``_POLE`` raises DomainError.
+    """
     if m.topology != DOUBLED_SPHERE:
         raise DomainError("diameter gap needs a compact (doubled) model")
+    if not abs(p[0]) < _POLE:
+        raise DomainError("diameter gap is computed from the pole only (r = 0)")
     eps = _model_eps(m, eps)
     q, far = farthest_from_pole(m)
     bound = critical_radius(m, p[0], eps)

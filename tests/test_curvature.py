@@ -7,6 +7,7 @@ import pytest
 from pinchlab import (DomainError, build_model, curvature_sample,
                       curvature_table, sec_plane, x_field_norm)
 from pinchlab.curvature import CSV_COLUMNS, csv_string, dump_csv, sectional_fn
+from pinchlab.profiles import manifold_from_dict
 
 
 def test_gaussian_point_values(gaussian3):
@@ -104,6 +105,18 @@ def test_x_field_norm_examples(gaussian3, family10):
     assert x_field_norm(gaussian3, 3.0) == pytest.approx(3.0)
     assert x_field_norm(family10, 0.0) == pytest.approx(0.0)
     assert x_field_norm(family10, 0.1) == pytest.approx(0.18, abs=1e-13)
+    # the bits of curvature_table's column, which needs phi; x_field_norm
+    # reads f' alone, so a non-analytic pole of phi does not stop it
+    for m in (gaussian3, family10):
+        rs = np.linspace(0.0, min(m.r_max, 6.0), 257)
+        assert np.array_equal(x_field_norm(m, rs), curvature_table(m, rs)["xnorm"])
+    m = manifold_from_dict({"n": 3, "topology": "CAP", "phi": {"segments": [
+        {"kind": "PARABOLA", "domain": [0.0, 5.0], "c0": 0.0, "c1": 1.0, "c2": 0.1}]},
+        "f": {"segments": [{"kind": "PARABOLA", "domain": [0.0, 5.0],
+                            "c0": 0.0, "c1": 0.0, "c2": 0.5}]}})
+    with pytest.raises(DomainError, match="non-analytic"):
+        curvature_table(m, 0.0)
+    assert x_field_norm(m, 0.0) == 0.0 and x_field_norm(m, 2.0) == 2.0
 
 
 def test_pole_handling(sphere3, gaussian3):

@@ -210,6 +210,57 @@ def test_distance_symmetry(family10):
         assert d1 <= min(p[0] + q[0], 2 * m.r_max - p[0] - q[0]), (m.meta, p, q)
 
 
+def test_distance_sweep_of_seeded_family_pairs():
+    # one pair on each of 10^3 seeded families: no SearchError, no numpy
+    # warning (pyproject makes RuntimeWarning an error), and no distance
+    # above the broken path through a pole
+    draw = np.random.default_rng(18)
+    for _ in range(1000):
+        m = build_model("family", int(draw.integers(3, 11)), float(draw.uniform(0.55, 0.9)),
+                        float(draw.uniform(0.005, 0.08)))
+        p, q = ((float(draw.uniform(0.0, m.r_max)), float(draw.uniform(-math.pi, math.pi)))
+                for _ in range(2))
+        d, _ = distance(m, p, q, return_paths=False)
+        assert d <= min(p[0] + q[0], 2 * m.r_max - p[0] - q[0]), (m.meta, p, q)
+
+
+def _ends_at(path, q, tol):
+    r_end, _, th_end, _ = path.state(path.length)
+    return (abs(r_end - q[0]) <= tol
+            and abs(math.remainder(th_end - q[1], 2 * math.pi)) <= tol)
+
+
+def test_distance_returns_both_theta_mirrors(family10):
+    # q at theta = pi from p: the minimizer and its theta-mirror image have
+    # equal length, and both are returned (one was dropped by a dedupe on
+    # rounded length); criticality_certificate counts both
+    R = family10.r_max
+    p, q = (1.0, 0.0), (R - 1.0, math.pi)
+    d, paths = distance(family10, p, q)
+    assert sorted(path.clairaut_c for path in paths) == [-0.8075637789190032,
+                                                          0.8075637789190032]
+    assert all(_ends_at(path, q, 1e-10) for path in paths)
+    assert criticality_certificate(family10, p, q).n_geodesics == 2
+    # on the cylinder, the parallel both ways round
+    p, q = (2.0, 0.3), (2.0, 0.3 + math.pi)
+    d, paths = distance(family10, p, q)
+    phi = family10.phi(2.0)
+    assert sorted(path.clairaut_c for path in paths) == [-phi, phi]
+    assert all(_ends_at(path, q, 1e-12) for path in paths)
+
+
+def test_distance_at_the_sphere_antipode_returns_few_paths(sphere3):
+    # every great circle from p reaches its antipode q at length pi; the
+    # search keeps one per class and theta sweep, not one per launch angle
+    p, q = (1.0, 0.0), (math.pi - 1.0, math.pi)
+    d, paths = distance(sphere3, p, q)
+    assert d == pytest.approx(math.pi, abs=1e-12)
+    assert 1 <= len(paths) <= 8
+    for path in paths:
+        assert path.length == pytest.approx(d, abs=1e-12)
+        assert _ends_at(path, q, 1e-10)
+
+
 # float.hex of distance(m, p, q) from the exact per-piece arc primitive.  A
 # change that moves a bit lists each moved value, old -> new with its
 # difference, in CHANGES.md.  Family pairs on family(10, 0.8, 0.02) (index 0)

@@ -33,8 +33,15 @@ def test_eval_profile_domain_and_order_errors():
     from pinchlab import DomainError
     with pytest.raises(DomainError):
         eval_profile(prof, 4.0, 0)
-    with pytest.raises(DomainError):
-        eval_profile(prof, 1.0, 3)
+    # an order outside {0, 1, 2} raised IndexError, returned NaN or -sin,
+    # or gave f'' for order -1
+    for order in (3, -1, (0, 3)):
+        with pytest.raises(DomainError, match="order"):
+            eval_profile(prof, 1.0, order)
+        with pytest.raises(DomainError, match="order"):
+            prof.eval(np.array([1.0]), order)
+    with pytest.raises(DomainError, match="order"):
+        prof.scalar_fn(-1)
 
 
 # -- smoothing bands --------------------------------------------------------

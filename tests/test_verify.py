@@ -209,6 +209,14 @@ def test_diameter_gap_needs_compact(gaussian3):
         diameter_gap(gaussian3)
 
 
+def test_diameter_gap_off_the_pole_raises(family10):
+    # the farthest point from p = (1, 0) lies near (3.0816, pi) at 3.5709,
+    # not at the far pole, whose distance r_max from the pole was reported
+    with pytest.raises(DomainError, match="pole"):
+        diameter_gap(family10, p=(1.0, 0.0))
+    assert diameter_gap(family10, p=(0.0, 1.0)).farthest == family10.r_max
+
+
 def test_gap_ratio_delta_sweep():
     for delta in (0.08, 0.04, 0.02):
         m = build_model("family", 10, 0.8, delta)
