@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._scipy import brentq, solve_ivp
 from .errors import DomainError, IntegrationError, SearchError
 from .profiles import CAP, CONSTANT, DOUBLED_SPHERE, LINEAR, PARABOLA, PL2_BAND, SINE
 
@@ -50,6 +49,19 @@ SHOOT_SAMPLES = 1025            # rows of a shot path's ``samples``
 ANCHOR_ORDER = 32               # Gauss-Legendre nodes per panel of an arc quadrature
 MAX_LENGTH_FACTOR = 100.0
 _POLE = 1e-12
+
+
+# The solver module is imported on the first solve or root finding, because
+# compiling it adds about 5 ms to every command's import where bytecode is
+# not cached; most commands never call it.
+def solve_ivp(*args, **kwargs):
+    from ._solvers import solve_ivp
+    return solve_ivp(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    from ._solvers import brentq
+    return brentq(*args, **kwargs)
 
 
 @functools.cache
@@ -209,15 +221,11 @@ def shoot(m, r0, alpha, T, theta0=0.0):
         dp = dphi_s(r)
         return [rd, p * dp * td * td, td, -2.0 * dp / p * rd * td]
 
-    events = None
-    if m.topology == CAP:
-        def leave(t, y):
-            return m.r_max - y[0]
-        leave.terminal = True
-        events = [leave]
+    def leave(t, y):
+        return m.r_max - y[0]
 
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=DEFAULT_SHOOT_TOL,
-                    atol=DEFAULT_SHOOT_TOL * 1e-2, dense_output=True, events=events)
+    sol = solve_ivp(rhs, (0.0, T), y0, rtol=DEFAULT_SHOOT_TOL, atol=DEFAULT_SHOOT_TOL * 1e-2,
+                    event=leave if m.topology == CAP else None)
     if not sol.success:
         raise IntegrationError(f"geodesic integration failed: {sol.message}",
                                reached=float(sol.t[-1]))
@@ -232,42 +240,7 @@ def shoot(m, r0, alpha, T, theta0=0.0):
     samples = np.column_stack([ts, r, th, rd])
 
     return GeodesicPath(c, samples, T, clair, speed, False, thetadot=td,
-                        _state_fn=_dense_state_fn(sol.sol), _phi2=phi2)
-
-
-def _dense_state_fn(sol):
-    """(r, rdot, theta, thetadot), or (psi, psi'), from the dense output ``sol``.
-
-    An array goes through ``sol``.  One float t is answered in float
-    arithmetic: the segment is picked as ``OdeSolution`` picks it, and the
-    interpolant is evaluated with ``Dop853DenseOutput``'s operations in its
-    order, so the result has the bits ``sol(t)`` has.  The step times are
-    read into a list on the first float call, and each segment's
-    coefficients on the first call that lands in it, so a path asked for
-    its end point alone does not pay for the whole table.
-    """
-    last = len(sol.interpolants) - 1
-    times = functools.cache(sol.ts.tolist)
-
-    @functools.cache
-    def segment(i):
-        seg = sol.interpolants[i]
-        rows = seg.F[::-1].T.tolist()            # per component: f0 .. f6
-        # scipy accumulates from zeros, so f0 enters as 0.0 + f0
-        coeffs = [(0.0 + f[0], *f[1:]) for f in rows]
-        return float(seg.t_old), float(seg.h), seg.y_old.tolist(), coeffs
-
-    def state(t):
-        if not isinstance(t, float):
-            return tuple(sol(t))
-        t = float(t)
-        t_old, h, y_old, coeffs = segment(min(max(bisect.bisect_left(times(), t) - 1, 0), last))
-        x = (t - t_old) / h
-        x1 = 1.0 - x
-        return [((((((a * x + b) * x1 + c) * x + d) * x1 + e) * x + f) * x1 + g) * x + y
-                for (a, b, c, d, e, f, g), y in zip(coeffs, y_old)]
-
-    return state
+                        _state_fn=sol.sol, _phi2=phi2)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._scipy import solve_ivp
 from .errors import DomainError, IntegrationError
 from .curvature import curvature_table, ricci_eigenvalues, sectional_fn, x_field_norm
-from .geodesics import _dense_state_fn
+from .geodesics import solve_ivp
 
 QUAD_TOL = 1e-9
 QUAD_N0 = 16              # Simpson intervals of a first pass
@@ -282,15 +281,15 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
         or [(0.0, length)]
     times, interpolants, y0 = [[0.0]], [], [0.0, 1.0]
     for lo, hi in pieces:
-        sol = solve_ivp(rhs, (lo, hi), y0, method="DOP853", rtol=JACOBI_RTOL,
-                        atol=1e-13, dense_output=True, max_step=length / 16.0)
+        sol = solve_ivp(rhs, (lo, hi), y0, rtol=JACOBI_RTOL, atol=1e-13,
+                        max_step=length / 16.0)
         if not sol.success:
             raise IntegrationError(f"Jacobi integration failed: {sol.message}",
                                    reached=float(sol.t[-1]))
         times.append(sol.sol.ts[1:])
         interpolants.extend(sol.sol.interpolants)
         y0 = sol.y[:, -1]
-    state = _dense_state_fn(type(sol.sol)(np.concatenate(times), interpolants))
+    state = type(sol.sol)(np.concatenate(times), interpolants)
     ts = np.unique(np.concatenate([np.linspace(0.0, length, JACOBI_GRID + 1),
                                    np.asarray(list(breakpoints), dtype=float)]))
     vals = state(ts)[0]

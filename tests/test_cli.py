@@ -258,36 +258,30 @@ def _child_env():
 
 SCIPY_PROBE = """
 import json, sys
+from pinchlab import build_model, distance, geodesic_index, shoot
 from pinchlab.cli import run_cli
 codes = [run_cli(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(k for k in sys.modules if k.startswith("scipy"))]))
+m = build_model("family", 10, 0.8, 0.02)
+_, paths = distance(m, (1.0, 0.0), (2.5, 2.0))
+index = geodesic_index(m, shoot(m, 1.0, 0.7, 3.0)).index
+print(json.dumps([codes, len(paths), index,
+                  sorted(k for k in sys.modules if k.startswith("scipy"))]))
 """
 
 
-def _scipy_after(commands, tmp_path):
-    """Exit codes of ``commands`` run in one fresh interpreter, and the scipy
-    modules loaded after them."""
-    argvs = [[a.format(d=tmp_path) for a in args] for args in commands]
+def test_no_command_imports_scipy(tmp_path):
+    # the ODE solver and the root finder are pinchlab's own: the nine README
+    # commands, then distance, shoot and geodesic_index called from the
+    # library, all in one fresh interpreter, load no scipy module
+    argvs = [[a.format(d=tmp_path) for a in args] for _, args, _ in README_COMMANDS]
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
                           capture_output=True, text=True, env=_child_env(),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def test_solver_free_commands_never_import_scipy(tmp_path):
-    # scipy loads on the first ODE solve or root finding
-    solver_free = [(args, code) for _, args, code in README_COMMANDS
-                   if args[0] in ("build", "curvature", "pinch", "gap", "family-limit",
-                                  "klingenberg")]
-    assert len(solver_free) == 7
-    codes, loaded = _scipy_after([args for args, _ in solver_free], tmp_path)
-    assert codes == [code for _, code in solver_free]
+    codes, n_paths, index, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [code for _, _, code in README_COMMANDS]
+    assert n_paths >= 1 and index >= 0
     assert loaded == []
-    geodesic = [args for _, args, _ in README_COMMANDS if args[0] == "geodesic"]
-    codes, loaded = _scipy_after(geodesic, tmp_path)
-    assert codes == [0]
-    assert "scipy.integrate" in loaded
 
 
 @pytest.mark.parametrize("argv", [
