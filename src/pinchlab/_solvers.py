@@ -1,12 +1,24 @@
 """DOP853 with dense output, and Brent's bracketed root finder.
 
-Both reproduce scipy 1.17.1 operation for operation: the same ``np.dot``,
-``np.linalg.norm`` and array expressions in the same order, so every step,
-every dense-output value and every root has the bits scipy gives.  Only
-what pinchlab uses is here: forward DOP853 (Hairer, Norsett and Wanner,
-*Solving Ordinary Differential Equations I*, II.5 and II.10) with ``rtol``,
-``atol``, ``max_step`` and one terminal event, and Brent's method (Brent,
-*Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+Both reproduce scipy 1.17.1 operation for operation, so every step, every
+dense-output value and every root has the bits scipy gives.  DOP853 makes
+each of scipy's ``np.dot`` products, and the ``x.dot(x)`` inside
+``np.linalg.norm``, on the same operands and as an ndarray's ``dot``
+method, which is the same numpy routine without ``np.dot``'s Python-level
+dispatch.  The elementwise work around those products runs on Python
+floats: the stage states y + h (K a), the new state, the error scale, the
+norms' sqrt and square, the error norm, the step factor, ``h_abs`` and
+``min_step`` (by ``math.nextafter``), and the dense output's first three
+rows.  An IEEE double operation, sqrt included, rounds the same in a numpy
+ufunc and on a float, and a float's ``**`` calls the C library's pow as a
+numpy scalar's does, so the bits are unchanged.  No product is rewritten
+as a float sum, because a BLAS dot may sum in an order of its own.
+``fun`` receives y as a list of floats.
+
+Only what pinchlab uses is here: forward DOP853 (Hairer, Norsett and
+Wanner, *Solving Ordinary Differential Equations I*, II.5 and II.10) with
+``rtol``, ``atol``, ``max_step`` and one terminal event, and Brent's method
+(Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
 
 ``geodesics`` binds ``solve_ivp`` and ``brentq`` at module level, as
 wrappers that import this module on their first call, and ``variation``
@@ -206,7 +218,7 @@ _D = (
 def _tableau():
     """The stage rows (s, A[s, :s], C[s]) of the 12 main and 3 extra stages,
     B and the error weights E3 and E5, and D.  Each array has scipy's
-    shape, so every ``np.dot`` below sees scipy's operands."""
+    shape, so every ``dot`` below sees scipy's operands."""
     A = np.zeros((16, 16))
     for i, row in enumerate(_A, start=1):
         for j, v in row.items():
@@ -239,7 +251,8 @@ def _horner(F, x, y_old):
 
 
 class DenseOutput:
-    """DOP853's interpolant over one step from ``t_old`` to ``t``.
+    """DOP853's interpolant over one step from the float ``t_old`` to ``t``;
+    ``y_old`` is a list of floats and ``F`` a (7, n) array.
 
     Called with one float t, it gives a list of floats, computed in float
     arithmetic with the bits :class:`OdeSolution` gives an array holding t.
@@ -249,15 +262,14 @@ class DenseOutput:
         self.t_old, self.h, self.y_old, self.F = t_old, t - t_old, y_old, F
 
     @functools.cached_property
-    def _floats(self):
+    def _coeffs(self):
         # read on the first float call: a path asked for one point does not
         # pay for every step's table
-        return float(self.t_old), float(self.h), self.F.T.tolist(), self.y_old.tolist()
+        return self.F.T.tolist()
 
     def __call__(self, t):
-        t_old, h, coeffs, y_old = self._floats
-        x = (t - t_old) / h
-        return [_horner(f, x, y) for f, y in zip(coeffs, y_old)]
+        x = (t - self.t_old) / self.h
+        return [_horner(f, x, y) for f, y in zip(self._coeffs, self.y_old)]
 
 
 class OdeSolution:
@@ -330,7 +342,7 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = np.asarray(fun(t0 + h0, y0 + h0 * f0), dtype=float)
+    f1 = np.asarray(fun(t0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
     d2 = _norm((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -339,34 +351,45 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
     return min(100 * h0, h1, interval_length, max_step)
 
 
+def _norm_2(x):
+    """``np.linalg.norm(x)**2`` for a 1-D float array: the same ``x.dot(x)``,
+    then sqrt and pow on a float, which round as numpy's scalars do."""
+    try:
+        return math.sqrt(x.dot(x)) ** 2
+    except OverflowError:       # numpy gives inf here
+        return math.inf
+
+
 def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
     """Integrate y' = fun(t, y) over t_span = (t0, tf), t0 < tf, by DOP853.
 
-    Every accepted step keeps its dense output.  ``event(t, y)``, if given,
-    is terminal: the solve stops in the first step over which it changes
-    sign or reaches zero, at the root Brent's method finds on that step's
-    dense output.  Steps shrinking below ten ulp of t end the solve with
-    status -1.  Returns an :class:`OdeResult` with scipy's fields.
+    ``fun`` receives y as a list of floats.  Every accepted step keeps its
+    dense output.  ``event(t, y)``, if given, is terminal: the solve stops
+    in the first step over which it changes sign or reaches zero, at the
+    root Brent's method finds on that step's dense output.  Steps shrinking
+    below ten ulp of t end the solve with status -1.  Returns an
+    :class:`OdeResult` with scipy's fields.
     """
     stages, extra, B, E3, E5, D = _tableau()
-    t0, tf = map(float, t_span)
+    t0, tf, max_step = float(t_span[0]), float(t_span[1]), float(max_step)
     t, y = t0, np.asarray(y0).astype(float, copy=False)
-    fy = np.asarray(fun(t, y), dtype=float)
-    h_abs = _initial_step(fun, t, y, tf, max_step, fy, rtol, atol)
+    fy = np.asarray(fun(t, y.tolist()), dtype=float)
+    h_abs = float(_initial_step(fun, t, y, tf, max_step, fy, rtol, atol))
     nfev = 2
     n = y.size
+    y, fy = y.tolist(), fy.tolist()
     K = np.empty((16, n))
     stages = [(s, K[:s].T, a, c) for s, a, c in stages]
     extra = [(s, K[:s].T, a, c) for s, a, c in extra]
     K12T, K13T = K[:12].T, K[:13].T
 
     ts, ys, interpolants = [t0], [y0], []
-    g = event(t0, y0) if event is not None else None
+    g = event(t0, y) if event is not None else None
     t_events = []
     status = message = None
     while status is None:
         # one step, rejected attempts included
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
@@ -380,24 +403,24 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
             if t_new > tf:
                 t_new = tf
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = fy
             for s, Kt, a, c in stages:
-                K[s] = fun(t + c * h, y + np.dot(Kt, a) * h)
-            y_new = y + h * np.dot(K12T, B)
-            f_new = np.asarray(fun(t + h, y_new), dtype=float)
-            K[12] = f_new
+                K[s] = fun(t + c * h, [v + d * h for v, d in zip(y, Kt.dot(a).tolist())])
+            y_new = [v + h * d for v, d in zip(y, K12T.dot(B).tolist())]
+            K[12] = fun(t + h, y_new)
+            f_new = K[12].tolist()
             nfev += 12
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(K13T, E5) / scale
-            err3 = np.dot(K13T, E3) / scale
-            err5_norm_2 = np.linalg.norm(err5)**2
-            err3_norm_2 = np.linalg.norm(err3)**2
+            # numpy's maximum: NaN in either argument wins
+            scale = np.array([atol + (a if a >= b or a != a else b) * rtol
+                              for a, b in zip(map(abs, y), map(abs, y_new))])
+            err5_norm_2 = _norm_2(K13T.dot(E5) / scale)
+            err3_norm_2 = _norm_2(K13T.dot(E3) / scale)
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
                 denom = err5_norm_2 + 0.01 * err3_norm_2
-                error_norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * n)
+                error_norm = abs(h) * err5_norm_2 / math.sqrt(denom * n)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -411,21 +434,19 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
             rejected = True
         if status == -1:
             break
-        t_old, y_old, t, y, fy = t, y, t_new, y_new, f_new
+        t_old, y_old, f_old, t, y, fy = t, y, fy, t_new, y_new, f_new
         if t >= tf:
             status = 0
 
         # the dense output of the step
         for s, Kt, a, c in extra:
-            K[s] = fun(t_old + c * h, y_old + np.dot(Kt, a) * h)
+            K[s] = fun(t_old + c * h, [v + d * h for v, d in zip(y_old, Kt.dot(a).tolist())])
         nfev += 3
         F = np.empty((7, n))
-        f_old = K[0]
-        delta_y = y - y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (fy + f_old)
-        F[3:] = h * np.dot(D, K)
+        delta_y = [v - w for v, w in zip(y, y_old)]
+        F[:3] = (delta_y, [h * f - d for f, d in zip(f_old, delta_y)],
+                 [2 * d - h * (f + fo) for d, f, fo in zip(delta_y, fy, f_old)])
+        F[3:] = h * D.dot(K)
         sol = DenseOutput(t_old, t, y_old, F)
         interpolants.append(sol)
 

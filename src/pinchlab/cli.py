@@ -5,9 +5,10 @@ klingenberg.  Results go to --out (or stdout), diagnostics to stderr.
 Exit codes: 0 all checks pass, 1 a verification reported violations,
 2 invalid input or construction failure.
 
-Output is deterministic: JSON is emitted with sorted keys and floats at
-17 significant digits, a non-finite float as null; every report embeds the
-defaults it ran with.
+Output is deterministic: JSON is emitted with sorted keys and each float as
+its shortest round-trip repr, a non-finite float as null; CSV floats are
+written at 17 significant digits.  Every report embeds the defaults it ran
+with.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ DEFAULTS = {
 def _fmt(v):
     if isinstance(v, (float, np.floating)):
         # strict JSON has no Infinity or NaN
-        return float(f"{float(v):.17g}") if math.isfinite(v) else None
+        return float(v) if math.isfinite(v) else None
     if isinstance(v, (np.integer,)):
         return int(v)
     if isinstance(v, (np.bool_,)):

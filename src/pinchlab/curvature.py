@@ -140,10 +140,10 @@ def sectional_fn(m):
     without its 17 array columns.  No domain check: the caller guarantees
     0 <= r <= r_max.
     """
-    phi, dphi, ddphi = (m.phi.scalar_fn(order) for order in (0, 1, 2))
+    phi = m.phi.scalar_fn((0, 1, 2))
 
     def sec(r):
-        sec_rad, sec_tan, _ = _sectional(m, r, phi(r), dphi(r), ddphi(r), _pick)
+        sec_rad, sec_tan, _ = _sectional(m, r, *phi(r), _pick)
         return sec_rad, sec_tan
 
     return sec

@@ -197,7 +197,6 @@ def shoot(m, r0, alpha, T, theta0=0.0):
     ts = np.linspace(0.0, T, SHOOT_SAMPLES)
     R = m.r_max
     phi_s = m.phi.scalar_fn(0)
-    dphi_s = m.phi.scalar_fn(1)
     # sampled radii may stray past [0, R] by rounding; clip as eval does
     phi2 = lambda rr: phi_s(min(max(float(rr), 0.0), R)) ** 2
 
@@ -214,11 +213,12 @@ def shoot(m, r0, alpha, T, theta0=0.0):
     c = phi0 * sa
     y0 = [r0, ca, theta0, sa / phi0]
 
+    phi_dphi = m.phi.scalar_fn((0, 1))
+
     def rhs(t, y):
-        # Python floats: cheaper arithmetic than numpy scalars, same bits
-        r, rd, th, td = y.tolist()
-        p = phi_s(r)
-        dp = dphi_s(r)
+        # y is a list of floats (an array under scipy, with the same bits)
+        r, rd, th, td = y
+        p, dp = phi_dphi(r)
         return [rd, p * dp * td * td, td, -2.0 * dp / p * rd * td]
 
     def leave(t, y):
@@ -367,23 +367,54 @@ class _Geometry:
 
     def arcs(self, c, radii):
         """{r: (dtheta, dt)} from the turning radius r_-(c) up to each radius
-        of ``radii`` in [0, mid]; zero where r_-(c) >= r.  The pieces below
-        a radius are integrated once for all of ``radii``."""
+        of ``radii`` in [0, mid]; zero where r_-(c) >= r.
+
+        The pieces below a radius are integrated once for all of ``radii``:
+        each radius takes its own piece up to it, and the pieces between
+        radii are whole.  An array c evaluates one piece at a time.  One
+        float c evaluates every cubic piece it needs in one ``_cubic_arc``
+        pass, a row per (piece, top), and the rest in float arithmetic; the
+        sums run in the same order either way, so each c has the bits the
+        array gives it.
+        """
         rm = self.turn_lo(c)
-        xp = np if isinstance(c, np.ndarray) else _FloatMath
-        out, todo = {}, sorted(radii)
-        th = t = 0.0           # the integrals up to the current piece's start
+        # (piece, top, r): the integral over piece up to top, which ends at
+        # radius r, or is a whole piece below the next radius when r is None
+        steps, todo = [], sorted(radii)
         for piece in self._pieces:
             # the last piece ends within 1e-12 of mid; it takes what is left
             while todo and (todo[0] <= piece[2] or piece is self._pieces[-1]):
                 r = todo.pop(0)
-                dth, dt = self._piece_arc(piece, r, c, rm, xp)
-                out[r] = th + dth, t + dt
+                steps.append((piece, r, r))
             if not todo:
-                return out
-            dth, dt = self._piece_arc(piece, piece[2], c, rm, xp)
-            th, t = th + dth, t + dt
+                break
+            steps.append((piece, piece[2], None))
+        if isinstance(c, np.ndarray):
+            vals = [self._piece_arc(piece, top, c, rm, np) for piece, top, _ in steps]
+        else:
+            vals = self._float_arcs(steps, c, rm)
+        out = {}
+        th = t = 0.0           # the integrals up to the current piece's start
+        for (_, _, r), (dth, dt) in zip(steps, vals):
+            if r is None:
+                th, t = th + dth, t + dt
+            else:
+                out[r] = th + dth, t + dt
         return out
+
+    def _float_arcs(self, steps, c, rm):
+        """[(dtheta, dt)] of each (piece, top, _) of ``steps`` at one float c,
+        the cubic pieces as the rows of one ``_cubic_arc`` pass."""
+        cubic = [(piece, top) for piece, top, _ in steps if piece[0] == PL2_BAND]
+        if cubic:
+            k = np.array([piece[3] for piece, _ in cubic]).T
+            a, top = np.array([(piece[1], top) for piece, top in cubic]).T
+            n = len(cubic)
+            th, tt = self._cubic_arc(k, a, top, np.full(n, c), np.full(n, rm))
+            rows = zip(th.tolist(), tt.tolist())
+        return [next(rows) if piece[0] == PL2_BAND
+                else self._piece_arc(piece, top, c, rm, _FloatMath)
+                for piece, top, _ in steps]
 
     def _piece_arc(self, piece, top, c, rm, xp):
         """(dtheta, dt) over [max(lo, rm), top] of one flank piece, lo <= top;
@@ -395,10 +426,7 @@ class _Geometry:
             dr = xp.maximum(top - xp.maximum(a, rm), 0.0)
             return c * dr / (k * w), k * dr / w
         if kind == PL2_BAND:
-            if xp is np:
-                return self._cubic_arc(k, a, top, c, rm)
-            th, t = self._cubic_arc(k, a, top, np.array([c]), np.array([rm]))
-            return float(th[0]), float(t[0])
+            return self._cubic_arc(k, a, top, c, rm)
 
         def prim(r):
             # both integrals from the segment's own turning radius up to r
@@ -415,7 +443,9 @@ class _Geometry:
 
     def _cubic_arc(self, k, a, top, c, rm):
         """(dtheta, dt) arrays over [max(a, rm), top] of the cubic with value
-        and derivatives ``k`` at ``a``, for arrays c and rm.
+        and derivatives ``k`` at ``a``, for arrays c and rm.  ``k``, ``a``
+        and ``top`` are floats shared by every row, or arrays of one entry
+        per row.
 
         Each row substitutes r = r_b + s^2.  Where the piece holds the turning
         radius, r_b is the cubic's root, found again by Newton in offsets from
@@ -446,10 +476,11 @@ class _Geometry:
                 continue
             u, w = _panels(levels)
             lo, sp = s_lo[rows, None], span[rows, None]
+            k3r = k3[rows, None] if isinstance(k3, np.ndarray) else k3
             s = lo + sp * u
             x = sp * u * (s + lo)                       # r - (a + t), cancellation-free
             dphi = e[rows, None] + x * (j1[rows, None]
-                                        + x * (0.5 * j2[rows, None] + x * k3 / 6.0))
+                                        + x * (0.5 * j2[rows, None] + x * k3r / 6.0))
             cc = c[rows, None]
             phi = cc + dphi
             # 2 s dr/ds over sqrt(phi^2 - c^2), with dphi / s^2 finite at s = 0
@@ -538,8 +569,9 @@ def distance(m, p, q, return_paths=True):
         cgrid = cmax_pair * np.sin(alphas)
         # extra nodes approaching the grazing limit c -> cmax geometrically
         near = cmax_pair * (1.0 - np.power(10.0, -np.arange(2.0, 13.0)))
-        cgrid = np.unique(np.concatenate([[cmax_pair * 1e-8], cgrid,
-                                          near[near > cgrid[-1]]]))
+        # np.unique without its numpy.ma import: sort, then drop repeats
+        cgrid = np.sort(np.concatenate([[cmax_pair * 1e-8], cgrid, near[near > cgrid[-1]]]))
+        cgrid = cgrid[np.concatenate(([True], cgrid[1:] != cgrid[:-1]))]
         # scan tables prepended with the exact meridian limits at c = 0
         cgrid0 = np.concatenate([[0.0], cgrid])
         limits = {"direct": (0.0, abs(r2 - r1)), "turn_lo": (math.pi, r1 + r2),

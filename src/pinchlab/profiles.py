@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -88,15 +89,15 @@ class SegmentSpec:
         takes an array of radii, with ``xp=math`` one float, and both give the
         same bits.  A constant comes back as a scalar that broadcasts.
 
-        With ``xp=np``, ``order`` may also be a tuple of orders: the callable
-        then returns a tuple, one entry per order, with the bits each order
-        gives alone, and the orders share their work -- sin r on a SINE
-        segment; the piece index, the offset into the piece and the
-        coefficient gather on a PL2_BAND.
+        ``order`` may also be a tuple of orders: the callable then returns a
+        tuple, one entry per order, with the bits each order gives alone, and
+        the orders share their work -- sin r on a SINE segment; the piece
+        search and the offset into the piece on a PL2_BAND.  On one float it
+        takes all three orders in one pass and picks those asked for.
         """
         kind, p, lo = self.kind, self.params, self.lo
         if isinstance(order, tuple):
-            return self._joint_form(order)
+            return self._joint_form(order, xp)
         if kind == SINE:
             return (xp.sin, xp.cos, lambda r: -xp.sin(r))[order]
         if kind == LINEAR:
@@ -111,7 +112,7 @@ class SegmentSpec:
                     lambda r: 2.0 * c2)[order]
         # PL2_BAND: exact integrals of the piecewise-linear second derivative
         if xp is np:
-            joint = self._joint_form((order,))
+            joint = self._joint_form((order,), np)
             return lambda r: joint(r)[0]
         offs, rows = self._band_table[math]
         # the piece holding s is the number of interior nodes <= s
@@ -125,9 +126,34 @@ class SegmentSpec:
 
         return band
 
-    def _joint_form(self, orders):
-        """:meth:`closed_form` for a tuple of orders, on arrays."""
+    def _joint_form(self, orders, xp):
+        """:meth:`closed_form` for a tuple of orders."""
         kind, lo = self.kind, self.lo
+        if xp is math:
+            # one float: the three orders in one pass, then the ones asked for
+            if kind == SINE:
+                def triple(r):
+                    s = math.sin(r)
+                    return s, math.cos(r), -s
+            elif kind == PL2_BAND:
+                offs, rows = self._band_table[math]
+                inner = offs[1:-1]
+                f0, f1, f2 = _BAND_FORMS
+
+                def triple(r):
+                    s = r - lo
+                    i = bisect.bisect_right(inner, s)
+                    c, ds = rows[i], s - offs[i]
+                    return f0(c, ds), f1(c, ds), f2(c, ds)
+            else:
+                f0, f1, f2 = (self.closed_form(o, math) for o in (0, 1, 2))
+
+                def triple(r):
+                    return f0(r), f1(r), f2(r)
+            if orders == (0, 1, 2):
+                return triple
+            pick = _picker(orders)
+            return lambda r: pick(triple(r))
         if kind == SINE:
             def sine(r):
                 # phi'' = -phi, and negation is exact: sin r is taken once
@@ -180,6 +206,14 @@ _BAND_FORMS = (
     lambda c, ds: c[1] + c[2] * ds + 0.5 * c[3] * (ds * ds),
     lambda c, ds: c[2] + c[3] * ds,
 )
+
+
+def _picker(orders):
+    """Callable taking a (value, slope, second derivative) tuple to the tuple
+    of ``orders``."""
+    if len(orders) > 1:
+        return operator.itemgetter(*orders)
+    return lambda v: tuple(v[o] for o in orders)
 
 
 @dataclass(frozen=True)
@@ -345,14 +379,29 @@ class RadialProfile:
         """Closure evaluating one scalar radius fast (no array round-trips).
 
         Built for ODE right-hand sides, where the array machinery of
-        :meth:`eval` dominates the step cost.  Raises DomainError on an order
-        other than 0, 1 or 2; no domain checks: the caller guarantees
-        0 <= r <= r_max.
+        :meth:`eval` dominates the step cost.  ``order`` may be a tuple of
+        orders, such as ``(0, 1)``; the closure then returns a tuple with
+        the bits each order gives alone, from one reflection and one segment
+        search.  Raises DomainError on an order other than 0, 1 or 2; no
+        domain checks: the caller guarantees 0 <= r <= r_max.
         """
         _check_order(order)
         edges = [s.lo for s in self.segments[1:]]
-        evals = [seg.closed_form(order, math) for seg in self.segments]
         L = self.reflect_at
+        if isinstance(order, tuple):
+            pick = _picker(order)
+            triples = [seg.closed_form((0, 1, 2), math) for seg in self.segments]
+
+            def joint(r, edges=edges, triples=triples, bl=bisect.bisect_right):
+                if L is not None and r > L:
+                    # beyond L the slope flips sign
+                    r = L - (r - L)
+                    v0, v1, v2 = triples[bl(edges, r)](r)
+                    return pick((v0, -v1, v2))
+                return pick(triples[bl(edges, r)](r))
+
+            return joint
+        evals = [seg.closed_form(order, math) for seg in self.segments]
         odd = order % 2 == 1
 
         def fn(r, edges=edges, evals=evals, bl=bisect.bisect_right):

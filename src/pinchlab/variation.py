@@ -274,7 +274,7 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
         if not math.isfinite(k):
             # a NaN step size never ends solve_ivp's step-rejection loop
             raise IntegrationError(f"curvature {k} at t = {t}", reached=float(t))
-        return [float(y[1]), -k * float(y[0])]
+        return [y[1], -k * y[0]]
 
     cuts = sorted({0.0, float(length), *(b for b in breakpoints if 0.0 < b < length)})
     pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo >= 1e-15] \
@@ -290,8 +290,10 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
         interpolants.extend(sol.sol.interpolants)
         y0 = sol.y[:, -1]
     state = type(sol.sol)(np.concatenate(times), interpolants)
-    ts = np.unique(np.concatenate([np.linspace(0.0, length, JACOBI_GRID + 1),
-                                   np.asarray(list(breakpoints), dtype=float)]))
+    # np.unique without its numpy.ma import: sort, then drop repeats
+    ts = np.sort(np.concatenate([np.linspace(0.0, length, JACOBI_GRID + 1),
+                                 np.asarray(list(breakpoints), dtype=float)]))
+    ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
     vals = state(ts)[0]
     zeros = []
     for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:

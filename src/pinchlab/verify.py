@@ -51,7 +51,9 @@ def _pinch_grid(m, grid_size):
     for lo, hi in bands:
         k = max(8, int(math.ceil((hi - lo) / step * 8)))
         rs.append(np.linspace(lo, hi, k + 1))
-    return np.unique(np.concatenate(rs))
+    # np.unique without its numpy.ma import: sort, then drop repeats
+    rs = np.sort(np.concatenate(rs))
+    return rs[np.concatenate(([True], rs[1:] != rs[:-1]))]
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ def verify_pinch(m, mode=RICCI_MODE, eps=None, upper=None, grid_size=DEFAULT_GRI
     index = np.concatenate(hits)
     rank = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
     value = np.concatenate([v[h] for v, h in zip(values, hits)])
-    # rs is strictly increasing (np.unique), so grid-index order is r order
+    # rs is strictly increasing (_pinch_grid), so grid-index order is r order
     order = np.lexsort((rank, index))
     rank = rank[order]
     # object arrays hand every hit the same str and float objects

@@ -265,23 +265,26 @@ m = build_model("family", 10, 0.8, 0.02)
 _, paths = distance(m, (1.0, 0.0), (2.5, 2.0))
 index = geodesic_index(m, shoot(m, 1.0, 0.7, 3.0)).index
 print(json.dumps([codes, len(paths), index,
-                  sorted(k for k in sys.modules if k.startswith("scipy"))]))
+                  sorted(k for k in sys.modules if k.startswith("scipy")),
+                  sorted(k for k in sys.modules if k == "numpy.ma" or k.startswith("numpy.ma."))]))
 """
 
 
 def test_no_command_imports_scipy(tmp_path):
     # the ODE solver and the root finder are pinchlab's own: the nine README
     # commands, then distance, shoot and geodesic_index called from the
-    # library, all in one fresh interpreter, load no scipy module
+    # library, all in one fresh interpreter, load no scipy module, and no
+    # numpy.ma either (np.unique imports it)
     argvs = [[a.format(d=tmp_path) for a in args] for _, args, _ in README_COMMANDS]
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
                           capture_output=True, text=True, env=_child_env(),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    codes, n_paths, index, loaded = json.loads(proc.stdout.splitlines()[-1])
+    codes, n_paths, index, loaded, masked = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [code for _, _, code in README_COMMANDS]
     assert n_paths >= 1 and index >= 0
     assert loaded == []
+    assert masked == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -422,26 +422,42 @@ def test_arc_primitives_match_their_closed_forms(sphere3, gaussian3, family10):
             assert got[b][j] - got[a][j] == pytest.approx(want[j], rel=1e-13, abs=1e-13)
 
 
-def test_arcs_array_equals_float_bits_across_the_band():
-    # on the fold pair's model, over a grid of c like the search's scan, the
-    # array evaluation gives every entry the bits of the float one, for arcs
-    # that end inside the band, on the cylinder, at L and past it
+def test_arcs_array_equals_float_bits_across_the_band(sphere3, gaussian3):
+    # over a grid of c like the search's scan, the array evaluation gives
+    # every entry the bits of the float one, whose cubic pieces all go
+    # through one batched pass: on the fold pair's model for arcs that end
+    # inside the band, on the cylinder, at L and past it, and on 20 seeded
+    # families, the sphere and the Gaussian at every flank kink, between
+    # kinks and at mid
     m, p, q = FOLD
     geom = _Geometry(m)
-    cs = _c_range(geom)
     band = [r for r in geom._flank_r if r > 1.5][:3]
-    radii = [*band, 0.5 * (band[0] + band[1]), 1.6, geom.mid]
-    vec = geom.arcs(cs, radii)
-    for i, c in enumerate(cs.tolist()):
-        one = geom.arcs(c, radii)
-        for r in radii:
-            assert [float(v[i]) for v in vec[r]] == list(one[r]), (c, r)
-    for r1, r2 in ((p[0], q[0]), (q[0], 2.0 * m.L - 0.3)):
-        vec = geom.classes(cs, r1, r2)
+    cases = [(m, [*band, 0.5 * (band[0] + band[1]), 1.6, geom.mid],
+              ((p[0], q[0]), (q[0], 2.0 * m.L - 0.3)))]
+    draw = np.random.default_rng(44)
+    fams = [build_model("family", int(draw.integers(3, 11)), float(draw.uniform(0.55, 0.9)),
+                        float(draw.uniform(0.005, 0.08))) for _ in range(20)]
+    for m in (sphere3, gaussian3, *fams):
+        flank = _Geometry(m)._flank_r
+        radii = [*flank[1:], *(0.5 * (a + b) for a, b in zip(flank, flank[1:]))]
+        hi = min(m.r_max, 10.0)
+        pairs = [tuple(draw.uniform(0.05 * hi, 0.95 * hi, 2).tolist()) for _ in range(2)]
+        cases.append((m, radii, pairs))
+    for m, radii, pairs in cases:
+        geom = _Geometry(m)
+        cs = _c_range(geom)
+        vec = geom.arcs(cs, radii)
         for i, c in enumerate(cs.tolist()):
-            one = geom.classes(c, r1, r2)
-            assert {k: [float(x[i]) for x in v] for k, v in vec.items()} == \
-                {k: list(v) for k, v in one.items()}
+            one = geom.arcs(c, radii)
+            for r in radii:
+                assert [float(v[i]).hex() for v in vec[r]] == [v.hex() for v in one[r]], \
+                    (m.meta, c, r)
+        for r1, r2 in pairs:
+            vec = geom.classes(cs, r1, r2)
+            for i, c in enumerate(cs.tolist()):
+                one = geom.classes(c, r1, r2)
+                assert {k: [float(x[i]).hex() for x in v] for k, v in vec.items()} == \
+                    {k: [x.hex() for x in v] for k, v in one.items()}, (m.meta, c, r1, r2)
 
 
 def test_realizing_path_hits_target(sphere3):

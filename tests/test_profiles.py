@@ -8,8 +8,8 @@ from pinchlab import (ConstructionError, DomainError, RadialProfile,
                       SegmentSpec, build_model, check_c2, doubling_point,
                       eval_profile, manifold_from_dict, manifold_to_dict,
                       solve_smoothing_band)
-from pinchlab.profiles import (BAND_INTEGRAL_TOL, PL2_BAND, SINE, CONSTANT, c2_ok,
-                               _pl_integral)
+from pinchlab.profiles import (BAND_INTEGRAL_TOL, CONSTANT, LINEAR, PARABOLA, PL2_BAND,
+                               SINE, c2_ok, _pl_integral)
 
 
 def test_eval_sine_segment():
@@ -337,3 +337,54 @@ def test_unchecked_eval_equals_eval(kind):
             for order in (0, 1, (0, 1, 2)):
                 with pytest.raises(DomainError):
                     prof.eval(bad, order)
+
+
+def _json_cap():
+    # a cap whose phi is LINEAR then PARABOLA and whose f is PARABOLA then
+    # LINEAR, as a profile JSON file can give it
+    return manifold_from_dict({"n": 3, "topology": "CAP", "phi": {"segments": [
+        {"kind": "LINEAR", "domain": [0.0, 1.0]},
+        {"kind": "PARABOLA", "domain": [1.0, 6.0], "c0": 1.0, "c1": 1.0, "c2": -0.05}]},
+        "f": {"segments": [
+            {"kind": "PARABOLA", "domain": [0.0, 2.5], "c0": 0.0, "c1": 0.0, "c2": 0.5},
+            {"kind": "LINEAR", "domain": [2.5, 6.0]}]}})
+
+
+def test_joint_scalar_fn_equals_one_order_at_a_time():
+    # a tuple of orders gives each order's bits from one reflection and one
+    # segment search: on SINE, LINEAR, CONSTANT, PARABOLA and PL2_BAND
+    # segments, at every junction and band node, at L and on both sides of
+    # it, and one ulp to either side of each of these radii
+    draw = np.random.default_rng(41)
+    fams = [build_model("family", int(draw.integers(3, 11)), float(draw.uniform(0.55, 0.9)),
+                        float(draw.uniform(0.005, 0.08))) for _ in range(20)]
+    models = [build_model("round_sphere", 3), build_model("gaussian", 3), *fams, _json_cap()]
+    kinds = set()
+    for m in models:
+        for prof in (m.phi, m.f):
+            R, L = prof.r_max, prof.reflect_at
+            marks = [0.0, R, *prof.junctions()]
+            for seg in prof.segments:
+                kinds.add(seg.kind)
+                if seg.kind == PL2_BAND:
+                    marks += [seg.lo + o for o, _ in seg.params["nodes"]]
+            if L is not None:
+                marks += [L + (L - x) for x in marks]
+            marks = np.array(marks)
+            rs = np.concatenate([np.linspace(0.0, R, 301), marks,
+                                 np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)])
+            rs = np.clip(rs, 0.0, R).tolist()
+            if L is not None:
+                assert min(rs) < L < max(rs)
+            one = [prof.scalar_fn(o) for o in (0, 1, 2)]
+            for orders in ((0, 1), (0, 1, 2), (2, 0), (1,)):
+                joint = prof.scalar_fn(orders)
+                for r in rs:
+                    got = joint(r)
+                    assert isinstance(got, tuple)
+                    assert [v.hex() for v in got] == [one[o](r).hex() for o in orders], \
+                        (m.meta, orders, r)
+    assert kinds == {SINE, LINEAR, CONSTANT, PARABOLA, PL2_BAND}
+    for bad in ((0, 3), (-1, 1), (1, 2.5)):
+        with pytest.raises(DomainError, match="order"):
+            models[0].phi.scalar_fn(bad)
