@@ -5,7 +5,9 @@ Rotational symmetry confines every geodesic to a totally geodesic
 the conserved Clairaut constant c = phi^2 theta_dot.  Shooting integrates the
 full second-order system (without using the conservation laws), so the
 Clairaut and unit-speed residuals are genuine diagnostics of integration
-quality.
+quality.  The integration restarts wherever r crosses a kink of phi, at the
+arclengths the Clairaut primitive below gives, so no step straddles a jump
+in phi's third derivative.
 
 The distance search needs a warping profile that rises from the pole to its
 peak (L on a doubled model, r_max on a cap).  Unimodality is checked exactly
@@ -224,8 +226,10 @@ def shoot(m, r0, alpha, T, theta0=0.0):
     def leave(t, y):
         return m.r_max - y[0]
 
-    sol = solve_ivp(rhs, (0.0, T), y0, rtol=DEFAULT_SHOOT_TOL, atol=DEFAULT_SHOOT_TOL * 1e-2,
-                    event=leave if m.topology == CAP else None)
+    cuts = [0.0, *kink_crossings(m, r0, ca, c, T), T]
+    state, sol = solve_pieces(solve_ivp, rhs, cuts, y0, rtol=DEFAULT_SHOOT_TOL,
+                              atol=DEFAULT_SHOOT_TOL * 1e-2,
+                              event=leave if m.topology == CAP else None)
     if not sol.success:
         raise IntegrationError(f"geodesic integration failed: {sol.message}",
                                reached=float(sol.t[-1]))
@@ -233,14 +237,89 @@ def shoot(m, r0, alpha, T, theta0=0.0):
         raise IntegrationError("geodesic left the configured cap domain",
                                reached=float(sol.t_events[0][0]))
 
-    r, rd, th, td = sol.sol(ts)
+    r, rd, th, td = state(ts)
     phi = m.phi._eval(np.clip(r, 0.0, R), 0)
     clair = float(np.max(np.abs(phi**2 * td - c)))
     speed = float(np.max(np.abs(rd**2 + phi**2 * td**2 - 1.0)))
     samples = np.column_stack([ts, r, th, rd])
 
     return GeodesicPath(c, samples, T, clair, speed, False, thetadot=td,
-                        _state_fn=sol.sol, _phi2=phi2)
+                        _state_fn=state, _phi2=phi2)
+
+
+def solve_pieces(solve, fun, cuts, y0, **settings):
+    """DOP853 over [cuts[0], cuts[-1]], restarted at every interior cut.
+
+    ``solve`` is the caller's ``solve_ivp`` and ``settings`` its keyword
+    arguments, the same for every piece.  Pieces shorter than 1e-15 are
+    skipped, and each other piece gets its own run from the previous piece's
+    final state (Hairer, Norsett and Wanner, *Solving ODEs I*, II.6), so no
+    step straddles a cut.  Returns the pieces' dense outputs joined into one
+    reader, and the last run.  A run that fails or stops at its event ends
+    the loop; the reader is then None.  With one piece the reader is that
+    run's own.
+    """
+    pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo >= 1e-15] \
+        or [(cuts[0], cuts[-1])]
+    times, interpolants = [[float(pieces[0][0])]], []
+    for lo, hi in pieces:
+        sol = solve(fun, (lo, hi), y0, **settings)
+        if not sol.success or sol.status == 1:
+            return None, sol
+        times.append(sol.sol.ts[1:])
+        interpolants.extend(sol.sol.interpolants)
+        y0 = sol.y[:, -1]
+    if len(pieces) == 1:
+        return sol.sol, sol
+    return type(sol.sol)(np.concatenate(times), interpolants), sol
+
+
+def kink_crossings(m, r0, ca, c, T):
+    """Sorted arclengths in (0, T) where the geodesic launched from radius
+    ``r0`` with radial velocity ``ca`` and Clairaut constant ``c`` crosses a
+    kink of phi, read from the Clairaut primitive before any integration.
+
+    With U(r) the arclength from the lower turning radius r_-(c) up to r
+    (H - U(2L - r) past L on a doubled model, where H is the full swing and
+    P = 2H the period), a kink k between the turning radii is met at
+    U(k) rising and P - U(k) falling.  The launch sits at U(r0) rising or
+    P - U(r0) falling, so the crossings are those less the launch's, plus
+    multiples of P.  A cap has no period: one fall, then one rise (P = 0).
+    A launch with c = phi(r0) (alpha = pi/2) starts at a turning radius: it
+    rises where phi'(r0) > 0 and falls where phi'(r0) < 0, and where
+    phi'(r0) = 0 it runs along a parallel and crosses nothing.  Crossings
+    within 1e-15 of 0 or T are dropped.  A profile without kinks, or one
+    that :class:`_Geometry` rejects, gives none.
+    """
+    kinks = m.phi.kinks()
+    if not kinks:
+        return []
+    try:
+        geom = _Geometry(m)
+    except SearchError:
+        return []
+    c = abs(c)
+    r0 = min(max(float(r0), 0.0), m.r_max)
+    if c < geom.phi_s(r0):
+        rising = ca > 0.0
+    else:
+        slope = geom.dphi_s(r0)
+        if slope == 0.0:
+            return []
+        rising = slope > 0.0
+    lo = geom.turn_lo(c)
+    inside = [k for k in kinks if lo < k < (2.0 * geom.mid - lo if geom.doubled else math.inf)]
+    if not inside:
+        return []
+    u, H = geom.up_to(c, [r0, *inside])
+    P = 2.0 * H[1] if geom.doubled else 0.0
+    if geom.doubled and not 0.0 < P < math.inf:
+        return []
+    t0 = u[r0][1] if rising else P - u[r0][1]
+    laps = int(T / P) + 2 if geom.doubled else 1
+    hints = [tau - t0 + j * P for k in inside for tau in (u[k][1], P - u[k][1])
+             for j in range(laps)]
+    return sorted(t for t in hints if 1e-15 < t < T - 1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +381,7 @@ class _Geometry:
         self.doubled = m.topology == DOUBLED_SPHERE
         self.mid = m.L if self.doubled else m.r_max
         # float closures for one-radius work; callers keep r in [0, r_max]
+        self._phi = m.phi
         self.phi_s = m.phi.scalar_fn(0)
         self.dphi_s = m.phi.scalar_fn(1)
         self._flank_r = m.phi.slope_extreme_radii(self.mid)
@@ -327,26 +407,18 @@ class _Geometry:
             else:
                 self._pieces.append((seg.kind, seg.lo, seg.hi, seg.params.get("value")))
         self._starts = [p[1] for p in self._pieces]
+        # the piece holding each interval between successive flank radii
+        self._flank_pieces = [
+            self._pieces[bisect.bisect_right(self._starts, 0.5 * (lo + hi)) - 1]
+            for lo, hi in zip(self._flank_r, self._flank_r[1:])]
 
     def turn_lo(self, c):
         """Radius on the increasing flank where phi = c."""
         if isinstance(c, np.ndarray):
-            return np.array([self.turn_lo(x) for x in c.tolist()])
+            return self._turn_lo_array(c)
         i = min(max(bisect.bisect_left(self._flank_phi, c), 1), len(self._flank_r) - 1)
         lo, hi = self._flank_r[i - 1], self._flank_r[i]
-        kind, a, _, k = self._pieces[bisect.bisect_right(self._starts, 0.5 * (lo + hi)) - 1]
-        if kind == SINE:
-            rm = math.asin(c)
-        elif kind == LINEAR:
-            rm = c
-        elif kind == PL2_BAND and k[3] == 0.0:
-            # the root of k0 + k1 y + k2 y^2 / 2 = c, in cancellation-free form
-            d = c - k[0]
-            rm = a + 2.0 * d / (k[1] + math.sqrt(max(k[1] * k[1] + 2.0 * k[2] * d, 0.0)))
-        else:
-            rm = float(brentq(lambda r: self.phi_s(r) - c, lo, hi,
-                              xtol=1e-15, rtol=8.9e-16))
-        rm = min(max(rm, lo), hi)
+        rm = min(max(self._root(i, c), lo), hi)
         # Newton polish: the closed forms and brentq's absolute xtol leave up
         # to a few ulp of phi.  A step is kept only when it brings phi closer
         # to c: where the flank is nearly flat, the rounding of phi made
@@ -364,6 +436,56 @@ class _Geometry:
                 break
             rm, err = r_new, e_new
         return rm
+
+    def _turn_lo_array(self, c):
+        """:meth:`turn_lo` of each entry of the array c, with its bits: the
+        roots of each flank interval in one pass, then the float path's
+        Newton polish as masked array steps, every entry keeping or stopping
+        as the float path would."""
+        i = np.clip(np.searchsorted(self._flank_phi, c), 1, len(self._flank_r) - 1)
+        flank = np.array(self._flank_r)
+        rm = np.empty_like(c)
+        for j in set(i.tolist()):
+            rows = i == j
+            rm[rows] = self._root(j, c[rows])
+        rm = np.minimum(np.maximum(rm, flank[i - 1]), flank[i])
+        err = self._phi._eval(rm, 0) - c
+        live = np.arange(c.size)
+        for _ in range(3):
+            dp = self._phi._eval(rm[live], 1)
+            keep = ~((dp <= 0.0) | (err[live] == 0.0))
+            live, dp = live[keep], dp[keep]
+            r_new = rm[live] - err[live] / dp
+            keep = ~(r_new < 0.0)
+            live, r_new = live[keep], r_new[keep]
+            e_new = self._phi._eval(r_new, 0) - c[live]
+            keep = ~(np.abs(e_new) >= np.abs(err[live]))
+            live = live[keep]
+            rm[live], err[live] = r_new[keep], e_new[keep]
+            if not live.size:
+                break
+        return rm
+
+    def _root(self, i, c):
+        """The root of phi = c on the flank's interval i, for one float c or
+        an array of them: in closed form where the piece has one (math.asin
+        entry by entry, because numpy's arcsin may differ in the last bit),
+        else by brentq, entry by entry."""
+        kind, a, _, k = self._flank_pieces[i - 1]
+        many = isinstance(c, np.ndarray)
+        each = (lambda f: np.array(list(map(f, c.tolist())))) if many else (lambda f: f(c))
+        if kind == SINE:
+            return each(math.asin)
+        if kind == LINEAR:
+            return c
+        if kind == PL2_BAND and k[3] == 0.0:
+            # the root of k0 + k1 y + k2 y^2 / 2 = c, in cancellation-free form
+            xp = np if many else _FloatMath
+            d = c - k[0]
+            return a + 2.0 * d / (k[1] + xp.sqrt(xp.maximum(k[1] * k[1] + 2.0 * k[2] * d, 0.0)))
+        lo, hi = self._flank_r[i - 1], self._flank_r[i]
+        return each(lambda x: float(brentq(lambda r: self.phi_s(r) - x, lo, hi,
+                                           xtol=1e-15, rtol=8.9e-16)))
 
     def arcs(self, c, radii):
         """{r: (dtheta, dt)} from the turning radius r_-(c) up to each radius
@@ -489,15 +611,23 @@ class _Geometry:
             tt[rows] = (g * phi).sum(axis=-1) * sp[:, 0]
         return th, tt
 
+    def up_to(self, c, radii):
+        """({r: (dtheta, dt)}, H): both integrals from the turning radius
+        r_-(c) up to each radius of ``radii`` in [0, r_max], and the full
+        swing H = 2 arcs(c, L) on a doubled model (None on a cap).  Past L
+        a doubled model is even about L: up_to(r) = H - arcs(c, 2L - r)."""
+        mid = self.mid
+        fold = lambda r: r if r <= mid else mid - (r - mid)     # 2L - r, exactly
+        got = self.arcs(c, {fold(r) for r in radii} | ({mid} if self.doubled else set()))
+        H = [2.0 * v for v in got[mid]] if self.doubled else None
+        return {r: got[r] if r <= mid else [h - v for h, v in zip(H, got[fold(r)])]
+                for r in radii}, H
+
     def classes(self, c, r1, r2):
         """{cls: (dtheta, dt)} of every geodesic class between radii r1 and r2
         in [0, r_max]: direct, turn_lo and, on a doubled model, turn_hi."""
-        mid = self.mid
-        fold = lambda r: r if r <= mid else mid - (r - mid)     # 2L - r, exactly
-        got = self.arcs(c, {fold(r1), fold(r2)} | ({mid} if self.doubled else set()))
-        H = self.doubled and [2.0 * v for v in got[mid]]
-        u1, u2 = (got[r] if r <= mid else [h - v for h, v in zip(H, got[fold(r)])]
-                  for r in (r1, r2))
+        u, H = self.up_to(c, (r1, r2))
+        u1, u2 = u[r1], u[r2]
         out = {"direct": (abs(u2[0] - u1[0]), abs(u2[1] - u1[1])),
                "turn_lo": (u1[0] + u2[0], u1[1] + u2[1])}
         if self.doubled:

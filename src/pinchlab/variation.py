@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .curvature import curvature_table, ricci_eigenvalues, sectional_fn, x_field_norm
-from .geodesics import solve_ivp
+from .geodesics import solve_ivp, solve_pieces
 
 QUAD_TOL = 1e-9
 QUAD_N0 = 16              # Simpson intervals of a first pass
@@ -256,15 +256,13 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
     """Interior zeros of psi'' + K psi = 0, psi(0) = 0, psi'(0) = 1.
 
     ``breakpoints`` are the arclengths where ``K`` is not smooth (for a
-    path's K, :func:`path_kinks`).  The solve restarts at each of them:
-    [0, length] is cut there, pieces shorter than 1e-15 are skipped, and
-    each piece gets its own DOP853 run from the previous piece's final state
-    (Hairer, Norsett and Wanner, *Solving ODEs I*, II.6), so no step
-    straddles a kink.  Every piece keeps ``max_step = length / 16`` of the
-    whole length; with no breakpoints there is one piece.  Zeros are
-    bracketed on a sample grid and refined by bisection of the pieces' dense
-    outputs, joined into one; a zero within ``tol`` of the endpoint is
-    excluded (Morse convention counts only interior conjugate points).
+    path's K, :func:`path_kinks`).  The solve restarts at each of them
+    (:func:`geodesics.solve_pieces`), so no step straddles a kink.  Every
+    piece keeps ``max_step = length / 16`` of the whole length; with no
+    breakpoints there is one piece.  Zeros are bracketed on a sample grid
+    and refined by bisection of the pieces' dense outputs, joined into one;
+    a zero within ``tol`` of the endpoint is excluded (Morse convention
+    counts only interior conjugate points).
     """
     if not (math.isfinite(length) and length > 0):
         raise DomainError("Jacobi length must be finite and positive")
@@ -277,19 +275,11 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
         return [y[1], -k * y[0]]
 
     cuts = sorted({0.0, float(length), *(b for b in breakpoints if 0.0 < b < length)})
-    pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo >= 1e-15] \
-        or [(0.0, length)]
-    times, interpolants, y0 = [[0.0]], [], [0.0, 1.0]
-    for lo, hi in pieces:
-        sol = solve_ivp(rhs, (lo, hi), y0, rtol=JACOBI_RTOL, atol=1e-13,
-                        max_step=length / 16.0)
-        if not sol.success:
-            raise IntegrationError(f"Jacobi integration failed: {sol.message}",
-                                   reached=float(sol.t[-1]))
-        times.append(sol.sol.ts[1:])
-        interpolants.extend(sol.sol.interpolants)
-        y0 = sol.y[:, -1]
-    state = type(sol.sol)(np.concatenate(times), interpolants)
+    state, sol = solve_pieces(solve_ivp, rhs, cuts, [0.0, 1.0], rtol=JACOBI_RTOL, atol=1e-13,
+                              max_step=length / 16.0)
+    if not sol.success:
+        raise IntegrationError(f"Jacobi integration failed: {sol.message}",
+                               reached=float(sol.t[-1]))
     # np.unique without its numpy.ma import: sort, then drop repeats
     ts = np.sort(np.concatenate([np.linspace(0.0, length, JACOBI_GRID + 1),
                                  np.asarray(list(breakpoints), dtype=float)]))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from pinchlab import (DomainError, SearchError, build_model,
                       criticality_certificate, distance, farthest_from_pole,
                       inj_at_pole, jacobi_conjugate_points, path_kinks, shoot)
-from pinchlab.geodesics import _Geometry
+from pinchlab.geodesics import _Geometry, kink_crossings
 from pinchlab.profiles import PL2_BAND, SegmentSpec, load_manifold
 from pinchlab.variation import JACOBI_ZERO_TOL, SEC_PERP, path_curvature
 
@@ -79,8 +80,11 @@ def test_shoot_rejects_bad_launch(sphere3):
 
 def test_float_state_equals_dense_output_bits(family10, monkeypatch):
     # a float t is answered in float arithmetic; it must give the bits of
-    # scipy's dense output at every t, step boundaries and both ends included
+    # scipy's dense output at every t, step boundaries and both ends included.
+    # A launch that crosses kinks is solved in pieces: the reference joins
+    # the dense outputs of all of them.
     import pinchlab.geodesics as geodesics
+    from pinchlab._solvers import OdeSolution
     solved = []
     inner = geodesics.solve_ivp
 
@@ -93,8 +97,11 @@ def test_float_state_equals_dense_output_bits(family10, monkeypatch):
     R = family10.r_max
     for r0, alpha, T in ((1.0, 0.7, 4.0), (R - 0.5, -2.5, 3.0),
                          (0.5941844090111834, 0.849237945176744, 6.0)):
+        start = len(solved)
         path = shoot(family10, r0, alpha, T)
-        sol = solved[-1].sol
+        pieces = [run.sol for run in solved[start:]]
+        sol = OdeSolution(np.concatenate([pieces[0].ts[:1], *(p.ts[1:] for p in pieces)]),
+                          [step for p in pieces for step in p.interpolants])
         ts = np.concatenate([rng.uniform(0.0, T, 1000), sol.ts, [0.0, T]])
         scalar = np.array([path.state(t) for t in ts.tolist()])
         assert all(type(v) is float for v in path.state(float(ts[0])))
@@ -112,6 +119,194 @@ def test_conservation_residuals_random_launches(sphere3, gaussian3, family10):
             path = shoot(m, r0, alpha, T)
             assert path.clairaut_residual <= 1e-8
             assert path.speed_residual <= 1e-8
+
+
+# family(8, ...) and a launch whose single DOP853 solve stepped over the
+# band's kinks and ended 1.12e-8 off in Clairaut
+BAND_LAUNCH = (build_model("family", 8, 0.7622146997936804, 0.026756901219269054),
+         0.5941844090111834, 0.849237945176744)
+
+
+def _counting_solves(monkeypatch):
+    """Patch ``geodesics.solve_ivp`` to record every run; returns the list."""
+    import pinchlab.geodesics as geodesics
+    runs = []
+    inner = geodesics.solve_ivp
+
+    def counting(*args, **kwargs):
+        runs.append(inner(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(geodesics, "solve_ivp", counting)
+    return runs
+
+
+def _seeded_family_launches(count, seed):
+    """``count`` seeded family launches (model, r0, alpha, T), with r0 drawn
+    between 0.3 and 0.3 below the far pole, so that most cross a kink."""
+    draw = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        m = build_model("family", int(draw.integers(3, 13)), float(draw.uniform(0.55, 0.9)),
+                        float(draw.uniform(0.005, 0.08)))
+        out += [(m, float(draw.uniform(0.3, 2.0 * m.L - 0.3)),
+                 float(draw.uniform(-math.pi, math.pi)), float(draw.uniform(0.5, 6.0)))
+                for _ in range(10)]
+    return out[:count]
+
+
+def _crosses_a_kink(m, path):
+    r = path.samples[:, 1]
+    return any(r.min() < k < r.max() for k in m.phi.kinks())
+
+
+def test_band_launch_holds_conservation_to_the_pinned_bound():
+    # a restart at each kink crossing keeps every step on one smooth piece
+    m, r0, alpha = BAND_LAUNCH
+    for T in (1.5, 3.0, 10.0):
+        path = shoot(m, r0, alpha, T)
+        assert path.clairaut_residual <= 1e-8, T
+        assert path.speed_residual <= 1e-8, T
+
+
+def test_seeded_band_crossing_launches_hold_conservation():
+    crossing = 0
+    for m, r0, alpha, T in _seeded_family_launches(260, 2024):
+        path = shoot(m, r0, alpha, T)
+        crossing += _crosses_a_kink(m, path)
+        assert path.clairaut_residual <= 1e-8, (m.meta, r0, alpha, T)
+        assert path.speed_residual <= 1e-8, (m.meta, r0, alpha, T)
+    assert crossing >= 200
+
+
+def test_kink_crossings_are_where_the_path_crosses_a_kink(family10):
+    # the Clairaut primitive's crossings against path_kinks' bisection of
+    # the integrated path, both ways, on seeded launches, the band launch
+    # and launches from the lower and the upper turning radius (alpha = pi/2)
+    R = family10.r_max
+    launches = [(family10, 1.0, 0.7, 2.0), (family10, R - 0.5, -2.5, 3.0),
+                (family10, 1.2, 1.0, 9.0), (family10, 1.0, math.pi / 2, 5.0),
+                (family10, R - 1.0, math.pi / 2, 5.0), (*BAND_LAUNCH, 10.0),
+                *_seeded_family_launches(16, 7)]
+    crossing = 0
+    for m, r0, alpha, T in launches:
+        path = shoot(m, r0, alpha, T)
+        hints = kink_crossings(m, r0, math.cos(alpha), path.clairaut_c, T)
+        kinks = np.array(m.phi.kinks())
+        crossing += _crosses_a_kink(m, path)
+        assert bool(hints) == _crosses_a_kink(m, path), (r0, alpha, T)
+        for t in hints:
+            assert np.min(np.abs(float(path.state(t)[0]) - kinks)) <= 1e-9, (r0, alpha, t)
+        for t in path_kinks(m, path):
+            if 0.0 < t < T:
+                assert min(abs(t - h) for h in hints) <= 1e-9, (r0, alpha, t)
+    assert crossing >= 18
+
+
+def test_kink_crossings_direction_at_a_turning_radius(family10):
+    # alpha = pi/2 launches from a turning radius: below L phi' > 0 and the
+    # path rises, above L phi' < 0 and it falls; on the cylinder phi' = 0
+    # and the launch is a parallel with no crossing
+    R = family10.r_max
+    for r0, sign in ((1.0, 1.0), (R - 1.0, -1.0)):
+        path = shoot(family10, r0, math.pi / 2, 3.0)
+        first = kink_crossings(family10, r0, math.cos(math.pi / 2), path.clairaut_c, 3.0)[0]
+        assert sign * (float(path.state(first)[0]) - r0) > 0.0
+    for r0 in (math.pi / 2, 2.0, family10.L):
+        assert kink_crossings(family10, r0, math.cos(math.pi / 2),
+                              float(family10.phi(r0)), 10.0) == []
+
+
+def test_kink_crossings_drop_the_ends(family10):
+    # a launch from a kink radius meets it at t = 0, and a length ending at a
+    # crossing meets it at T: neither is a cut
+    k = family10.phi.kinks()[0]
+    c = float(family10.phi(k)) * math.sin(0.8)
+    hints = kink_crossings(family10, k, math.cos(0.8), c, 6.0)
+    assert hints and hints[0] > 1e-15
+    T = hints[2]
+    assert kink_crossings(family10, k, math.cos(0.8), c, T) == hints[:2]
+    path = shoot(family10, k, 0.8, T)
+    assert path.clairaut_residual <= 1e-8
+
+
+def test_shoot_restarts_cut_the_right_hand_sides(family10, monkeypatch):
+    # family(10, 0.8, 0.02), r0 = 1, alpha = 0.7, T = 2: 1214 right-hand
+    # sides in one solve that steps over the kinks, a few hundred in pieces
+    runs = _counting_solves(monkeypatch)
+    path = shoot(family10, 1.0, 0.7, 2.0)
+    assert len(runs) > 1
+    assert sum(run.nfev for run in runs) <= 450
+    assert path.clairaut_residual <= 1e-8
+
+
+def test_launches_without_a_crossing_keep_their_single_solve_bits(sphere3, gaussian3,
+                                                                  monkeypatch):
+    # sha256 of ``samples`` of one solve over [0, T]: the sphere and the
+    # Gaussian have no kink, so their launches are still that one solve
+    runs = _counting_solves(monkeypatch)
+    for m, r0, alpha, T, digest in (
+            (sphere3, 1.0, 0.7, 3.0, "fb106acc7ec45c9fc8f85d72022b3493"),
+            (sphere3, 2.5, -2.0, 5.0, "631dd989ef4718cfef9a8ee14951d665"),
+            (gaussian3, 1.0, 1.2, 4.0, "f164e4e5f4b6955bc216796ee0bb4d25"),
+            (gaussian3, 3.0, 2.5, 6.0, "021ee80da7f4fe7d6a6d6f4a25b29554")):
+        path = shoot(m, r0, alpha, T)
+        assert hashlib.sha256(path.samples.tobytes()).hexdigest()[:32] == digest
+    assert len(runs) == 4
+
+
+def _kinked_cap():
+    """A cap whose phi is r up to 1, then a rising parabola: one kink, at 1."""
+    from pinchlab.profiles import CAP, LINEAR, PARABOLA, ManifoldWithDensity, RadialProfile
+    phi = RadialProfile((SegmentSpec(LINEAR, 0.0, 1.0),
+                         SegmentSpec(PARABOLA, 1.0, 50.0, {"c0": 1.0, "c1": 1.0, "c2": 0.05})))
+    f = RadialProfile((SegmentSpec(PARABOLA, 0.0, 50.0, {"c0": 0.0, "c1": 0.0, "c2": 0.5}),))
+    return ManifoldWithDensity(3, phi, f, CAP)
+
+
+def test_cap_launch_falls_once_and_rises_once_across_its_kink(monkeypatch):
+    # falling from r0 = 2 to the turning radius below the kink and back up:
+    # two crossings, then the leave event on the last piece, with reached
+    # in the arclength of the whole path, not of its piece
+    from pinchlab import IntegrationError
+    m = _kinked_cap()
+    r0, alpha = 2.0, 2.9
+    c = float(m.phi(r0)) * math.sin(alpha)
+    path = shoot(m, r0, alpha, 5.0)
+    hints = kink_crossings(m, r0, math.cos(alpha), c, 5.0)
+    assert len(hints) == 2
+    for t in hints:
+        assert float(path.state(t)[0]) == pytest.approx(1.0, abs=1e-9)
+    assert [t for t in path_kinks(m, path) if 0.0 < t < 5.0] == pytest.approx(hints, abs=1e-9)
+    assert path.clairaut_residual <= 1e-8 and path.speed_residual <= 1e-8
+    # the rise from r0 is one piece: up to r_max it crosses nothing
+    assert kink_crossings(m, r0, -math.cos(alpha), c, 100.0) == []
+    runs = _counting_solves(monkeypatch)
+    with pytest.raises(IntegrationError) as info:
+        shoot(m, r0, alpha, 100.0)
+    assert len(runs) == 3 and [run.status for run in runs] == [0, 0, 1]
+    geom = _Geometry(m)
+    got = geom.arcs(c, [r0, m.r_max])
+    assert info.value.reached == pytest.approx(got[r0][1] + got[m.r_max][1], abs=1e-8)
+
+
+def test_shoot_checks_the_launch_before_the_crossings(family10):
+    # the domain checks come first on a model with kinks too
+    for r0, alpha, T in ((math.nan, 0.5, 1.0), (1.0, math.nan, 1.0), (1.0, math.inf, 1.0),
+                         (family10.r_max + 1.0, 0.5, 1.0), (-1.0, 0.5, 1.0),
+                         (0.0, 0.5, 1.0), (1.0, 0.5, math.nan)):
+        with pytest.raises(DomainError):
+            shoot(family10, r0, alpha, T)
+
+
+def test_shoot_on_a_profile_the_geometry_rejects_is_one_solve(tmp_path, monkeypatch):
+    m = _dip_model(tmp_path)
+    with pytest.raises(SearchError):
+        _Geometry(m)
+    assert kink_crossings(m, 0.5, math.cos(1.0), float(m.phi(0.5)) * math.sin(1.0), 3.0) == []
+    runs = _counting_solves(monkeypatch)
+    shoot(m, 0.5, 1.0, 3.0)
+    assert len(runs) == 1
 
 
 def test_geodesic_csv_dump(sphere3, tmp_path):
@@ -336,11 +531,9 @@ def test_distance_above_broken_path_raises(monkeypatch):
             distance(m, a, b, return_paths=False)
 
 
-def test_distance_rejects_a_narrow_dip_in_the_warping_slope(tmp_path):
-    # phi' dips to -0.2 inside a band 0.004 wide, on a cap whose phi is
-    # increasing elsewhere.  The slope's least value sits at a kink of the
-    # band, between the points of the 4097-point grid that used to check
-    # unimodality, and distance returned 3.2399307170971916 silently.
+def _dip_model(tmp_path):
+    """A cap whose phi' dips to -0.2 inside a band 0.004 wide at r = 1 and
+    is positive elsewhere."""
     nodes = [[0.0, 0.0], [0.001, -1200.0], [0.002, 0.0], [0.003, 1200.0],
              [0.004, 0.0]]
     band = SegmentSpec(PL2_BAND, 1.0, 1.004, {"left_value": 1.0, "left_slope": 1.0,
@@ -355,7 +548,14 @@ def test_distance_rejects_a_narrow_dip_in_the_warping_slope(tmp_path):
                             "c0": 0.0, "c1": 0.0, "c2": 0.5}]}}
     path = tmp_path / "dip.json"
     path.write_text(json.dumps(doc))
-    m = load_manifold(path)
+    return load_manifold(path)
+
+
+def test_distance_rejects_a_narrow_dip_in_the_warping_slope(tmp_path):
+    # The slope's least value sits at a kink of the band, between the points
+    # of the 4097-point grid that used to check unimodality, and distance
+    # returned 3.2399307170971916 silently.
+    m = _dip_model(tmp_path)
     assert min(m.phi.eval(m.phi.slope_extreme_radii(m.r_max), 1)) < -0.19
     with pytest.raises(SearchError, match="unimodal"):
         distance(m, (0.5, 0.0), (3.0, 2.0))
@@ -383,6 +583,25 @@ def test_turn_lo_inverts_phi_on_the_flank(sphere3, gaussian3):
             assert abs(geom.phi_s(rm) - c) <= math.ulp(c), (m.meta, c)
         assert all(b >= a for a, b in zip(rms, rms[1:])), m.meta
         assert np.array_equal(geom.turn_lo(cs), rms)
+
+
+def test_turn_lo_array_equals_float_bits(sphere3, gaussian3):
+    # the array path roots each flank interval in one pass and polishes by
+    # masked Newton steps; every entry has the float path's bits, at each
+    # flank radius's phi and 1 ulp either side of it, where the interval
+    # and the closed form change, and on seeded c up to the grazing limit
+    draw = np.random.default_rng(31)
+    fams = [build_model("family", int(draw.integers(3, 11)), float(draw.uniform(0.55, 0.9)),
+                        float(draw.uniform(0.005, 0.08))) for _ in range(20)]
+    for m in (sphere3, gaussian3, *fams):
+        geom = _Geometry(m)
+        edges = [x for v in geom._flank_phi
+                 for x in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+        cs = np.array([c for c in edges if 0.0 < c <= geom.c_max]
+                      + (geom.c_max * draw.uniform(0.0, 1.0, 200)).tolist()
+                      + _c_range(geom).tolist())
+        assert [r.hex() for r in geom.turn_lo(cs).tolist()] == \
+            [geom.turn_lo(c).hex() for c in cs.tolist()], m.meta
 
 
 def _c_range(geom):
