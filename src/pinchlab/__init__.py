@@ -13,7 +13,7 @@ from .geodesics import (GeodesicPath, distance, farthest_from_pole,
                         inj_at_pole, shoot)
 from .variation import (IndexResult, TestField, berger_test_field,
                         geodesic_index, jacobi_conjugate_points,
-                        line_integral, loop_index_check, path_kinks,
+                        line_integral, loop_index_check,
                         second_variation)
 from .verify import (INFEASIBLE, CriticalityCertificate, GapReport,
                      PinchReport, critical_radius, criticality_certificate,

@@ -255,7 +255,8 @@ class DenseOutput:
     ``y_old`` is a list of floats and ``F`` a (7, n) array.
 
     Called with one float t, it gives a list of floats, computed in float
-    arithmetic with the bits :class:`OdeSolution` gives an array holding t.
+    arithmetic with the bits :class:`OdeSolution` gives an array holding t;
+    ``rows`` keeps only the first that many components.
     """
 
     def __init__(self, t_old, t, y_old, F):
@@ -267,9 +268,9 @@ class DenseOutput:
         # pay for every step's table
         return self.F.T.tolist()
 
-    def __call__(self, t):
+    def __call__(self, t, rows=None):
         x = (t - self.t_old) / self.h
-        return [_horner(f, x, y) for f, y in zip(self._coeffs, self.y_old)]
+        return [_horner(f, x, y) for f, y in zip(self._coeffs[:rows], self.y_old)]
 
 
 class OdeSolution:
@@ -279,6 +280,7 @@ class OdeSolution:
     array of times gives an (n, len(t)) array, every point evaluated at
     once.  A time on a step boundary is read from the step that ends there,
     and times outside [ts[0], ts[-1]] from the first or last step.
+    ``rows`` keeps only the first that many components, with their bits.
     """
 
     def __init__(self, ts, interpolants):
@@ -296,16 +298,17 @@ class OdeSolution:
                 np.stack([s.y_old for s in steps], axis=-1),
                 np.stack([s.F for s in steps], axis=-1))
 
-    def __call__(self, t):
+    def __call__(self, t, rows=None):
         last = len(self.interpolants) - 1
         if not isinstance(t, float):
             t = np.asarray(t, dtype=float)
             if t.ndim:
                 i = np.clip(np.searchsorted(self.ts, t) - 1, 0, last)
                 t_old, h, y_old, F = self._table
-                return _horner(F[..., i], (t - t_old[i]) / h[i], y_old[:, i])
+                return _horner(F[:, :rows, i], (t - t_old[i]) / h[i], y_old[:rows, i])
             t = float(t)
-        return self.interpolants[min(max(bisect.bisect_left(self._times, t) - 1, 0), last)](t)
+        return self.interpolants[min(max(bisect.bisect_left(self._times, t) - 1, 0),
+                                     last)](t, rows)
 
 
 @dataclass

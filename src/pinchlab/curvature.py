@@ -18,6 +18,7 @@ the field norm apply the manifold's ``potential_scale``.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -61,12 +62,13 @@ def _pick(cond, a, b):
     return a if cond else b
 
 
-def _sectional(m, r, phi, dphi, ddphi, where=np.where):
-    """sec_rad = -phi''/phi and sec_tan = (1 - phi'^2)/phi^2, with the pole rule.
+def _sectional(m, where=np.where):
+    """The kernel (r, phi, phi', phi'') -> (sec_rad, sec_tan, at_pole) of ``m``,
+    with sec_rad = -phi''/phi, sec_tan = (1 - phi'^2)/phi^2 and the pole rule.
 
     The one curvature kernel: elementwise on arrays with ``where=np.where``,
-    or on one float radius in float arithmetic with ``where=_pick``.  Returns
-    ``(sec_rad, sec_tan, at_pole)``.
+    or on one float radius in float arithmetic with ``where=_pick``.  The
+    model's constants are read once, here, not on every call.
 
     * Within POLE_TOL of a pole the 0/0 ratios take the limit of the analytic
       cap (1 on a SINE cap, 0 on a LINEAR cap); a non-analytic pole raises
@@ -75,21 +77,28 @@ def _sectional(m, r, phi, dphi, ddphi, where=np.where):
       1; the quotient would lose every digit to cancellation as phi -> 0.
     """
     R = m.r_max
-    pole_dist = where(R - r < r, R - r, r) if m.topology == DOUBLED_SPHERE else r
-    at_pole = pole_dist < POLE_TOL
+    doubled = m.topology == DOUBLED_SPHERE
     cap = m.phi.segments[0]
-    if cap.kind not in (SINE, LINEAR) and np.any(at_pole):
-        raise DomainError("curvature at a non-analytic pole")
-    safe_phi = where(at_pole, 1.0, phi)
-    sec_rad = -ddphi / safe_phi
-    sec_tan = (1.0 - dphi * dphi) / (safe_phi * safe_phi)
-    if cap.kind == SINE:
-        sec_rad = where(at_pole, 1.0, sec_rad)
-        sec_tan = where(pole_dist < cap.hi, 1.0, sec_tan)
-    elif cap.kind == LINEAR:
-        sec_rad = where(at_pole, 0.0, sec_rad)
-        sec_tan = where(at_pole, 0.0, sec_tan)
-    return sec_rad, sec_tan, at_pole
+    kind, cap_hi = cap.kind, cap.hi
+    analytic = kind in (SINE, LINEAR)
+
+    def kernel(r, phi, dphi, ddphi):
+        pole_dist = where(R - r < r, R - r, r) if doubled else r
+        at_pole = pole_dist < POLE_TOL
+        if not analytic and np.any(at_pole):
+            raise DomainError("curvature at a non-analytic pole")
+        safe_phi = where(at_pole, 1.0, phi)
+        sec_rad = -ddphi / safe_phi
+        sec_tan = (1.0 - dphi * dphi) / (safe_phi * safe_phi)
+        if kind == SINE:
+            sec_rad = where(at_pole, 1.0, sec_rad)
+            sec_tan = where(pole_dist < cap_hi, 1.0, sec_tan)
+        elif kind == LINEAR:
+            sec_rad = where(at_pole, 0.0, sec_rad)
+            sec_tan = where(at_pole, 0.0, sec_tan)
+        return sec_rad, sec_tan, at_pole
+
+    return kernel
 
 
 def ricci_eigenvalues(n, sec_rad, sec_tan):
@@ -110,7 +119,7 @@ def curvature_table(m, r):
     phi, dphi, ddphi = m.phi.eval(r, (0, 1, 2))
     fv, df, ddf = m.f.eval(r, (0, 1, 2))
 
-    sec_rad, sec_tan, at_pole = _sectional(m, r, phi, dphi, ddphi)
+    sec_rad, sec_tan, at_pole = _sectional(m)(r, phi, dphi, ddphi)
     # f' phi'/phi, limit f'' at the pole
     ratio = np.where(at_pole, ddf, df * dphi / np.where(at_pole, 1.0, phi))
 
@@ -133,17 +142,30 @@ def curvature_table(m, r):
     }
 
 
-def sectional_fn(m):
-    """Closure r -> (sec_rad, sec_tan) at one float radius, in float arithmetic.
+def sectional_fn(m, xp=math):
+    """Closure r -> (sec_rad, sec_tan) through the one kernel :func:`_sectional`.
 
-    Built for ODE right-hand sides: the same kernel as :func:`curvature_table`
-    without its 17 array columns.  No domain check: the caller guarantees
-    0 <= r <= r_max.
+    With ``xp=math`` it takes one float radius and computes in float
+    arithmetic, for ODE right-hand sides; no domain check: the caller
+    guarantees 0 <= r <= r_max.  With ``xp=np`` it takes an array of radii,
+    checked as :meth:`RadialProfile.eval` checks them, and gives
+    :func:`curvature_table`'s sec_rad and sec_tan, bit for bit, without its
+    other 15 columns.
     """
+    if xp is np:
+        kernel = _sectional(m)
+
+        def sec(r):
+            r = np.atleast_1d(np.asarray(r, dtype=float))
+            sec_rad, sec_tan, _ = kernel(r, *m.phi.eval(r, (0, 1, 2)))
+            return sec_rad, sec_tan
+
+        return sec
     phi = m.phi.scalar_fn((0, 1, 2))
+    kernel = _sectional(m, _pick)
 
     def sec(r):
-        sec_rad, sec_tan, _ = _sectional(m, r, *phi(r), _pick)
+        sec_rad, sec_tan, _ = kernel(r, *phi(r))
         return sec_rad, sec_tan
 
     return sec

@@ -88,16 +88,32 @@ class GeodesicPath:
     thetadot: np.ndarray = field(repr=False, default=None)
     _state_fn: object = field(repr=False, default=None)
     _phi2: object = field(repr=False, default=None)
+    _crossings: object = field(repr=False, default=None)
 
-    def state(self, t):
-        """(r, rdot, theta, thetadot) at arclength t.
+    def state(self, t, rows=4):
+        """(r, rdot, theta, thetadot) at arclength t, or its first ``rows``.
 
-        An array of arclengths gives four arrays.  One float gives four
-        floats computed in float arithmetic: in closed form on a meridian,
-        and otherwise from the integrator's dense output with the same bits
-        the array evaluation gives at that point.
+        An array of arclengths gives arrays.  One float gives floats computed
+        in float arithmetic: in closed form on a meridian, and otherwise from
+        the integrator's dense output with the same bits the array
+        evaluation gives at that point.
         """
-        return self._state_fn(t)
+        return self._state_fn(t, rows)
+
+    @property
+    def crossings(self):
+        """Sorted arclengths in (0, length) where r crosses a kink of phi.
+
+        Wherever a curvature integrand along the path is integrated, these
+        are its forced quadrature nodes or the restarts of its Jacobi solve.
+        A non-meridian path was solved in pieces between them
+        (:func:`kink_crossings`).  A meridian's come from its closed form,
+        and those of a path on a profile without a Clairaut primitive from
+        its solve (:func:`_solved_crossings`), both on first read.
+        """
+        if callable(self._crossings):
+            self._crossings = self._crossings()
+        return self._crossings
 
     def dump_csv(self, out):
         close = False
@@ -137,9 +153,9 @@ def _meridian_state_fn(m, r0, d0, theta0):
         up = x >= 0
         return abs(x), d0 if up else -d0, theta0 + math.pi * (not up), 0.0
 
-    def state(t):
+    def state(t, rows=4):
         if isinstance(t, float):
-            return point(float(t))
+            return point(float(t))[:rows]
         x = r0 + d0 * np.asarray(t, dtype=float)
         if doubled:
             y = np.mod(x, 2.0 * R)
@@ -153,9 +169,30 @@ def _meridian_state_fn(m, r0, d0, theta0):
             r = np.abs(x)
             rd = np.where(x >= 0, d0, -d0) * 1.0
             th = theta0 + math.pi * (x < 0)
-        return r, rd, th, np.zeros_like(r)
+        return (r, rd, th, np.zeros_like(r))[:rows]
 
     return state
+
+
+def _meridian_crossings(m, r0, d0, T):
+    """Sorted arclengths in (0, T) where the meridian from ``r0`` (outward
+    for ``d0 > 0``) crosses a kink of phi, in closed form.
+
+    The meridian is x = r0 + d0 t folded at the poles as in
+    :func:`_meridian_state_fn`: r = |x| on a cap, and on a doubled model x
+    modulo 2 r_max, reflected about r_max.  So it meets a kink k wherever
+    x = +-k, plus a multiple of 2 r_max on a doubled model.  As in
+    :func:`kink_crossings`, crossings within 1e-15 of 0 or T are dropped.
+    """
+    R2 = 2.0 * m.r_max
+    lo, hi = sorted((r0, r0 + d0 * T))
+    out = []
+    for k in m.phi.kinks():
+        for x0 in (k, -k):
+            laps = range(math.floor((lo - x0) / R2), math.ceil((hi - x0) / R2) + 1) \
+                if m.topology == DOUBLED_SPHERE else (0,)
+            out.extend(d0 * (x0 + j * R2 - r0) for j in laps)
+    return sorted(t for t in out if 1e-15 < t < T - 1e-15)
 
 
 def check_arclength(m, T):
@@ -183,18 +220,20 @@ def shoot(m, r0, alpha, T, theta0=0.0):
     """Integrate the geodesic launched from radius ``r0`` at angle ``alpha``
     (measured from the outward radial direction) for arclength ``T``.
 
-    ``T`` must be finite, positive and at most ``MAX_LENGTH_FACTOR * r_max``;
-    otherwise :class:`DomainError` is raised."""
+    ``T`` must be finite, positive and at most ``MAX_LENGTH_FACTOR * r_max``,
+    and a launch off the meridians must start more than ``_POLE`` from a
+    pole; otherwise :class:`DomainError` is raised."""
     check_arclength(m, T)
     if not math.isfinite(alpha):
         raise DomainError("launch angle must be finite")
     sa, ca = math.sin(alpha), math.cos(alpha)
     if abs(sa) < 1e-15:
         sa = 0.0
-    if r0 < _POLE and sa != 0.0:
-        raise DomainError("non-meridian launch from the pole")
     if not 0 <= r0 <= m.r_max + 1e-12:
         raise DomainError("launch radius outside the manifold domain")
+    # phi vanishes at a pole, and theta_dot = sin(alpha) / phi(r0)
+    if sa != 0.0 and (r0 < _POLE or (m.topology == DOUBLED_SPHERE and m.r_max - r0 < _POLE)):
+        raise DomainError("non-meridian launch from a pole")
 
     ts = np.linspace(0.0, T, SHOOT_SAMPLES)
     R = m.r_max
@@ -209,7 +248,8 @@ def shoot(m, r0, alpha, T, theta0=0.0):
         r, rd, th, td = st(ts)
         samples = np.column_stack([ts, r, th, rd])
         return GeodesicPath(0.0, samples, T, 0.0, 0.0, True, thetadot=td,
-                            _state_fn=st, _phi2=phi2)
+                            _state_fn=st, _phi2=phi2,
+                            _crossings=lambda: _meridian_crossings(m, r0, d0, T))
 
     phi0 = phi_s(min(float(r0), R))
     c = phi0 * sa
@@ -226,9 +266,9 @@ def shoot(m, r0, alpha, T, theta0=0.0):
     def leave(t, y):
         return m.r_max - y[0]
 
-    cuts = [0.0, *kink_crossings(m, r0, ca, c, T), T]
-    state, sol = solve_pieces(solve_ivp, rhs, cuts, y0, rtol=DEFAULT_SHOOT_TOL,
-                              atol=DEFAULT_SHOOT_TOL * 1e-2,
+    crossings = kink_crossings(m, r0, ca, c, T)
+    state, sol = solve_pieces(solve_ivp, rhs, [0.0, *crossings, T], y0,
+                              rtol=DEFAULT_SHOOT_TOL, atol=DEFAULT_SHOOT_TOL * 1e-2,
                               event=leave if m.topology == CAP else None)
     if not sol.success:
         raise IntegrationError(f"geodesic integration failed: {sol.message}",
@@ -244,7 +284,36 @@ def shoot(m, r0, alpha, T, theta0=0.0):
     samples = np.column_stack([ts, r, th, rd])
 
     return GeodesicPath(c, samples, T, clair, speed, False, thetadot=td,
-                        _state_fn=state, _phi2=phi2)
+                        _state_fn=state, _phi2=phi2,
+                        _crossings=crossings or (lambda: _solved_crossings(m, state)))
+
+
+def _solved_crossings(m, sol):
+    """Sorted arclengths in (0, T) where the solved path ``sol`` crosses a
+    kink of phi, for a path that :func:`kink_crossings` predicted none on.
+
+    On a profile :class:`_Geometry` accepts that prediction stands.  One it
+    rejects has no Clairaut primitive, so the crossings are read from the
+    solve: each kink that the radii at the two ends of an accepted step lie
+    strictly on either side of, refined by Brent's method on that step's
+    dense output.  A step that crosses a kink and comes back is missed.
+    """
+    kinks = m.phi.kinks()
+    if not kinks:
+        return []
+    try:
+        _Geometry(m)
+        return []
+    except SearchError:
+        pass
+    ts = sol.ts
+    r = sol(ts, 1)[0]
+    out = []
+    for k in kinks:
+        d = r - k
+        out += [brentq(lambda t: sol(t, 1)[0] - k, float(ts[i]), float(ts[i + 1]), xtol=1e-15)
+                for i in np.nonzero(d[:-1] * d[1:] < 0)[0]]
+    return sorted(t for t in out if 1e-15 < t < ts[-1] - 1e-15)
 
 
 def solve_pieces(solve, fun, cuts, y0, **settings):

@@ -26,13 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .curvature import curvature_table, ricci_eigenvalues, sectional_fn, x_field_norm
+from .curvature import ricci_eigenvalues, sectional_fn, x_field_norm
 from .geodesics import solve_ivp, solve_pieces
 
 QUAD_TOL = 1e-9
 QUAD_N0 = 16              # Simpson intervals of a first pass
 QUAD_MAX_DOUBLINGS = 16
-KINK_GRID = 2048          # path_kinks brackets crossings on this many cells
 JACOBI_ZERO_TOL = 1e-8
 JACOBI_RTOL = 1e-11
 JACOBI_GRID = 4096        # cells on which a sign change of psi brackets a zero
@@ -133,8 +132,8 @@ def second_variation(K, psi, length=None, breakpoints=()):
     curvature sampled along the geodesic, as a callable of arclength.
     Quadrature nodes are forced at the field's breakpoints and at
     ``breakpoints``; for a K from :func:`path_curvature` pass
-    ``breakpoints=path_kinks(m, path)``, without which the kinks of K keep
-    the quadrature from converging and it raises :class:`IntegrationError`.
+    ``breakpoints=path.crossings``, without which the kinks of K keep the
+    quadrature from converging and it raises :class:`IntegrationError`.
     """
     if isinstance(psi, TestField):
         val, der = psi.value, psi.derivative
@@ -157,50 +156,12 @@ def second_variation(K, psi, length=None, breakpoints=()):
 # curvature along a path
 
 
-def path_kinks(m, path):
-    """Arclengths where the path crosses a kink of phi, in increasing order.
-
-    Pass them as ``breakpoints`` wherever a K from :func:`path_curvature` is
-    integrated: as forced quadrature nodes, or as restarts of the Jacobi
-    solve.
-
-    Every integrand along a path is built from sec_rad and sec_tan, which
-    read phi alone, so the radii of :meth:`RadialProfile.kinks` -- junctions,
-    band nodes and their mirror images -- are where it loses smoothness.
-    A stretch of the path that runs along a kink radius (the equator of the
-    round sphere) counts by its two ends: the rounding noise of r about the
-    kink inside it would otherwise give a crossing at every sample.
-    """
-    ts = np.linspace(0.0, path.length, KINK_GRID + 1)
-    r, _, _, _ = path.state(ts)
-    r = np.asarray(r, dtype=float)
-    out = set()
-    for j in m.phi.kinks():
-        d = r - j
-        on = np.abs(d) < 1e-12
-        inside = np.zeros_like(on)
-        inside[1:-1] = on[:-2] & on[2:]
-        for i in np.nonzero((d[:-1] * d[1:] < 0) & ~(on[:-1] & on[1:]))[0]:
-            lo, hi = ts[i], ts[i + 1]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if (float(path.state(mid)[0]) - j) * d[i] > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            out.add(0.5 * (lo + hi))
-        # tangential crossings (the meridian touches a junction exactly)
-        for i in np.nonzero(on & ~inside)[0]:
-            out.add(float(ts[i]))
-    return sorted(out)
-
-
 def path_curvature(m, path, kind=RICCI, direction="fiber"):
     """Curvature integrand along the path, as a callable of arclength.
 
-    An array of arclengths goes through :func:`curvature_table`; one float,
-    as an ODE right-hand side passes, goes through the float kernel of
-    :func:`sectional_fn` and gives a float.
+    One float, as an ODE right-hand side passes, reads only r and rdot
+    from the path and goes through the float kernel of :func:`sectional_fn`
+    to give a float; an array of arclengths goes through its array kernel.
 
     ``RICCI``: Ric(gdot, gdot) = a^2 ric_rr + (1 - a^2) ric_tt with a = rdot.
     ``SEC_PERP``: sec of the plane spanned by gdot and a perpendicular
@@ -212,25 +173,24 @@ def path_curvature(m, path, kind=RICCI, direction="fiber"):
     if direction not in ("slice", "fiber"):
         raise DomainError(f"unknown direction class {direction!r}")
 
-    R = m.r_max
-    sec = sectional_fn(m)
+    R, n = m.r_max, m.n
+    sec, sec_array = sectional_fn(m), sectional_fn(m, np)
+    ricci, in_slice = kind == RICCI, direction == "slice"
+    state = path.state
 
     def K(t):
-        if np.isscalar(t):
-            r, rd, _, _ = path.state(float(t))
-            sec_rad, sec_tan = sec(min(max(float(r), 0.0), R))
-            rd = float(rd)
+        if type(t) is float or np.isscalar(t):
+            r, rd = state(float(t), 2)
+            sec_rad, sec_tan = sec(min(max(r, 0.0), R))
             a2 = min(rd * rd, 1.0)
         else:
-            r, rd, _, _ = path.state(np.atleast_1d(np.asarray(t, dtype=float)))
-            r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), 0.0, R)
-            tab = curvature_table(m, r)
-            sec_rad, sec_tan = tab["sec_rad"], tab["sec_tan"]
-            a2 = np.clip(np.atleast_1d(np.asarray(rd, dtype=float)) ** 2, 0.0, 1.0)
-        if kind == RICCI:
-            ric_rr, ric_tt = ricci_eigenvalues(m.n, sec_rad, sec_tan)
+            r, rd = state(np.atleast_1d(np.asarray(t, dtype=float)), 2)
+            sec_rad, sec_tan = sec_array(np.clip(r, 0.0, R))
+            a2 = np.clip(rd ** 2, 0.0, 1.0)
+        if ricci:
+            ric_rr, ric_tt = ricci_eigenvalues(n, sec_rad, sec_tan)
             return a2 * ric_rr + (1.0 - a2) * ric_tt
-        w = 1.0 if direction == "slice" else a2
+        w = 1.0 if in_slice else a2
         return w * sec_rad + (1.0 - w) * sec_tan
 
     return K
@@ -239,13 +199,12 @@ def path_curvature(m, path, kind=RICCI, direction="fiber"):
 def line_integral(m, path, kind=RICCI, direction="fiber"):
     """Composite quadrature of the chosen curvature along the path.
 
-    Nodes are forced wherever the path crosses a kink of phi, so every
-    subinterval has a smooth integrand and converges; one that does not
-    raises :class:`IntegrationError`.
+    Nodes are forced at the path's :attr:`~GeodesicPath.crossings` of the
+    kinks of phi, so every subinterval has a smooth integrand and converges;
+    one that does not raises :class:`IntegrationError`.
     """
     K = path_curvature(m, path, kind, direction)
-    bps = path_kinks(m, path)
-    return quad_piecewise(K, 0.0, path.length, bps)
+    return quad_piecewise(K, 0.0, path.length, path.crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +215,9 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
     """Interior zeros of psi'' + K psi = 0, psi(0) = 0, psi'(0) = 1.
 
     ``breakpoints`` are the arclengths where ``K`` is not smooth (for a
-    path's K, :func:`path_kinks`).  The solve restarts at each of them
-    (:func:`geodesics.solve_pieces`), so no step straddles a kink.  Every
+    path's K, the path's :attr:`~GeodesicPath.crossings`).  The solve
+    restarts at each of them (:func:`geodesics.solve_pieces`), so no step
+    straddles a kink; the sign grid and the bisection read psi alone.  Every
     piece keeps ``max_step = length / 16`` of the whole length; with no
     breakpoints there is one piece.  Zeros are bracketed on a sample grid
     and refined by bisection of the pieces' dense outputs, joined into one;
@@ -284,13 +244,13 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
     ts = np.sort(np.concatenate([np.linspace(0.0, length, JACOBI_GRID + 1),
                                  np.asarray(list(breakpoints), dtype=float)]))
     ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
-    vals = state(ts)[0]
+    vals = state(ts, 1)[0]
     zeros = []
     for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
         lo, hi = ts[i], ts[i + 1]
         while hi - lo > tol * 0.25:
             mid = 0.5 * (lo + hi)
-            if state(mid)[0] * vals[i] > 0:
+            if state(mid, 1)[0] * vals[i] > 0:
                 lo = mid
             else:
                 hi = mid
@@ -350,7 +310,7 @@ def geodesic_index(m, path):
     Meridians use the single tangential Jacobi equation with multiplicity
     n-1; other paths are evaluated per perpendicular direction class.
     """
-    bps = path_kinks(m, path)
+    bps = path.crossings
     if path.meridian or m.n == 2:
         classes = [("all", m.n - 1, "slice")]
     else:

@@ -7,7 +7,7 @@ import pytest
 
 from pinchlab import (DomainError, SearchError, build_model,
                       criticality_certificate, distance, farthest_from_pole,
-                      inj_at_pole, jacobi_conjugate_points, path_kinks, shoot)
+                      inj_at_pole, jacobi_conjugate_points, shoot)
 from pinchlab.geodesics import _Geometry, kink_crossings
 from pinchlab.profiles import PL2_BAND, SegmentSpec, load_manifold
 from pinchlab.variation import JACOBI_ZERO_TOL, SEC_PERP, path_curvature
@@ -76,6 +76,19 @@ def test_shoot_rejects_bad_launch(sphere3):
             shoot(sphere3, r0, alpha, T)
     with pytest.raises(DomainError, match=r"bound 100 r_max = 314\.159"):
         shoot(sphere3, 1.0, 0.5, 1e7)
+
+
+def test_shoot_rejects_a_launch_off_the_meridians_from_the_far_pole(sphere3, family10):
+    # theta_dot = sin(alpha) / phi(r0), and phi vanishes at r_max too; this
+    # raised ZeroDivisionError.  The domain check admits r_max + 1e-12.
+    for m in (sphere3, family10):
+        R = m.r_max
+        for r0 in (R, R - 0.5e-12, R + 1e-13):
+            with pytest.raises(DomainError, match="pole"):
+                shoot(m, r0, 0.5, 1.0)
+        # the meridians from the far pole, and launches just off it, still run
+        assert shoot(m, R, 0.0, 1.0).meridian and shoot(m, R, math.pi, 1.0).meridian
+        assert not shoot(m, R - 1e-6, 0.5, 1.0).meridian
 
 
 def test_float_state_equals_dense_output_bits(family10, monkeypatch):
@@ -155,6 +168,33 @@ def _seeded_family_launches(count, seed):
     return out[:count]
 
 
+def _sampled_crossings(m, path, cells=2048):
+    """An oracle for a path's kink crossings that knows nothing of the
+    Clairaut primitive: sample r on ``cells`` cells, bisect every sign
+    change of r - k 60 times, and take a stretch that runs along a kink
+    radius (within 1e-12) by its ends, so rounding noise about it counts as
+    no crossing.  Returns the crossings in (0, length)."""
+    ts = np.linspace(0.0, path.length, cells + 1)
+    r = np.asarray(path.state(ts)[0], dtype=float)
+    out = set()
+    for k in m.phi.kinks():
+        d = r - k
+        on = np.abs(d) < 1e-12
+        inside = np.zeros_like(on)
+        inside[1:-1] = on[:-2] & on[2:]
+        for i in np.nonzero((d[:-1] * d[1:] < 0) & ~(on[:-1] & on[1:]))[0]:
+            lo, hi = ts[i], ts[i + 1]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if (float(path.state(mid)[0]) - k) * d[i] > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            out.add(0.5 * (lo + hi))
+        out.update(float(ts[i]) for i in np.nonzero(on & ~inside)[0])
+    return sorted(t for t in out if 0.0 < t < path.length)
+
+
 def _crosses_a_kink(m, path):
     r = path.samples[:, 1]
     return any(r.min() < k < r.max() for k in m.phi.kinks())
@@ -180,9 +220,10 @@ def test_seeded_band_crossing_launches_hold_conservation():
 
 
 def test_kink_crossings_are_where_the_path_crosses_a_kink(family10):
-    # the Clairaut primitive's crossings against path_kinks' bisection of
-    # the integrated path, both ways, on seeded launches, the band launch
-    # and launches from the lower and the upper turning radius (alpha = pi/2)
+    # the Clairaut primitive's crossings against a sampled bisection of the
+    # integrated path, both ways, on seeded launches, the band launch and
+    # launches from the lower and the upper turning radius (alpha = pi/2);
+    # the path carries the crossings it was solved on
     R = family10.r_max
     launches = [(family10, 1.0, 0.7, 2.0), (family10, R - 0.5, -2.5, 3.0),
                 (family10, 1.2, 1.0, 9.0), (family10, 1.0, math.pi / 2, 5.0),
@@ -197,9 +238,9 @@ def test_kink_crossings_are_where_the_path_crosses_a_kink(family10):
         assert bool(hints) == _crosses_a_kink(m, path), (r0, alpha, T)
         for t in hints:
             assert np.min(np.abs(float(path.state(t)[0]) - kinks)) <= 1e-9, (r0, alpha, t)
-        for t in path_kinks(m, path):
-            if 0.0 < t < T:
-                assert min(abs(t - h) for h in hints) <= 1e-9, (r0, alpha, t)
+        for t in _sampled_crossings(m, path):
+            assert min(abs(t - h) for h in hints) <= 1e-9, (r0, alpha, t)
+        assert path.crossings == hints
     assert crossing >= 18
 
 
@@ -228,6 +269,41 @@ def test_kink_crossings_drop_the_ends(family10):
     assert kink_crossings(family10, k, math.cos(0.8), c, T) == hints[:2]
     path = shoot(family10, k, 0.8, T)
     assert path.clairaut_residual <= 1e-8
+
+
+def test_meridian_crossings_are_where_the_meridian_crosses_a_kink(family10, sphere3,
+                                                                  gaussian3):
+    # the closed form against a sampled bisection: family meridians through
+    # both poles, from the pole and from inside, outward and inward
+    R = family10.r_max
+    k = family10.phi.kinks()[0]
+    for r0, alpha, T in ((0.0, 0.0, 2 * R), (1.0, math.pi, 2 * R), (2.5, 0.0, 2 * R + 1.0),
+                         (k, 0.0, 3.0), (k, math.pi, 4.0)):
+        path = shoot(family10, r0, alpha, T)
+        assert path.meridian
+        # a meridian from a kink radius meets it at t = 0, which is no crossing
+        sampled = _sampled_crossings(family10, path)
+        assert len(sampled) >= 4
+        assert path.crossings == pytest.approx(sampled, abs=1e-12), (r0, alpha, T)
+    # no kink on the round sphere or the Gaussian cap; the parallel r = pi/2
+    # runs along the family's junction and crosses nothing
+    for m, r0, alpha, T in ((sphere3, 0.0, 0.0, 2 * math.pi), (sphere3, 1.0, math.pi, 5.0),
+                            (gaussian3, 1.0, math.pi, 5.0),
+                            (family10, math.pi / 2, math.pi / 2, 1.5 * math.pi)):
+        path = shoot(m, r0, alpha, T)
+        assert path.crossings == [] and _sampled_crossings(m, path) == []
+
+
+def test_meridian_crossings_are_computed_on_first_read(family10, monkeypatch):
+    # shoot does not pay for a meridian's crossings; reading them twice
+    # computes them once
+    from pinchlab.profiles import RadialProfile
+    calls = []
+    kinks = RadialProfile.kinks
+    monkeypatch.setattr(RadialProfile, "kinks", lambda self: calls.append(1) or kinks(self))
+    path = shoot(family10, 0.5, 0.0, 7.0)
+    assert calls == []
+    assert path.crossings == path.crossings and len(calls) == 1
 
 
 def test_shoot_restarts_cut_the_right_hand_sides(family10, monkeypatch):
@@ -277,7 +353,7 @@ def test_cap_launch_falls_once_and_rises_once_across_its_kink(monkeypatch):
     assert len(hints) == 2
     for t in hints:
         assert float(path.state(t)[0]) == pytest.approx(1.0, abs=1e-9)
-    assert [t for t in path_kinks(m, path) if 0.0 < t < 5.0] == pytest.approx(hints, abs=1e-9)
+    assert _sampled_crossings(m, path) == pytest.approx(hints, abs=1e-9)
     assert path.clairaut_residual <= 1e-8 and path.speed_residual <= 1e-8
     # the rise from r0 is one piece: up to r_max it crosses nothing
     assert kink_crossings(m, r0, -math.cos(alpha), c, 100.0) == []
@@ -307,6 +383,24 @@ def test_shoot_on_a_profile_the_geometry_rejects_is_one_solve(tmp_path, monkeypa
     runs = _counting_solves(monkeypatch)
     shoot(m, 0.5, 1.0, 3.0)
     assert len(runs) == 1
+
+
+def test_a_path_on_a_profile_the_geometry_rejects_reads_its_crossings_from_the_solve(
+        tmp_path):
+    # no Clairaut primitive predicts the five band crossings, yet without
+    # them as nodes Simpson never samples the 0.004-wide band and returns 0
+    from pinchlab.variation import RICCI, line_integral, quad_piecewise
+    m = _dip_model(tmp_path)
+    for r0, alpha, T, crossed in ((0.5, 0.3, 3.0, 5), (0.5, 0.0, 3.0, 5), (2.0, 2.5, 3.0, 0)):
+        path = shoot(m, r0, alpha, T)
+        sampled = _sampled_crossings(m, path)
+        assert len(sampled) == crossed
+        assert path.crossings == pytest.approx(sampled, abs=1e-12)
+    path = shoot(m, 0.5, 0.3, 3.0)
+    K = path_curvature(m, path, RICCI)
+    reference = quad_piecewise(K, 0.0, path.length, _sampled_crossings(m, path))
+    assert reference > 4e-4
+    assert line_integral(m, path) == pytest.approx(reference, abs=1e-9)
 
 
 def test_geodesic_csv_dump(sphere3, tmp_path):
@@ -706,7 +800,7 @@ def test_inj_at_pole_is_first_jacobi_zero(sphere3, family10):
         assert inj_at_pole(m) == m.r_max
         path = shoot(m, 0.0, 0.0, m.r_max + 0.2)
         K = path_curvature(m, path, SEC_PERP, "slice")
-        zeros = jacobi_conjugate_points(K, path.length, breakpoints=path_kinks(m, path))
+        zeros = jacobi_conjugate_points(K, path.length, breakpoints=path.crossings)
         assert abs(zeros[0] - m.r_max) <= JACOBI_ZERO_TOL
 
 

@@ -197,6 +197,11 @@ def _check_exit_codes(argv, broken):
 # the 50 drawn examples break no --grid, so the bound is checked explicitly
 @example((["pinch", "--model=gaussian", "--n=3", "--eps=0.5", f"--grid={MAX_GRID + 1}"],
           "grid"))
+# no drawn r0 is a far pole: a launch off the meridians from r_max
+@example((["geodesic", "--model=round_sphere", "--n=3", "--eps=0.5", f"--r0={math.pi!r}",
+           "--dir=0.5", "--length=1.0"], "r0"))
+@example((["index", "--model=family", "--n=10", "--eps=0.8", "--delta=0.02",
+           "--r0=3.866990816987241", "--dir=0.5", "--length=1.0"], "r0"))
 def test_cli_exits_two_exactly_on_out_of_range_arguments(invocation):
     _check_exit_codes(*invocation)
 

@@ -18,7 +18,7 @@ from pinchlab import IntegrationError, SearchError, build_model
 from pinchlab._solvers import brentq, solve_ivp
 from pinchlab.geodesics import _Geometry, distance, shoot
 from pinchlab.profiles import PL2_BAND
-from pinchlab.variation import SEC_PERP, jacobi_conjugate_points, path_curvature, path_kinks
+from pinchlab.variation import SEC_PERP, jacobi_conjugate_points, path_curvature
 
 
 def _bits(a):
@@ -109,7 +109,7 @@ def test_jacobi_solves_match_scipy_bits(sphere3, family10, monkeypatch):
             r0 = float(draw.uniform(0.1, 0.9)) * m.r_max
             path = shoot(m, r0, float(draw.uniform(0.0, math.pi)), float(draw.uniform(2.0, 6.0)))
             K = path_curvature(m, path, SEC_PERP, "fiber")
-            jacobi_conjugate_points(K, path.length, breakpoints=path_kinks(m, path))
+            jacobi_conjugate_points(K, path.length, breakpoints=path.crossings)
     jacobi_conjugate_points(lambda t: 1.0, 3.0 * math.pi)
     assert len(done) >= 19
 

@@ -6,8 +6,7 @@ import pytest
 
 from pinchlab import (DomainError, IntegrationError, berger_test_field,
                       build_model, geodesic_index, jacobi_conjugate_points,
-                      line_integral, loop_index_check, path_kinks,
-                      second_variation, shoot)
+                      line_integral, loop_index_check, second_variation, shoot)
 from pinchlab.variation import (EIGEN_NODES, RICCI, SEC_PERP, eigen_index,
                                 path_curvature, quad_piecewise)
 
@@ -88,7 +87,7 @@ def test_second_variation_family_meridian_needs_path_kinks(family10):
     path = shoot(family10, 0.0, 0.0, 2 * family10.L)
     K = path_curvature(family10, path, SEC_PERP, "slice")
     field = berger_test_field(path.length)
-    val = second_variation(K, field, breakpoints=path_kinks(family10, path))
+    val = second_variation(K, field, breakpoints=path.crossings)
     assert val == pytest.approx(5.2e-12, abs=1e-12)
     with pytest.raises(IntegrationError):
         second_variation(K, field)
@@ -154,13 +153,13 @@ def test_family_meridian_integral_evaluates_few_points(family10, monkeypatch,
 
 def test_path_along_kink_radius_has_kinks_only_at_its_ends(family10):
     # the parallel r = pi/2 runs along the junction where the band meets the
-    # constant (phi' = 0 there, so it is a geodesic); the rounding noise of r
-    # about it is not a crossing, so it splits neither quadrature nor solve
+    # constant (phi' = 0 there, so it is a geodesic); it crosses no kink, so
+    # it splits neither quadrature nor solve
     assert math.pi / 2 in family10.phi.kinks()
     path = shoot(family10, math.pi / 2, math.pi / 2, 1.5 * math.pi)
     r = path.state(np.linspace(0.0, path.length, 257))[0]
     assert np.max(np.abs(r - math.pi / 2)) <= 2.3e-16
-    assert path_kinks(family10, path) == [0.0, path.length]
+    assert path.crossings == []
 
 
 def test_equator_ricci_integral(sphere3):
@@ -213,7 +212,7 @@ def test_jacobi_sphere_meridian_is_one_piece(sphere3):
     # and its solve is one DOP853 run of 332 evaluations; a restart at L
     # would make it two runs of 364
     path = shoot(sphere3, 0.0, 0.0, 1.5 * math.pi)
-    bps = path_kinks(sphere3, path)
+    bps = path.crossings
     assert bps == []
     K = path_curvature(sphere3, path, SEC_PERP, "slice")
     calls = []
@@ -240,7 +239,7 @@ def test_jacobi_family_meridian_restarts_at_kinks(family10, monkeypatch):
     path = shoot(family10, 0.0, 0.0, L2 + 0.2)
     K = path_curvature(family10, path, SEC_PERP, "slice")
     zeros = jacobi_conjugate_points(K, path.length,
-                                    breakpoints=path_kinks(family10, path))
+                                    breakpoints=path.crossings)
     assert len(nfev) > 1
     assert sum(nfev) <= 800
     assert len(zeros) == 1
@@ -248,6 +247,26 @@ def test_jacobi_family_meridian_restarts_at_kinks(family10, monkeypatch):
 
 
 # -- geodesic index ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("launch,pinned", [
+    ((1.3, 1.0, 3.0), {"slice": ([], 0), "fiber": ([], 0)}),
+    ((1.0, 0.7, 6.0), {"slice": (["0x1.d4eb2c6a80000p+1"], 1),
+                       "fiber": (["0x1.c56c4b9a80000p+1"], 1)}),
+    ((1.0, 0.7, 12.0), {"slice": (["0x1.d4eb2c6a80000p+1", "0x1.e090fb2140000p+2",
+                                   "0x1.6da04ba620000p+3"], 3),
+                        "fiber": (["0x1.c56c4b9a80000p+1", "0x1.d01130a940000p+2",
+                                   "0x1.5ff5efcce0000p+3"], 3)}),
+    ((0.5, 0.0, 7.0), {"all": (["0x1.deb62de1c0000p+1"], 1)}),
+])
+def test_jacobi_zeros_and_eigen_counts_are_pinned(family10, launch, pinned):
+    # the bits of every zero of each class and its eigenvalue count on
+    # family(10, 0.8, 0.02), as the path's scanned kinks, the curvature
+    # table and a four-row dense output gave them
+    res = geodesic_index(family10, shoot(family10, *launch))
+    got = {name: ([z.hex() for z in d["conjugate_points"]], d["negative_eigenvalues"])
+           for name, d in res.classes.items()}
+    assert got == pinned
 
 
 @pytest.mark.parametrize("frac,expected", [(0.9, 0), (1.5, 2), (1.9, 2)])
@@ -391,7 +410,7 @@ def test_scalar_K_matches_vector_K(kind):
     m = build_model(kind, 10, 0.8, 0.02)
     for path in _paths(m):
         ts = np.unique(np.concatenate([np.linspace(0.0, path.length, 3001),
-                                       path_kinks(m, path)]))
+                                       path.crossings]))
         for integrand, direction in ((RICCI, "fiber"), (SEC_PERP, "slice"),
                                      (SEC_PERP, "fiber")):
             K = path_curvature(m, path, integrand, direction)
