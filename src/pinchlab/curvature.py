@@ -20,11 +20,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
-from .profiles import DOUBLED_SPHERE, LINEAR, SINE
+from .profiles import DOUBLED_SPHERE, LINEAR, SINE, clip_radii, clip_radius
 
 POLE_TOL = 1e-6
 
@@ -106,40 +107,79 @@ def ricci_eigenvalues(n, sec_rad, sec_tan):
     return (n - 1) * sec_rad, sec_rad + (n - 2) * sec_tan
 
 
-def curvature_table(m, r):
-    """All 17 curvature columns at radii ``r`` (array), as a dict of arrays.
+_RICCI = frozenset({"ric_rr", "ric_tt", "bakry_rr", "bakry_tt"})
+_BAKRY = frozenset({"bakry_rr", "bakry_tt"})
+_WSEC = frozenset({"wsec_rT", "wsec_Tr", "wsec_TT"})
+_OF_F = frozenset({"f", "df", "ddf", "xnorm"}) | _BAKRY | _WSEC   # columns that read f
+_ALL = frozenset(CSV_COLUMNS)
+
+
+def _columns(m, want, r, phi_at, f_at, where):
+    """The columns of the set ``want`` at ``r`` as a dict, with those of phi
+    alone always in it: the one path of the formulas above the kernel
+    :func:`_sectional`.
+
+    ``phi_at(orders)`` and ``f_at(orders)`` evaluate the profiles at ``r``
+    clipped to their domain.  Elementwise on arrays with ``where=np.where``,
+    or on one float in float arithmetic with ``where=_pick``; the two give
+    the same bits.
+    """
+    s = m.potential_scale
+    phi, dphi, ddphi = phi_at((0, 1, 2))
+    out = {"r": r, "phi": phi, "dphi": dphi, "ddphi": ddphi}
+    if want & _OF_F:
+        if "f" in want:
+            out["f"], df, ddf = f_at((0, 1, 2))
+        else:
+            df, ddf = f_at((1, 2))
+        out["df"], out["ddf"] = df, ddf
+    sec_rad, sec_tan, at_pole = _sectional(m, where)(r, phi, dphi, ddphi)
+    out["sec_rad"], out["sec_tan"] = sec_rad, sec_tan
+    if want & (_BAKRY | _WSEC):
+        # f' phi'/phi, limit f'' at the pole
+        ratio = where(at_pole, ddf, df * dphi / where(at_pole, 1.0, phi))
+    if want & _RICCI:
+        ric_rr, ric_tt = out["ric_rr"], out["ric_tt"] = ricci_eigenvalues(m.n, sec_rad, sec_tan)
+        if want & _BAKRY:
+            out["bakry_rr"], out["bakry_tt"] = ric_rr + ddf, ric_tt + ratio
+    if "xnorm" in want:
+        out["xnorm"] = s * abs(df)
+    if want & _WSEC:
+        out["wsec_rT"] = sec_rad + s * ddf
+        # s * ratio once, in place: one temporary fewer (ratio is ours)
+        ratio *= s
+        out["wsec_Tr"], out["wsec_TT"] = sec_rad + ratio, sec_tan + ratio
+    return out
+
+
+def curvature_table(m, r, columns=CSV_COLUMNS):
+    """The curvature ``columns`` at radii ``r`` (array), as a dict of arrays.
+
+    ``columns`` names any of :data:`CSV_COLUMNS`; an unknown name raises
+    DomainError.  The dict holds ``"r"`` and the columns asked for, in
+    :data:`CSV_COLUMNS` order, each with the bits of the default all-17
+    table, and only they and their inputs are computed: f's value only for
+    ``"f"``, the Ricci and Bakry-Emery pairs and the ``wsec_*`` triple only
+    when one of their members is asked for, and no f at all for columns of
+    phi alone.
 
     At an analytic pole (SINE or LINEAR cap) the 0/0 ratios are replaced by
     their closed-form limits; a non-analytic pole raises DomainError.
     """
+    want = set(columns)
+    unknown = want.difference(CSV_COLUMNS)
+    if unknown:
+        raise DomainError(f"unknown curvature column(s): {', '.join(sorted(unknown))}")
+    want.add("r")
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    n = m.n
-    s = m.potential_scale
-
-    phi, dphi, ddphi = m.phi.eval(r, (0, 1, 2))
-    fv, df, ddf = m.f.eval(r, (0, 1, 2))
-
-    sec_rad, sec_tan, at_pole = _sectional(m)(r, phi, dphi, ddphi)
-    # f' phi'/phi, limit f'' at the pole
-    ratio = np.where(at_pole, ddf, df * dphi / np.where(at_pole, 1.0, phi))
-
-    ric_rr, ric_tt = ricci_eigenvalues(n, sec_rad, sec_tan)
-    bakry_rr = ric_rr + ddf
-    bakry_tt = ric_tt + ratio
-    wsec_rT = sec_rad + s * ddf
-    wsec_Tr = sec_rad + s * ratio
-    wsec_TT = sec_tan + s * ratio
-    xnorm = s * np.abs(df)
-
-    return {
-        "r": r, "phi": phi, "dphi": dphi, "ddphi": ddphi,
-        "f": fv, "df": df, "ddf": ddf,
-        "sec_rad": sec_rad, "sec_tan": sec_tan,
-        "ric_rr": ric_rr, "ric_tt": ric_tt,
-        "bakry_rr": bakry_rr, "bakry_tt": bakry_tt,
-        "wsec_rT": wsec_rT, "wsec_Tr": wsec_Tr, "wsec_TT": wsec_TT,
-        "xnorm": xnorm,
-    }
+    if m.f.r_max == m.r_max:
+        # one domain check and clip for both profiles
+        rc = clip_radii(r, m.r_max)
+        phi_at, f_at = partial(m.phi._eval, rc), partial(m.f._eval, rc)
+    else:
+        phi_at, f_at = partial(m.phi.eval, r), partial(m.f.eval, r)
+    out = _columns(m, want, r, phi_at, f_at, np.where)
+    return {k: out[k] for k in CSV_COLUMNS if k in want}
 
 
 def sectional_fn(m, xp=math):
@@ -172,17 +212,32 @@ def sectional_fn(m, xp=math):
 
 
 def curvature_sample(m, r):
-    """All curvature quantities at a single radius."""
-    t = curvature_table(m, float(r))
-    return CurvatureSample(**{k: float(v[0]) for k, v in t.items()})
+    """All curvature quantities at a single radius, with the bits of
+    :func:`curvature_table`'s row, computed in float arithmetic.
+
+    ``r`` is checked and clipped as :meth:`RadialProfile.eval` checks and
+    clips it; a non-analytic pole, or a phi that vanishes away from a pole,
+    raises DomainError.
+    """
+    r = float(r)
+    rp, rf = clip_radius(r, m.r_max), clip_radius(r, m.f.r_max)
+    try:
+        out = _columns(m, _ALL, r, lambda o: m.phi.scalar_fn(o)(rp),
+                       lambda o: m.f.scalar_fn(o)(rf), _pick)
+    except ZeroDivisionError:
+        raise DomainError(f"phi vanishes at r = {r}, away from a pole") from None
+    return CurvatureSample(*[float(out[k]) for k in CSV_COLUMNS])
 
 
 def sec_plane(m, r, w):
-    """Sectional curvature of a plane with radial-wedge weight ``w`` in [0, 1]."""
+    """Sectional curvature of a plane with radial-wedge weight ``w`` in [0, 1].
+
+    A weight outside [0, 1], NaN included, raises DomainError.
+    """
     w = np.asarray(w, dtype=float)
-    if np.any(w < 0) or np.any(w > 1):
+    if not np.all((w >= 0.0) & (w <= 1.0)):
         raise DomainError("plane weight must lie in [0, 1]")
-    t = curvature_table(m, r)
+    t = curvature_table(m, r, ("sec_rad", "sec_tan"))
     out = w * t["sec_rad"] + (1.0 - w) * t["sec_tan"]
     return float(out[0]) if out.size == 1 else out
 

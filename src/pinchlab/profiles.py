@@ -321,15 +321,7 @@ class RadialProfile:
         an order other than 0, 1 or 2.
         """
         _check_order(order)
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        R = self.r_max
-        # min and max are NaN when r holds one, and NaN fails the check
-        lo, hi = (r.min(), r.max()) if r.size else (0.0, 0.0)
-        if not (lo >= -1e-12 and hi <= R + 1e-12):
-            raise DomainError(f"radius outside profile domain [0, {R}]")
-        if lo < 0.0 or hi > R:
-            r = np.clip(r, 0.0, R)
-        return self._eval(r, order)
+        return self._eval(clip_radii(r, self.r_max), order)
 
     def _eval(self, r, order):
         """:meth:`eval` on a float array of radii already in [0, r_max].
@@ -413,6 +405,24 @@ class RadialProfile:
             return sign * evals[bl(edges, r)](r)
 
         return fn
+
+
+def clip_radii(r, R):
+    """Radii ``r`` as a float array in [0, R]: those within 1e-12 outside are
+    clipped to it; NaN, or a radius further out, raises DomainError."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    # min and max are NaN when r holds one, and NaN fails the check
+    lo, hi = (r.min(), r.max()) if r.size else (0.0, 0.0)
+    if not (lo >= -1e-12 and hi <= R + 1e-12):
+        raise DomainError(f"radius outside profile domain [0, {R}]")
+    return np.clip(r, 0.0, R) if lo < 0.0 or hi > R else r
+
+
+def clip_radius(r, R):
+    """:func:`clip_radii` for one float radius, with the same result bits."""
+    if not -1e-12 <= r <= R + 1e-12:
+        raise DomainError(f"radius outside profile domain [0, {R}]")
+    return 0.0 if r < 0.0 else R if r > R else r
 
 
 def _check_order(order):

@@ -119,20 +119,20 @@ def verify_pinch(m, mode=RICCI_MODE, eps=None, upper=None, grid_size=DEFAULT_GRI
     eps = _model_eps(m, eps)
     n = m.n
     rs = _pinch_grid(m, grid_size)
-    tab = curvature_table(m, rs)
 
     if mode == RICCI_MODE:
         scale = float(n - 1)
         upper = 1.0 if upper is None else float(upper)
-        lower_q = {"bakry_rr": tab["bakry_rr"], "bakry_tt": tab["bakry_tt"]}
-        upper_q = {"ric_rr": tab["ric_rr"], "ric_tt": tab["ric_tt"]}
+        lower_names, upper_names = ("bakry_rr", "bakry_tt"), ("ric_rr", "ric_tt")
         upper_target = scale * upper
     else:
         scale = 1.0
         upper_target = 1.0 if upper is None else float(upper)
-        lower_q = {"wsec_rT": tab["wsec_rT"], "wsec_Tr": tab["wsec_Tr"],
-                   "wsec_TT": tab["wsec_TT"]}
-        upper_q = {"sec_rad": tab["sec_rad"], "sec_tan": tab["sec_tan"]}
+        lower_names, upper_names = ("wsec_rT", "wsec_Tr", "wsec_TT"), ("sec_rad", "sec_tan")
+    # only the columns this mode checks
+    tab = curvature_table(m, rs, lower_names + upper_names)
+    lower_q = {k: tab[k] for k in lower_names}
+    upper_q = {k: tab[k] for k in upper_names}
 
     delta = m.meta.get("delta")
     tol_lower = PINCH_TOL_LOWER

@@ -7,7 +7,7 @@ import pytest
 from pinchlab import (DomainError, build_model, curvature_sample,
                       curvature_table, sec_plane, x_field_norm)
 from pinchlab.curvature import CSV_COLUMNS, csv_string, dump_csv, sectional_fn
-from pinchlab.profiles import manifold_from_dict
+from pinchlab.profiles import manifold_from_dict, manifold_to_dict
 
 
 def test_gaussian_point_values(gaussian3):
@@ -53,6 +53,11 @@ def test_gaussian_flat_planes(gaussian3):
 def test_sec_plane_rejects_bad_weight(sphere3):
     with pytest.raises(DomainError):
         sec_plane(sphere3, 1.0, 1.5)
+    # NaN fails every comparison, so it is caught as out of range too
+    for w in (math.nan, [0.5, math.nan], np.array([[0.2], [math.nan]]), [0.5, -0.5],
+              [1.0 + 1e-15]):
+        with pytest.raises(DomainError, match="weight"):
+            sec_plane(sphere3, [1.0, 2.0], w)
 
 
 def test_family_cap_values(family10):
@@ -157,15 +162,99 @@ def test_near_pole_sectional_values_exact(sphere3, family10, d):
     assert np.min(t["bakry_tt"] - 7.2) >= -1e-12
 
 
-def test_sectional_fn_matches_table(gaussian3, sphere3, family10):
-    for m in (gaussian3, sphere3, family10):
-        rs = np.concatenate([np.linspace(0.0, min(m.r_max, 5.0), 2001),
-                             np.asarray(m.phi.junctions())])
+def _json_cap():
+    """A cap of LINEAR and PARABOLA pieces, with a junction in phi and in f."""
+    return manifold_from_dict({"n": 4, "topology": "CAP", "phi": {"segments": [
+        {"kind": "LINEAR", "domain": [0.0, 1.0]},
+        {"kind": "PARABOLA", "domain": [1.0, 3.0], "c0": 1.0, "c1": 1.0, "c2": -0.1}]},
+        "f": {"segments": [
+            {"kind": "PARABOLA", "domain": [0.0, 2.0], "c0": 0.0, "c1": 0.0, "c2": 0.5},
+            {"kind": "PARABOLA", "domain": [2.0, 3.0], "c0": 2.0, "c1": 2.0, "c2": 0.25}]}})
+
+
+def _edge_radii(m):
+    """Both ends, every junction of phi and f, L +- 1 ulp and r_max + 1e-13."""
+    rs = [0.0, m.r_max, m.r_max + 1e-13, *m.phi.junctions(), *m.f.junctions()]
+    if m.L is not None:
+        rs += [math.nextafter(m.L, 0.0), math.nextafter(m.L, math.inf)]
+    return rs
+
+
+def test_sectional_fn_matches_table(gaussian3, sphere3, family10, family10_sec):
+    for m in (gaussian3, sphere3, family10, family10_sec, _json_cap()):
+        rs = np.concatenate([np.linspace(0.0, min(m.r_max, 5.0), 2001), _edge_radii(m)])
         t = curvature_table(m, rs)
         sec = sectional_fn(m)
-        pairs = np.array([sec(r) for r in rs.tolist()])
-        np.testing.assert_array_equal(pairs[:, 0], t["sec_rad"])
-        np.testing.assert_array_equal(pairs[:, 1], t["sec_tan"])
+        inside = rs <= m.r_max
+        pairs = np.array([sec(r) for r in rs[inside].tolist()])
+        np.testing.assert_array_equal(pairs[:, 0], t["sec_rad"][inside])
+        np.testing.assert_array_equal(pairs[:, 1], t["sec_tan"][inside])
+        # curvature_sample works on one float and gives the table row's bits
+        for i, r in enumerate(rs.tolist()):
+            s = curvature_sample(m, r)
+            for k in CSV_COLUMNS:
+                assert getattr(s, k).hex() == float(t[k][i]).hex(), (r, k)
+
+
+def test_curvature_sample_domain():
+    m = _json_cap()
+    for r in (math.nan, -1e-11, m.r_max + 1e-11):
+        with pytest.raises(DomainError, match="outside profile domain"):
+            curvature_sample(m, r)
+        with pytest.raises(DomainError, match="outside profile domain"):
+            curvature_table(m, [1.0, r])
+    assert curvature_sample(m, -1e-13).phi == 0.0
+    # f defined on a shorter interval than phi: each profile checks its own domain
+    d = manifold_to_dict(m)
+    d["f"]["segments"][-1]["domain"][1] = 2.5
+    m = manifold_from_dict(d)
+    for r in (2.75, 3.0):
+        with pytest.raises(DomainError, match="outside profile domain"):
+            curvature_sample(m, r)
+        with pytest.raises(DomainError, match="outside profile domain"):
+            curvature_table(m, [1.0, r])
+    # columns of phi alone do not read f
+    assert curvature_table(m, [2.75], ("sec_rad",))["sec_rad"][0] == curvature_sample(
+        _json_cap(), 2.75).sec_rad
+    # phi = 1 - r vanishes at r = 1, away from the pole: no silent NaN
+    m = manifold_from_dict({"n": 3, "topology": "CAP", "phi": {"segments": [
+        {"kind": "PARABOLA", "domain": [0.0, 2.0], "c0": 1.0, "c1": -1.0, "c2": 0.0}]},
+        "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, 2.0], "value": 0.0}]}})
+    with pytest.raises(DomainError, match="vanishes"):
+        curvature_sample(m, 1.0)
+
+
+def test_curvature_table_columns(family10_sec):
+    m = family10_sec
+    rs = np.concatenate([np.linspace(0.0, m.r_max, 3001), _edge_radii(m)])
+    full = curvature_table(m, rs)
+    assert tuple(full) == CSV_COLUMNS
+    assert tuple(curvature_table(m, rs, CSV_COLUMNS)) == CSV_COLUMNS
+    picks = [(k,) for k in CSV_COLUMNS] + [
+        ("bakry_rr", "bakry_tt", "ric_rr", "ric_tt"),
+        ("wsec_rT", "wsec_Tr", "wsec_TT", "sec_rad", "sec_tan"),
+        ("xnorm", "phi"), ("sec_tan", "f", "r"), ()]
+    for cols in picks:
+        t = curvature_table(m, rs, cols)
+        # "r" always, then the columns asked for, in CSV_COLUMNS order
+        assert tuple(t) == tuple(k for k in CSV_COLUMNS if k == "r" or k in cols)
+        for k, v in t.items():
+            assert v.tobytes() == full[k].tobytes(), (cols, k)
+
+
+def test_curvature_table_unknown_column(sphere3):
+    with pytest.raises(DomainError, match="ric_rt"):
+        curvature_table(sphere3, [1.0], ("sec_rad", "ric_rt"))
+
+
+def test_sec_plane_matches_table_bits(family10):
+    rs = np.linspace(0.0, family10.r_max, 1001)
+    w = np.linspace(0.0, 1.0, 1001)
+    t = curvature_table(family10, rs)
+    want = w * t["sec_rad"] + (1.0 - w) * t["sec_tan"]
+    assert sec_plane(family10, rs, w).tobytes() == want.tobytes()
+    t = curvature_table(family10, 2.0)
+    assert sec_plane(family10, 2.0, 0.25) == float((0.25 * t["sec_rad"] + 0.75 * t["sec_tan"])[0])
 
 
 def test_non_analytic_pole_raises():
@@ -180,5 +269,7 @@ def test_non_analytic_pole_raises():
         curvature_table(m, np.array([0.0, 1.0]))
     with pytest.raises(DomainError):
         sectional_fn(m)(0.0)
+    with pytest.raises(DomainError, match="non-analytic"):
+        curvature_sample(m, 0.0)
     s = curvature_sample(m, 1.0)
     assert sectional_fn(m)(1.0) == (s.sec_rad, s.sec_tan)

@@ -76,16 +76,22 @@ def test_pinch_upper_must_be_finite(gaussian3):
             verify_pinch(gaussian3, "SEC", upper=upper, grid_size=1000)
 
 
-def _reference_violations(m, rep):
-    """The listing built point by point and sorted by (r, quantity)."""
+def _reference_quantities(m, mode):
+    """The grid and the checked columns of the full 17-column table, as
+    (rs, lower quantities, upper quantities)."""
     rs = _pinch_grid(m, DEFAULT_GRID)
     tab = curvature_table(m, rs)
-    if rep.mode == "RICCI":
+    if mode == "RICCI":
         lower_q = {k: tab[k] for k in ("bakry_rr", "bakry_tt")}
         upper_q = {k: tab[k] for k in ("ric_rr", "ric_tt")}
     else:
         lower_q = {k: tab[k] for k in ("wsec_rT", "wsec_Tr", "wsec_TT")}
         upper_q = {k: tab[k] for k in ("sec_rad", "sec_tan")}
+    return rs, lower_q, upper_q
+
+
+def _reference_violations(rep, rs, lower_q, upper_q):
+    """The listing built point by point and sorted by (r, quantity)."""
     lower_bound = rep.eps_target * rep.lower_scale
     violations = []
     for name, v in lower_q.items():
@@ -110,10 +116,14 @@ def _reference_violations(m, rep):
 def test_pinch_violations_match_reference_listing(model, mode, eps, count):
     m = build_model(*model)
     rep = verify_pinch(m, mode, eps=eps)
-    ref = _reference_violations(m, rep)
+    rs, lower_q, upper_q = _reference_quantities(m, mode)
+    ref = _reference_violations(rep, rs, lower_q, upper_q)
     assert len(ref) == count
     assert rep.violations == ref
     assert rep.violations is rep.violations
+    # the achieved bounds are the full table's extremes, bit for bit
+    assert rep.achieved_lower.hex() == min(float(v.min()) for v in lower_q.values()).hex()
+    assert rep.achieved_upper.hex() == max(float(v.max()) for v in upper_q.values()).hex()
 
 
 def test_round_sphere_divergence_consistency(sphere3):
