@@ -649,7 +649,8 @@ class _Geometry:
         k0, k1, k2, k3 = k
         turn = rm >= a
         t = np.where(turn, rm - a, 0.0)                 # r_b - a on turning rows
-        for _ in range(3):
+        # the steps move turning rows only: with none, t stays 0.0
+        for _ in range(3 if turn.any() else 0):
             e = (k0 - c) + t * (k1 + t * (0.5 * k2 + t * k3 / 6.0))
             d = k1 + t * (k2 + 0.5 * k3 * t)
             t = np.where(turn, t - e / np.where(d > 0.0, d, np.inf), t)
@@ -775,10 +776,11 @@ def distance(m, p, q, return_paths=True):
         cgrid0 = np.concatenate([[0.0], cgrid])
         limits = {"direct": (0.0, abs(r2 - r1)), "turn_lo": (math.pi, r1 + r2),
                   "turn_hi": (math.pi, 2.0 * R - r1 - r2)}
-        brackets = []
+        brackets, scans = [], {}
         for cls, (thetas, lengths) in geom.classes(cgrid, r1, r2).items():
             lim, lim_t = limits[cls]
             fvals, tvals = np.concatenate([[lim], thetas]), np.concatenate([[lim_t], lengths])
+            scans[cls] = fvals, tvals
             for target, s in targets:
                 fv = fvals - target
                 cells = np.nonzero(fv[:-1] * fv[1:] <= 0)[0]
@@ -797,7 +799,7 @@ def distance(m, p, q, return_paths=True):
         for approx, cls, target, s, i in brackets:
             if approx > best + 0.1:
                 break
-            found = _refine(geom, cls, r1, r2, target, cgrid0, i)
+            found = _refine(geom, cls, r1, r2, target, cgrid0, i, scans[cls])
             if found is not None:
                 c_star, (_, length) = found
                 best = min(best, length)
@@ -832,18 +834,27 @@ def distance(m, p, q, return_paths=True):
     return d, paths
 
 
-def _refine(geom, cls, r1, r2, target, cgrid, i):
+def _refine(geom, cls, r1, r2, target, cgrid, i, scan):
     """(c*, (dtheta, length) at c*) for the root of dtheta = target bracketed
-    by scan cell ``i``, or None when the cell holds no true root.  The scan
-    evaluated this function at the cell's ends, so only the first cell, whose
-    c = 0 end holds the analytic meridian limit, can fail to bracket."""
-    # brentq returns a point it has evaluated; the memo serves the check
-    ev = functools.cache(lambda c: geom.classes(c, r1, r2)[cls])
-    f = lambda c: ev(c)[0] - target
+    by scan cell ``i``, or None when the cell holds no true root.  ``scan``
+    is the class's (dtheta, length) rows over ``cgrid``.  An array entry of
+    the scan has the bits the float evaluation gives, so the cell's ends are
+    taken from it, not evaluated again.  Only the first cell, whose c = 0 end
+    holds the analytic meridian limit, can fail to bracket."""
     lo, hi = float(cgrid[i]), float(cgrid[i + 1])
+    # brentq returns a point it has evaluated; the memo serves the check
+    memo = {c: (float(scan[0][j]), float(scan[1][j]))
+            for j, c in ((i, lo), (i + 1, hi)) if c != 0.0}
     if lo == 0.0:
         # a cubic piece at the pole reaches that limit only as c -> 0
         lo = hi * 1e-6
+
+    def ev(c):
+        if c not in memo:
+            memo[c] = geom.classes(c, r1, r2)[cls]
+        return memo[c]
+
+    f = lambda c: ev(c)[0] - target
     vlo, vhi = ev(lo), ev(hi)
     if (vlo[0] - target) * (vhi[0] - target) > 0:
         return None

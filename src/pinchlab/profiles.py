@@ -760,16 +760,61 @@ def manifold_from_dict(d):
     ``n``, a segment ``domain`` other than [lo, hi], an ``L``,
     ``potential_scale`` or segment parameter that is not a finite number, or
     ``nodes`` that are not [offset, value] pairs raise ConstructionError
-    naming the field."""
+    naming the field; so does a warping profile ``phi`` that is not positive
+    on (0, r_max), and at r_max on a cap."""
     topology = _field(d, "topology")
     reflect = _finite_field(d, "L") if topology == DOUBLED_SPHERE else None
     n = _field(d, "n")
     if not (_is_number(n) and isinstance(n, int)):
         raise ConstructionError(f"profile JSON: field 'n' must be an integer, got {n!r}")
     scale = _finite_field(d, "potential_scale") if "potential_scale" in d else 1.0
-    return ManifoldWithDensity(n, _profile_from_dict(d, "phi", reflect),
-                               _profile_from_dict(d, "f", reflect), topology,
-                               scale, d.get("meta", {}))
+    m = ManifoldWithDensity(n, _profile_from_dict(d, "phi", reflect),
+                            _profile_from_dict(d, "f", reflect), topology,
+                            scale, d.get("meta", {}))
+    _check_positive(m.phi)
+    return m
+
+
+def _check_positive(phi):
+    """Raise ConstructionError unless the warping profile is positive on
+    (0, r_max), and at r_max on a cap.
+
+    Each segment's least value over [lo, hi] is taken at an end or at a zero
+    of its slope, and those zeros are in closed form: cos r = 0 on SINE, the
+    vertex of a PARABOLA and the roots of each PL2_BAND piece's quadratic
+    slope.  The segments of a doubled profile end at L, so its far pole,
+    where phi vanishes, is not among them.
+    """
+    for seg in phi.segments:
+        lo, hi = seg.lo, seg.hi
+        rs = [lo, hi]
+        if seg.kind == SINE:
+            k0, k1 = (math.ceil((x - 0.5 * math.pi) / math.pi) for x in (lo, hi))
+            rs += [(k + 0.5) * math.pi for k in range(k0, k1 + 1)]
+        elif seg.kind == PARABOLA and seg.params["c2"] != 0.0:
+            rs.append(lo - 0.5 * seg.params["c1"] / seg.params["c2"])
+        elif seg.kind == PL2_BAND:
+            offs, rows = seg._band_table[math]
+            for o0, o1, (_, d1, d2, d3) in zip(offs, offs[1:], rows):
+                # the slope d1 + d2 x + d3 x^2 / 2 at the offset x into the piece
+                rs += [lo + o0 + x for x in _quadratic_roots(0.5 * d3, d2, d1)
+                       if 0.0 <= x <= o1 - o0]
+        value = seg.closed_form(0, math)
+        for r in rs:
+            if lo <= r <= hi and r > 0.0 and not value(r) > 0.0:
+                raise ConstructionError(f"profile JSON: phi must be positive on (0, r_max),"
+                                        f" but phi({r!r}) = {value(r)!r}")
+
+
+def _quadratic_roots(a, b, c):
+    """Real roots of a x^2 + b x + c, in cancellation-free form."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a] + ([c / q] if q != 0.0 else [])
 
 
 def save_manifold(m, path):

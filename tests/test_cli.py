@@ -200,6 +200,23 @@ def test_malformed_profile_json_exits_two(tmp_path, capsys):
     assert "garbled.json" in err
 
 
+
+def test_nonpositive_warping_profile_exits_two(tmp_path, capsys):
+    # a cap whose phi = sin r, then a PARABOLA falling through 0 to -0.618
+    # at r = 2: curvature wrote that row and exited 0, pinch exited 1
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"n": 3, "topology": "CAP", "phi": {"segments": [
+        {"kind": "SINE", "domain": [0.0, 1.0]},
+        {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": math.sin(1.0), "c1": math.cos(1.0),
+         "c2": -2.0}]},
+        "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, 2.0], "value": 0.0}]}}))
+    for argv in (("curvature", "--grid", "4"), ("pinch", "--eps", "0.5"),
+                 ("geodesic", "--r0", "0.5", "--dir", "0.3", "--length", "1")):
+        code, out, err = run(capsys, *argv, "--from", str(path))
+        assert code == 2, argv
+        assert "phi must be positive" in err and out == "", argv
+
+
 def _segment(doc, kind):
     """The first segment of ``kind`` in a profile JSON document."""
     return next(s for name in ("phi", "f") for s in doc[name]["segments"]

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from pinchlab import (DomainError, build_model, curvature_sample,
+from pinchlab import (ConstructionError, DomainError, build_model, curvature_sample,
                       curvature_table, sec_plane, x_field_norm)
 from pinchlab.curvature import CSV_COLUMNS, csv_string, dump_csv, sectional_fn
-from pinchlab.profiles import manifold_from_dict, manifold_to_dict
+from pinchlab.profiles import (CAP, CONSTANT, PARABOLA, ManifoldWithDensity, RadialProfile,
+                               SegmentSpec, manifold_from_dict, manifold_to_dict)
 
 
 def test_gaussian_point_values(gaussian3):
@@ -216,10 +217,13 @@ def test_curvature_sample_domain():
     # columns of phi alone do not read f
     assert curvature_table(m, [2.75], ("sec_rad",))["sec_rad"][0] == curvature_sample(
         _json_cap(), 2.75).sec_rad
-    # phi = 1 - r vanishes at r = 1, away from the pole: no silent NaN
-    m = manifold_from_dict({"n": 3, "topology": "CAP", "phi": {"segments": [
-        {"kind": "PARABOLA", "domain": [0.0, 2.0], "c0": 1.0, "c1": -1.0, "c2": 0.0}]},
-        "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, 2.0], "value": 0.0}]}})
+    # phi = 1 - r vanishes at r = 1, away from the pole: no silent NaN.  A
+    # profile JSON file cannot give that model, so it is built directly
+    line = SegmentSpec(PARABOLA, 0.0, 2.0, {"c0": 1.0, "c1": -1.0, "c2": 0.0})
+    zero = SegmentSpec(CONSTANT, 0.0, 2.0, {"value": 0.0})
+    m = ManifoldWithDensity(3, RadialProfile((line,)), RadialProfile((zero,)), CAP)
+    with pytest.raises(ConstructionError, match="phi must be positive"):
+        manifold_from_dict(manifold_to_dict(m))
     with pytest.raises(DomainError, match="vanishes"):
         curvature_sample(m, 1.0)
 

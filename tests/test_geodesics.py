@@ -9,7 +9,7 @@ from pinchlab import (DomainError, SearchError, build_model,
                       criticality_certificate, distance, farthest_from_pole,
                       inj_at_pole, jacobi_conjugate_points, shoot)
 from pinchlab.geodesics import _Geometry, kink_crossings
-from pinchlab.profiles import PL2_BAND, SegmentSpec, load_manifold
+from pinchlab.profiles import PL2_BAND, SegmentSpec, load_manifold, manifold_from_dict
 from pinchlab.variation import JACOBI_ZERO_TOL, SEC_PERP, path_curvature
 
 
@@ -771,6 +771,108 @@ def test_arcs_array_equals_float_bits_across_the_band(sphere3, gaussian3):
                 one = geom.classes(c, r1, r2)
                 assert {k: [float(x[i]).hex() for x in v] for k, v in vec.items()} == \
                     {k: [x.hex() for x in v] for k, v in one.items()}, (m.meta, c, r1, r2)
+
+
+
+def test_scan_gives_each_bracket_end_the_float_bits(monkeypatch):
+    # _refine takes its cell's ends from the scan instead of evaluating them
+    # again, which keeps distance's bits only while each array entry of
+    # classes equals the float evaluation at that c.  A _refine that finds
+    # nothing makes the search visit every bracket, so every end is compared,
+    # on 60 seeded families over the tier-1 sweep's (n, eps, delta) ranges
+    import pinchlab.geodesics as geodesics
+    ends = []
+
+    def refine(geom, cls, r1, r2, target, cgrid, i, scan):
+        for j in (i, i + 1):
+            c = float(cgrid[j])
+            if c != 0.0:           # the c = 0 end is the meridian limit
+                want = geom.classes(c, r1, r2)[cls]
+                assert [float(v[j]).hex() for v in scan] == [v.hex() for v in want], \
+                    (geom.c_max, cls, c, r1, r2)
+                ends.append(c)
+        return None
+
+    monkeypatch.setattr(geodesics, "_refine", refine)
+    draw = np.random.default_rng(29)
+    for _ in range(60):
+        m = build_model("family", int(draw.integers(3, 11)), float(draw.uniform(0.55, 0.9)),
+                        float(draw.uniform(0.005, 0.08)))
+        p, q = ((float(draw.uniform(0.0, m.r_max)), float(draw.uniform(-math.pi, math.pi)))
+                for _ in range(2))
+        try:
+            distance(m, p, q, return_paths=False)
+        except SearchError:
+            pass
+    assert len(ends) >= 120
+
+
+# float classes evaluations of each _refine on the pinned family pairs (the
+# benchmark's FAMILY_PAIRS), each direction, when _refine evaluated its
+# cell's ends itself; each distance there refines one bracket
+REFINE_EVALS_BEFORE_SEEDING = (6, 5, 5, 6, 6, 6, 5, 5)
+
+
+def test_refine_takes_its_cell_ends_from_the_scan(monkeypatch, family10):
+    import pinchlab.geodesics as geodesics
+    count, per_call = [0], []
+    classes, refine = _Geometry.classes, geodesics._refine
+
+    def counted_classes(self, c, r1, r2):
+        count[0] += isinstance(c, float)
+        return classes(self, c, r1, r2)
+
+    def counted_refine(geom, cls, *args):
+        before = count[0]
+        out = refine(geom, cls, *args)
+        per_call.append(count[0] - before)
+        return out
+
+    monkeypatch.setattr(_Geometry, "classes", counted_classes)
+    monkeypatch.setattr(geodesics, "_refine", counted_refine)
+    fams = (family10, build_model("family", 6, 0.75, 0.03))
+    for k, p, q, _, _ in PINNED_FAMILY:
+        for a, b in ((p, q), (q, p)):
+            distance(fams[k], a, b, return_paths=False)
+    assert per_call == [n - 2 for n in REFINE_EVALS_BEFORE_SEEDING]
+
+
+def test_cubic_arc_row_bits_do_not_depend_on_a_turning_row(family10):
+    # _cubic_arc runs its Newton steps for the turning root only when some
+    # row turns inside the piece, and they move turning rows only: a row
+    # whose turning radius lies below the piece gets the same bits alone as
+    # stacked with one that turns.  On the family's three band pieces and
+    # on the PARABOLA flank piece of a profile JSON cap, with the piece's
+    # coefficients shared by every row (the scan) or one set per row (a
+    # float c's batched pass)
+    cap = manifold_from_dict({"n": 3, "topology": "CAP", "phi": {"segments": [
+        {"kind": "LINEAR", "domain": [0.0, 1.0]},
+        {"kind": "PARABOLA", "domain": [1.0, 6.0], "c0": 1.0, "c1": 1.0, "c2": -0.05}]},
+        "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, 6.0], "value": 0.0}]}})
+    cases = []
+    for m, count in ((family10, 3), (cap, 1)):
+        geom = _Geometry(m)
+        cubic = [piece for piece in geom._pieces if piece[0] == PL2_BAND]
+        assert len(cubic) == count
+        cases += [(geom, piece) for piece in cubic]
+    bits = lambda arrays, i: [float(v[i]).hex() for v in arrays]
+    for geom, (_, a, b, k) in cases:
+        phi_a, phi_b = geom.phi_s(a), geom.phi_s(b)
+        below = np.array([phi_a * f for f in (1e-6, 0.3, 0.9, 1.0 - 1e-9)])
+        turning = 0.5 * (phi_a + phi_b)
+        rm_turning = geom.turn_lo(turning)
+        assert a <= rm_turning <= b
+        for top in (b, 0.5 * (a + b)):
+            for c in below.tolist():
+                rm = geom.turn_lo(c)
+                assert rm < a
+                alone = geom._cubic_arc(k, a, top, np.array([c]), np.array([rm]))
+                cs, rms = np.array([c, turning]), np.array([rm, rm_turning])
+                stacked = geom._cubic_arc(k, a, top, cs, rms)
+                per_row = geom._cubic_arc(np.array([k, k]).T, np.full(2, a), np.full(2, top),
+                                          cs, rms)
+                assert bits(stacked, 0) == bits(alone, 0) == bits(per_row, 0), (k, c, top)
+                assert bits(per_row, 1) == bits(stacked, 1), (k, c, top)
 
 
 def test_realizing_path_hits_target(sphere3):

@@ -273,6 +273,55 @@ def test_manifold_json_round_trip(family10):
                                       m2.f.eval(rs, order))
 
 
+def _json_cap_doc(*phi_segments):
+    """A profile JSON cap with these phi segments and f = 0."""
+    r_max = phi_segments[-1]["domain"][1]
+    return {"n": 3, "topology": "CAP", "phi": {"segments": list(phi_segments)},
+            "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, r_max], "value": 0.0}]}}
+
+
+LINEAR_TO_1 = {"kind": "LINEAR", "domain": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("segments, where", [
+    # phi turns negative past a zero inside the PARABOLA and ends at -0.618
+    (({"kind": "SINE", "domain": [0.0, 1.0]},
+      {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": math.sin(1.0), "c1": math.cos(1.0),
+       "c2": -2.0}), r"phi\(2\.0\) = -0\.618"),
+    # positive at both ends, -1 at the vertex
+    ((LINEAR_TO_1, {"kind": "PARABOLA", "domain": [1.0, 3.0], "c0": 1.0, "c1": -4.0,
+                    "c2": 2.0}), r"phi\(2\.0\) = -1\.0"),
+    # sin 3 and sin 6.5 are positive, sin(3 pi / 2) = -1
+    (({"kind": "LINEAR", "domain": [0.0, 3.0]}, {"kind": "SINE", "domain": [3.0, 6.5]}),
+     r"phi\(4\.712388980384\d*\) = -1\.0"),
+    # a PL2_BAND piece with a quadratic slope: 0.08 and 0.013 at its ends,
+    # -0.014 at the slope's zero, offset sqrt(0.02)
+    ((LINEAR_TO_1, {"kind": "PL2_BAND", "domain": [1.0, 1.2], "left_value": 0.08,
+                    "left_slope": -1.0, "nodes": [[0.0, 0.0], [0.2, 20.0]]}),
+     r"phi\(1\.1414\d*\) = -0\.014"),
+    # zero at the end of a cap, and a vanishing CONSTANT
+    ((LINEAR_TO_1, {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 1.0, "c1": -1.0,
+                    "c2": 0.0}), r"phi\(2\.0\) = 0\.0"),
+    ((LINEAR_TO_1, {"kind": "CONSTANT", "domain": [1.0, 2.0], "value": 0.0}),
+     r"phi\(1\.0\) = 0\.0"),
+], ids=["parabola_end", "parabola_vertex", "sine_trough", "band_slope_zero", "cap_end",
+        "constant"])
+def test_json_warping_profile_must_be_positive(segments, where):
+    # the least value of each segment is at an end or a zero of its slope,
+    # in closed form; a grid would miss the band's 0.2-wide dip
+    with pytest.raises(ConstructionError, match=where):
+        manifold_from_dict(_json_cap_doc(*segments))
+
+
+def test_json_warping_profile_may_vanish_at_the_poles(sphere3, family10):
+    # phi = 0 at the pole of every model and at the far pole of a doubled one
+    for m in (sphere3, family10, build_model("gaussian", 3, eps=0.5)):
+        assert manifold_to_dict(manifold_from_dict(manifold_to_dict(m))) == manifold_to_dict(m)
+    # and a vertex 1e-9 above zero passes
+    manifold_from_dict(_json_cap_doc(LINEAR_TO_1, {"kind": "PARABOLA", "domain": [1.0, 3.0],
+                                                   "c0": 1.0, "c1": -2.0, "c2": 1.0 + 1e-9}))
+
+
 # -- scalar closures --------------------------------------------------------
 
 
