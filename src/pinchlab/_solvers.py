@@ -17,7 +17,7 @@ as a float sum, because a BLAS dot may sum in an order of its own.
 
 Only what pinchlab uses is here: forward DOP853 (Hairer, Norsett and
 Wanner, *Solving Ordinary Differential Equations I*, II.5 and II.10) with
-``rtol``, ``atol``, ``max_step`` and one terminal event, and Brent's method
+``rtol``, ``atol`` and ``max_step``, and Brent's method
 (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
 
 ``geodesics`` binds ``solve_ivp`` and ``brentq`` at module level, as
@@ -32,7 +32,7 @@ and the like in one module.
 #                                    Dop853DenseOutput
 #   scipy/integrate/_ivp/common.py   norm, select_initial_step, OdeSolution
 #   scipy/integrate/_ivp/base.py     OdeSolver.step
-#   scipy/integrate/_ivp/ivp.py      solve_ivp's step loop and event rule
+#   scipy/integrate/_ivp/ivp.py      solve_ivp's step loop
 #   scipy/integrate/_ivp/dop853_coefficients.py    the tableau below
 #   scipy/optimize/Zeros/brentq.c, scipy/optimize/_zeros_py.py    brentq
 
@@ -51,8 +51,7 @@ EPS = 2.220446049250313e-16          # np.finfo(float).eps
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 ERROR_EXPONENT = -1 / 8              # -1 / (error estimator order 7 + 1)
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
-            1: "A termination event occurred."}
+FINISHED = "The solver successfully reached the end of the integration interval."
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +312,13 @@ class OdeSolution:
 
 @dataclass
 class OdeResult:
-    """``t`` and ``y`` at the accepted steps, the dense output ``sol``, and
-    ``t_events``: None without an event, else a list of one array holding
-    the event's time if it occurred."""
+    """``t`` and ``y`` at the accepted steps and the dense output ``sol``."""
 
     t: np.ndarray
     y: np.ndarray
     sol: OdeSolution
-    t_events: list | None
     nfev: int
-    status: int           # 0 finished, 1 stopped by the event, -1 failed
+    status: int           # 0 finished, -1 failed
     message: str
 
     @property
@@ -363,15 +359,13 @@ def _norm_2(x):
         return math.inf
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
+def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf):
     """Integrate y' = fun(t, y) over t_span = (t0, tf), t0 < tf, by DOP853.
 
     ``fun`` receives y as a list of floats.  Every accepted step keeps its
-    dense output.  ``event(t, y)``, if given, is terminal: the solve stops
-    in the first step over which it changes sign or reaches zero, at the
-    root Brent's method finds on that step's dense output.  Steps shrinking
-    below ten ulp of t end the solve with status -1.  Returns an
-    :class:`OdeResult` with scipy's fields.
+    dense output.  The solve ends at tf with status 0, or with status -1
+    once a step shrinks below ten ulp of t.  Returns an :class:`OdeResult`
+    with scipy's fields.
     """
     stages, extra, B, E3, E5, D = _tableau()
     t0, tf, max_step = float(t_span[0]), float(t_span[1]), float(max_step)
@@ -387,8 +381,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
     K12T, K13T = K[:12].T, K[:13].T
 
     ts, ys, interpolants = [t0], [y0], []
-    g = event(t0, y) if event is not None else None
-    t_events = []
     status = message = None
     while status is None:
         # one step, rejected attempts included
@@ -439,7 +431,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
             break
         t_old, y_old, f_old, t, y, fy = t, y, fy, t_new, y_new, f_new
         if t >= tf:
-            status = 0
+            status, message = 0, FINISHED
 
         # the dense output of the step
         for s, Kt, a, c in extra:
@@ -450,23 +442,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
         F[:3] = (delta_y, [h * f - d for f, d in zip(f_old, delta_y)],
                  [2 * d - h * (f + fo) for d, f, fo in zip(delta_y, fy, f_old)])
         F[3:] = h * D.dot(K)
-        sol = DenseOutput(t_old, t, y_old, F)
-        interpolants.append(sol)
-
-        if event is not None:
-            g_new = event(t, y)
-            if g <= 0 <= g_new or g_new <= 0 <= g:
-                t = brentq(lambda s: event(s, sol(s)), t_old, t, xtol=4 * EPS, rtol=4 * EPS)
-                t_events.append(t)
-                status = 1
-                y = sol(t)
-            g = g_new
-        if len(ts) > 1 and ts[-1] == t:
-            interpolants.pop()
-        else:
-            ts.append(t)
-            ys.append(y)
+        interpolants.append(DenseOutput(t_old, t, y_old, F))
+        ts.append(t)
+        ys.append(y)
 
     return OdeResult(np.array(ts), np.vstack(ys).T, OdeSolution(ts, interpolants),
-                     None if event is None else [np.asarray(t_events)], nfev, status,
-                     MESSAGES.get(status, message))
+                     nfev, status, message)

@@ -55,22 +55,16 @@ def _fmt(v):
     return v
 
 
-def _emit_json(doc, out):
-    doc = _fmt(doc)
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_text(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(doc, out):
+    _emit_text(json.dumps(_fmt(doc), sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
 def _int_at_least(low, high=None):
@@ -222,11 +216,7 @@ def _dispatch(args):
     if args.cmd == "curvature":
         m = _resolve_model(args)
         lo = 0.0 if m.phi.segments[0].kind in (SINE, LINEAR) else 1e-6
-        rs = np.linspace(lo, m.r_max, args.grid + 1)
-        if args.out:
-            dump_csv(m, rs, args.out)
-        else:
-            dump_csv(m, rs, sys.stdout)
+        dump_csv(m, np.linspace(lo, m.r_max, args.grid + 1), args.out or sys.stdout)
         return 0
 
     if args.cmd == "pinch":
@@ -240,11 +230,7 @@ def _dispatch(args):
 
     if args.cmd == "geodesic":
         m = _resolve_model(args)
-        path = shoot(m, args.r0, args.dir, args.length)
-        if args.out:
-            path.dump_csv(args.out)
-        else:
-            path.dump_csv(sys.stdout)
+        shoot(m, args.r0, args.dir, args.length).dump_csv(args.out or sys.stdout)
         return 0
 
     if args.cmd == "index":

@@ -37,6 +37,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,7 @@ SHOOT_SAMPLES = 1025            # rows of a shot path's ``samples``
 ANCHOR_ORDER = 32               # Gauss-Legendre nodes per panel of an arc quadrature
 MAX_LENGTH_FACTOR = 100.0
 _POLE = 1e-12
+_EXIT_TOL = 4 * sys.float_info.epsilon     # Brent's xtol and rtol for a cap exit
 
 
 # The solver module is imported on the first solve or root finding, because
@@ -221,8 +223,14 @@ def shoot(m, r0, alpha, T, theta0=0.0):
     (measured from the outward radial direction) for arclength ``T``.
 
     ``T`` must be finite, positive and at most ``MAX_LENGTH_FACTOR * r_max``,
-    and a launch off the meridians must start more than ``_POLE`` from a
-    pole; otherwise :class:`DomainError` is raised."""
+    ``r0`` in [0, r_max + 1e-12], and a launch off the meridians must start
+    more than ``_POLE`` from a pole; otherwise :class:`DomainError` is
+    raised.  ``r0`` is then clipped to [0, r_max].  A geodesic that leaves a
+    cap raises :class:`IntegrationError` with ``reached``, the arclength at
+    which it crosses r_max.  Off the meridians that crossing is read from the
+    solve: past the rim phi and phi' keep their values at r_max, so a solve
+    that leaves runs on to T through finite values, and the first step that
+    ends above r_max holds the crossing, found there by Brent's method."""
     check_arclength(m, T)
     if not math.isfinite(alpha):
         raise DomainError("launch angle must be finite")
@@ -234,9 +242,10 @@ def shoot(m, r0, alpha, T, theta0=0.0):
     # phi vanishes at a pole, and theta_dot = sin(alpha) / phi(r0)
     if sa != 0.0 and (r0 < _POLE or (m.topology == DOUBLED_SPHERE and m.r_max - r0 < _POLE)):
         raise DomainError("non-meridian launch from a pole")
+    R = m.r_max
+    r0 = min(float(r0), R)
 
     ts = np.linspace(0.0, T, SHOOT_SAMPLES)
-    R = m.r_max
     phi_s = m.phi.scalar_fn(0)
     # sampled radii may stray past [0, R] by rounding; clip as eval does
     phi2 = lambda rr: phi_s(min(max(float(rr), 0.0), R)) ** 2
@@ -251,11 +260,14 @@ def shoot(m, r0, alpha, T, theta0=0.0):
                             _state_fn=st, _phi2=phi2,
                             _crossings=lambda: _meridian_crossings(m, r0, d0, T))
 
-    phi0 = phi_s(min(float(r0), R))
+    phi0 = phi_s(r0)
     c = phi0 * sa
     y0 = [r0, ca, theta0, sa / phi0]
 
     phi_dphi = m.phi.scalar_fn((0, 1))
+    if m.topology == CAP:
+        inside = phi_dphi
+        phi_dphi = lambda r: inside(R if r > R else r)
 
     def rhs(t, y):
         # y is a list of floats (an array under scipy, with the same bits)
@@ -263,19 +275,14 @@ def shoot(m, r0, alpha, T, theta0=0.0):
         p, dp = phi_dphi(r)
         return [rd, p * dp * td * td, td, -2.0 * dp / p * rd * td]
 
-    def leave(t, y):
-        return m.r_max - y[0]
-
     crossings = kink_crossings(m, r0, ca, c, T)
     state, sol = solve_pieces(solve_ivp, rhs, [0.0, *crossings, T], y0,
-                              rtol=DEFAULT_SHOOT_TOL, atol=DEFAULT_SHOOT_TOL * 1e-2,
-                              event=leave if m.topology == CAP else None)
+                              rtol=DEFAULT_SHOOT_TOL, atol=DEFAULT_SHOOT_TOL * 1e-2)
     if not sol.success:
         raise IntegrationError(f"geodesic integration failed: {sol.message}",
                                reached=float(sol.t[-1]))
-    if sol.status == 1:
-        raise IntegrationError("geodesic left the configured cap domain",
-                               reached=float(sol.t_events[0][0]))
+    if m.topology == CAP:
+        _raise_on_cap_exit(state, R)
 
     r, rd, th, td = state(ts)
     phi = m.phi._eval(np.clip(r, 0.0, R), 0)
@@ -286,6 +293,21 @@ def shoot(m, r0, alpha, T, theta0=0.0):
     return GeodesicPath(c, samples, T, clair, speed, False, thetadot=td,
                         _state_fn=state, _phi2=phi2,
                         _crossings=crossings or (lambda: _solved_crossings(m, state)))
+
+
+def _raise_on_cap_exit(sol, R):
+    """Raise IntegrationError if the solved path ``sol`` leaves the cap
+    r <= R.  The first step that ends above R holds the exit, which Brent's
+    method finds on the dense output from the step's start at r <= R.  The
+    launch is no step end, so a launch from the rim leaves only if its first
+    step ends above it."""
+    ts = sol.ts
+    above = np.nonzero(sol(ts[1:], 1)[0] > R)[0]
+    if above.size:
+        i = above[0]
+        reached = brentq(lambda t: R - sol(t, 1)[0], ts[i], ts[i + 1],
+                         xtol=_EXIT_TOL, rtol=_EXIT_TOL)
+        raise IntegrationError("geodesic left the configured cap domain", reached=reached)
 
 
 def _solved_crossings(m, sol):
@@ -324,16 +346,15 @@ def solve_pieces(solve, fun, cuts, y0, **settings):
     skipped, and each other piece gets its own run from the previous piece's
     final state (Hairer, Norsett and Wanner, *Solving ODEs I*, II.6), so no
     step straddles a cut.  Returns the pieces' dense outputs joined into one
-    reader, and the last run.  A run that fails or stops at its event ends
-    the loop; the reader is then None.  With one piece the reader is that
-    run's own.
+    reader, and the last run.  A run that fails ends the loop; the reader
+    is then None.  With one piece the reader is that run's own.
     """
     pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo >= 1e-15] \
         or [(cuts[0], cuts[-1])]
     times, interpolants = [[float(pieces[0][0])]], []
     for lo, hi in pieces:
         sol = solve(fun, (lo, hi), y0, **settings)
-        if not sol.success or sol.status == 1:
+        if not sol.success:
             return None, sol
         times.append(sol.sol.ts[1:])
         interpolants.extend(sol.sol.interpolants)

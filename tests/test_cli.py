@@ -92,6 +92,20 @@ def test_index_json(capsys):
     assert doc["cross_check_agree"] is True
 
 
+@pytest.mark.parametrize("cmd", ["geodesic", "index"])
+@pytest.mark.parametrize("r0, direction, length, code", [
+    ("50", "2.5", "10", 0),
+    ("50.0000000000001", "0.3", "5", 2),
+], ids=["inward_from_rim", "outward_past_rim"])
+def test_rim_launches_on_the_gaussian_cap(capsys, cmd, r0, direction, length, code):
+    # r_max = 50; a launch within 1e-12 past it starts from the rim
+    got, _, err = run(capsys, cmd, "--model", "gaussian", "--r0", r0, "--dir", direction,
+                      "--length", length)
+    assert got == code, err
+    if code:
+        assert "left the configured cap domain" in err
+
+
 def test_gap_report(capsys):
     code, text, _ = run(capsys, "gap", "--model", "family", "--n", "10",
                         "--eps", "0.8", "--delta", "0.02")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pinchlab import (DomainError, SearchError, build_model,
+from pinchlab import (DomainError, IntegrationError, SearchError, build_model,
                       criticality_certificate, distance, farthest_from_pole,
                       inj_at_pole, jacobi_conjugate_points, shoot)
 from pinchlab.geodesics import _Geometry, kink_crossings
@@ -342,9 +342,8 @@ def _kinked_cap():
 
 def test_cap_launch_falls_once_and_rises_once_across_its_kink(monkeypatch):
     # falling from r0 = 2 to the turning radius below the kink and back up:
-    # two crossings, then the leave event on the last piece, with reached
-    # in the arclength of the whole path, not of its piece
-    from pinchlab import IntegrationError
+    # two crossings, then the exit on the last piece, with reached in the
+    # arclength of the whole path, not of its piece
     m = _kinked_cap()
     r0, alpha = 2.0, 2.9
     c = float(m.phi(r0)) * math.sin(alpha)
@@ -360,10 +359,64 @@ def test_cap_launch_falls_once_and_rises_once_across_its_kink(monkeypatch):
     runs = _counting_solves(monkeypatch)
     with pytest.raises(IntegrationError) as info:
         shoot(m, r0, alpha, 100.0)
-    assert len(runs) == 3 and [run.status for run in runs] == [0, 0, 1]
+    assert len(runs) == 3 and [run.status for run in runs] == [0, 0, 0]
     geom = _Geometry(m)
     got = geom.arcs(c, [r0, m.r_max])
-    assert info.value.reached == pytest.approx(got[r0][1] + got[m.r_max][1], abs=1e-8)
+    # the primitive holds the exit to the digit (51.919135473948435 at 40
+    # digits); the solve's r drifts by 1.1e-12 over the 52 of arclength
+    assert info.value.reached == pytest.approx(got[r0][1] + got[m.r_max][1], abs=2e-12)
+
+
+def test_rim_launches(gaussian3):
+    # from r_max = 50, inward stays on the cap and outward leaves at once; a
+    # launch 1e-13 past the rim is clipped to it
+    path = shoot(gaussian3, 50.0, 2.5, 10.0)
+    assert path.clairaut_residual <= 1e-8 and path.speed_residual <= 1e-8
+    assert path.samples[:, 1].max() <= 50.0
+    for r0 in (50.0 + 1e-13, 50.0):
+        with pytest.raises(IntegrationError) as info:
+            shoot(gaussian3, r0, 0.3, 5.0)
+        assert info.value.reached == 0.0
+
+
+def test_cap_exit_without_a_primitive_is_read_from_the_solve(tmp_path, monkeypatch):
+    # the dip cap has no Clairaut primitive; its one solve runs on to T, and
+    # the exit is where its dense output meets r_max
+    m = _dip_model(tmp_path)
+    runs = _counting_solves(monkeypatch)
+    with pytest.raises(IntegrationError) as info:
+        shoot(m, 0.5, 0.3, 60.0)
+    reached = info.value.reached
+    assert len(runs) == 1 and runs[0].status == 0 and runs[0].t[-1] == 60.0
+    assert runs[0].sol(reached, 1)[0] == pytest.approx(m.r_max, abs=1e-9)
+    assert reached == pytest.approx(49.52214000735265, abs=1e-9)
+
+
+def test_sine_cap_exit_reads_phi_inside_the_cap(monkeypatch):
+    # sin r continued past r_max = 1.4 would vanish at pi; the right-hand
+    # side never reads phi past the rim, however long the solve runs on
+    from pinchlab.profiles import RadialProfile
+    m = manifold_from_dict({
+        "n": 3, "topology": "CAP",
+        "phi": {"segments": [{"kind": "SINE", "domain": [0.0, 1.4]}]},
+        "f": {"segments": [{"kind": "PARABOLA", "domain": [0.0, 1.4],
+                            "c0": 0.0, "c1": 0.0, "c2": 0.5}]}})
+    radii = []
+    scalar_fn = RadialProfile.scalar_fn
+
+    def recording(self, order=0):
+        fn = scalar_fn(self, order)
+        return lambda r: radii.append(r) or fn(r)
+
+    monkeypatch.setattr(RadialProfile, "scalar_fn", recording)
+    geom, R = _Geometry(m), m.r_max
+    for r0, alpha in ((1.0, 0.3), (0.5, 2.0), (R, 2.5)):
+        with pytest.raises(IntegrationError) as info:
+            shoot(m, r0, alpha, 100.0 * R)
+        u = geom.arcs(math.sin(r0) * math.sin(alpha), [r0, R])
+        primitive = u[R][1] - u[r0][1] if math.cos(alpha) > 0 else u[r0][1] + u[R][1]
+        assert info.value.reached == pytest.approx(primitive, abs=1e-12)
+    assert max(radii) <= R
 
 
 def test_shoot_checks_the_launch_before_the_crossings(family10):
