@@ -45,13 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SearchError
+from .errors import IntegrationError, SearchError
 
 EPS = 2.220446049250313e-16          # np.finfo(float).eps
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 ERROR_EXPONENT = -1 / 8              # -1 / (error estimator order 7 + 1)
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-FINISHED = "The solver successfully reached the end of the integration interval."
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +311,12 @@ class OdeSolution:
 
 @dataclass
 class OdeResult:
-    """``t`` and ``y`` at the accepted steps and the dense output ``sol``."""
+    """The dense output ``sol`` of a finished solve, its final state ``y``
+    and its count of ``fun`` calls, ``nfev``."""
 
-    t: np.ndarray
-    y: np.ndarray
     sol: OdeSolution
+    y: np.ndarray
     nfev: int
-    status: int           # 0 finished, -1 failed
-    message: str
-
-    @property
-    def success(self):
-        return self.status >= 0
 
 
 def _norm(x):
@@ -363,9 +356,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf):
     """Integrate y' = fun(t, y) over t_span = (t0, tf), t0 < tf, by DOP853.
 
     ``fun`` receives y as a list of floats.  Every accepted step keeps its
-    dense output.  The solve ends at tf with status 0, or with status -1
-    once a step shrinks below ten ulp of t.  Returns an :class:`OdeResult`
-    with scipy's fields.
+    dense output.  Returns an :class:`OdeResult` once the solve reaches tf.
+    A step that shrinks below ten ulp of t raises :class:`IntegrationError`
+    with scipy's message and ``reached``, the last accepted step's time.
     """
     stages, extra, B, E3, E5, D = _tableau()
     t0, tf, max_step = float(t_span[0]), float(t_span[1]), float(max_step)
@@ -380,9 +373,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf):
     extra = [(s, K[:s].T, a, c) for s, a, c in extra]
     K12T, K13T = K[:12].T, K[:13].T
 
-    ts, ys, interpolants = [t0], [y0], []
-    status = message = None
-    while status is None:
+    ts, interpolants = [t0], []
+    while t < tf:
         # one step, rejected attempts included
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs > max_step:
@@ -392,8 +384,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf):
         rejected = False
         while True:
             if h_abs < min_step:
-                status, message = -1, TOO_SMALL_STEP
-                break
+                raise IntegrationError(TOO_SMALL_STEP, reached=t)
             t_new = t + h_abs
             if t_new > tf:
                 t_new = tf
@@ -427,11 +418,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
-        if status == -1:
-            break
         t_old, y_old, f_old, t, y, fy = t, y, fy, t_new, y_new, f_new
-        if t >= tf:
-            status, message = 0, FINISHED
 
         # the dense output of the step
         for s, Kt, a, c in extra:
@@ -444,7 +431,5 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf):
         F[3:] = h * D.dot(K)
         interpolants.append(DenseOutput(t_old, t, y_old, F))
         ts.append(t)
-        ys.append(y)
 
-    return OdeResult(np.array(ts), np.vstack(ys).T, OdeSolution(ts, interpolants),
-                     nfev, status, message)
+    return OdeResult(OdeSolution(ts, interpolants), np.array(y), nfev)

@@ -18,7 +18,6 @@ the field norm apply the manifold's ``potential_scale``.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -182,25 +181,13 @@ def curvature_table(m, r, columns=CSV_COLUMNS):
     return {k: out[k] for k in CSV_COLUMNS if k in want}
 
 
-def sectional_fn(m, xp=math):
+def sectional_fn(m):
     """Closure r -> (sec_rad, sec_tan) through the one kernel :func:`_sectional`.
 
-    With ``xp=math`` it takes one float radius and computes in float
-    arithmetic, for ODE right-hand sides; no domain check: the caller
-    guarantees 0 <= r <= r_max.  With ``xp=np`` it takes an array of radii,
-    checked as :meth:`RadialProfile.eval` checks them, and gives
-    :func:`curvature_table`'s sec_rad and sec_tan, bit for bit, without its
-    other 15 columns.
+    It takes one float radius and computes in float arithmetic, for ODE
+    right-hand sides, with the bits of :func:`curvature_table`'s sec_rad and
+    sec_tan; no domain check: the caller guarantees 0 <= r <= r_max.
     """
-    if xp is np:
-        kernel = _sectional(m)
-
-        def sec(r):
-            r = np.atleast_1d(np.asarray(r, dtype=float))
-            sec_rad, sec_tan, _ = kernel(r, *m.phi.eval(r, (0, 1, 2)))
-            return sec_rad, sec_tan
-
-        return sec
     phi = m.phi.scalar_fn((0, 1, 2))
     kernel = _sectional(m, _pick)
 

@@ -14,7 +14,7 @@ class ConstructionError(PinchlabError, ValueError):
 
 
 class IntegrationError(PinchlabError, RuntimeError):
-    """Geodesic integration failed.  Carries the arclength reached so far."""
+    """An ODE solve or a quadrature failed.  Carries the time reached so far."""
 
     def __init__(self, message, reached=None):
         super().__init__(message)

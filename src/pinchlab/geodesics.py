@@ -276,11 +276,8 @@ def shoot(m, r0, alpha, T, theta0=0.0):
         return [rd, p * dp * td * td, td, -2.0 * dp / p * rd * td]
 
     crossings = kink_crossings(m, r0, ca, c, T)
-    state, sol = solve_pieces(solve_ivp, rhs, [0.0, *crossings, T], y0,
-                              rtol=DEFAULT_SHOOT_TOL, atol=DEFAULT_SHOOT_TOL * 1e-2)
-    if not sol.success:
-        raise IntegrationError(f"geodesic integration failed: {sol.message}",
-                               reached=float(sol.t[-1]))
+    state = solve_pieces(solve_ivp, rhs, [0.0, *(crossings or ()), T], y0,
+                         rtol=DEFAULT_SHOOT_TOL, atol=DEFAULT_SHOOT_TOL * 1e-2)
     if m.topology == CAP:
         _raise_on_cap_exit(state, R)
 
@@ -289,10 +286,11 @@ def shoot(m, r0, alpha, T, theta0=0.0):
     clair = float(np.max(np.abs(phi**2 * td - c)))
     speed = float(np.max(np.abs(rd**2 + phi**2 * td**2 - 1.0)))
     samples = np.column_stack([ts, r, th, rd])
-
+    if crossings is None:
+        # no Clairaut primitive: read from the solve, on first read
+        crossings = lambda: _solved_crossings(m, state)
     return GeodesicPath(c, samples, T, clair, speed, False, thetadot=td,
-                        _state_fn=state, _phi2=phi2,
-                        _crossings=crossings or (lambda: _solved_crossings(m, state)))
+                        _state_fn=state, _phi2=phi2, _crossings=crossings)
 
 
 def _raise_on_cap_exit(sol, R):
@@ -312,26 +310,18 @@ def _raise_on_cap_exit(sol, R):
 
 def _solved_crossings(m, sol):
     """Sorted arclengths in (0, T) where the solved path ``sol`` crosses a
-    kink of phi, for a path that :func:`kink_crossings` predicted none on.
+    kink of phi, on a profile without a Clairaut primitive, where
+    :func:`kink_crossings` gives None.
 
-    On a profile :class:`_Geometry` accepts that prediction stands.  One it
-    rejects has no Clairaut primitive, so the crossings are read from the
-    solve: each kink that the radii at the two ends of an accepted step lie
-    strictly on either side of, refined by Brent's method on that step's
-    dense output.  A step that crosses a kink and comes back is missed.
+    The crossings are read from the solve: each kink that the radii at the
+    two ends of an accepted step lie strictly on either side of, refined by
+    Brent's method on that step's dense output.  A step that crosses a kink
+    and comes back is missed.
     """
-    kinks = m.phi.kinks()
-    if not kinks:
-        return []
-    try:
-        _Geometry(m)
-        return []
-    except SearchError:
-        pass
     ts = sol.ts
     r = sol(ts, 1)[0]
     out = []
-    for k in kinks:
+    for k in m.phi.kinks():
         d = r - k
         out += [brentq(lambda t: sol(t, 1)[0] - k, float(ts[i]), float(ts[i + 1]), xtol=1e-15)
                 for i in np.nonzero(d[:-1] * d[1:] < 0)[0]]
@@ -346,22 +336,21 @@ def solve_pieces(solve, fun, cuts, y0, **settings):
     skipped, and each other piece gets its own run from the previous piece's
     final state (Hairer, Norsett and Wanner, *Solving ODEs I*, II.6), so no
     step straddles a cut.  Returns the pieces' dense outputs joined into one
-    reader, and the last run.  A run that fails ends the loop; the reader
-    is then None.  With one piece the reader is that run's own.
+    reader; with one piece the reader is that run's own.  A run that fails
+    raises ``solve``'s :class:`IntegrationError`, whose ``reached`` is a
+    time of the whole span, since every piece runs on its own part of it.
     """
     pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo >= 1e-15] \
         or [(cuts[0], cuts[-1])]
     times, interpolants = [[float(pieces[0][0])]], []
     for lo, hi in pieces:
-        sol = solve(fun, (lo, hi), y0, **settings)
-        if not sol.success:
-            return None, sol
-        times.append(sol.sol.ts[1:])
-        interpolants.extend(sol.sol.interpolants)
-        y0 = sol.y[:, -1]
+        run = solve(fun, (lo, hi), y0, **settings)
+        times.append(run.sol.ts[1:])
+        interpolants.extend(run.sol.interpolants)
+        y0 = run.y
     if len(pieces) == 1:
-        return sol.sol, sol
-    return type(sol.sol)(np.concatenate(times), interpolants), sol
+        return run.sol
+    return type(run.sol)(np.concatenate(times), interpolants)
 
 
 def kink_crossings(m, r0, ca, c, T):
@@ -378,8 +367,10 @@ def kink_crossings(m, r0, ca, c, T):
     A launch with c = phi(r0) (alpha = pi/2) starts at a turning radius: it
     rises where phi'(r0) > 0 and falls where phi'(r0) < 0, and where
     phi'(r0) = 0 it runs along a parallel and crosses nothing.  Crossings
-    within 1e-15 of 0 or T are dropped.  A profile without kinks, or one
-    that :class:`_Geometry` rejects, gives none.
+    within 1e-15 of 0 or T are dropped.  A profile without kinks gives [].
+    One that :class:`_Geometry` rejects has no Clairaut primitive and gives
+    None: its crossings can only be read from a solve
+    (:func:`_solved_crossings`).
     """
     kinks = m.phi.kinks()
     if not kinks:
@@ -387,7 +378,7 @@ def kink_crossings(m, r0, ca, c, T):
     try:
         geom = _Geometry(m)
     except SearchError:
-        return []
+        return None
     c = abs(c)
     r0 = min(max(float(r0), 0.0), m.r_max)
     if c < geom.phi_s(r0):
@@ -743,8 +734,9 @@ def distance(m, p, q, return_paths=True):
     radius within ``_POLE`` of a pole is that pole, and the only candidate is
     the meridian to it.  Candidates within ``DEFAULT_DISTANCE_TOL`` of the
     shortest are kept once per (class, side), a meridian once per class, so
-    both members of a theta-mirror pair are returned.  A returned path may be
-    missing when re-shooting it fails; p = q gives 0 and no path.
+    both members of a theta-mirror pair are returned; p = q gives 0 and no
+    path.  A re-shot path whose solve fails raises its
+    :class:`IntegrationError`.
 
     Raises SearchError when no candidate is found, and when the shortest
     candidate exceeds the broken path through a pole, min(r1 + r2,
@@ -848,10 +840,7 @@ def distance(m, p, q, return_paths=True):
         sa = min(c / phi1, 1.0) if c else 0.0
         up = r2 >= r1 if cls == "direct" else cls == "turn_hi"
         alpha = math.asin(sa) if up else math.pi - math.asin(sa)
-        try:
-            paths.append(shoot(m, r1, s * alpha, length, theta0=th1))
-        except IntegrationError:
-            continue
+        paths.append(shoot(m, r1, s * alpha, length, theta0=th1))
     return d, paths
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .curvature import ricci_eigenvalues, sectional_fn, x_field_norm
+from .curvature import curvature_table, ricci_eigenvalues, sectional_fn, x_field_norm
 from .geodesics import solve_ivp, solve_pieces
 
 QUAD_TOL = 1e-9
@@ -161,7 +161,8 @@ def path_curvature(m, path, kind=RICCI, direction="fiber"):
 
     One float, as an ODE right-hand side passes, reads only r and rdot
     from the path and goes through the float kernel of :func:`sectional_fn`
-    to give a float; an array of arclengths goes through its array kernel.
+    to give a float; an array of arclengths reads the sec_rad and sec_tan
+    columns of :func:`curvature_table`, which have the same bits.
 
     ``RICCI``: Ric(gdot, gdot) = a^2 ric_rr + (1 - a^2) ric_tt with a = rdot.
     ``SEC_PERP``: sec of the plane spanned by gdot and a perpendicular
@@ -174,7 +175,7 @@ def path_curvature(m, path, kind=RICCI, direction="fiber"):
         raise DomainError(f"unknown direction class {direction!r}")
 
     R, n = m.r_max, m.n
-    sec, sec_array = sectional_fn(m), sectional_fn(m, np)
+    sec = sectional_fn(m)
     ricci, in_slice = kind == RICCI, direction == "slice"
     state = path.state
 
@@ -185,7 +186,8 @@ def path_curvature(m, path, kind=RICCI, direction="fiber"):
             a2 = min(rd * rd, 1.0)
         else:
             r, rd = state(np.atleast_1d(np.asarray(t, dtype=float)), 2)
-            sec_rad, sec_tan = sec_array(np.clip(r, 0.0, R))
+            cols = curvature_table(m, np.clip(r, 0.0, R), ("sec_rad", "sec_tan"))
+            sec_rad, sec_tan = cols["sec_rad"], cols["sec_tan"]
             a2 = np.clip(rd ** 2, 0.0, 1.0)
         if ricci:
             ric_rr, ric_tt = ricci_eigenvalues(n, sec_rad, sec_tan)
@@ -222,7 +224,9 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
     breakpoints there is one piece.  Zeros are bracketed on a sample grid
     and refined by bisection of the pieces' dense outputs, joined into one;
     a zero within ``tol`` of the endpoint is excluded (Morse convention
-    counts only interior conjugate points).
+    counts only interior conjugate points).  A solve whose step falls below
+    ten ulp raises :class:`IntegrationError` with ``reached``, the last
+    arclength it accepted.
     """
     if not (math.isfinite(length) and length > 0):
         raise DomainError("Jacobi length must be finite and positive")
@@ -235,11 +239,8 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
         return [y[1], -k * y[0]]
 
     cuts = sorted({0.0, float(length), *(b for b in breakpoints if 0.0 < b < length)})
-    state, sol = solve_pieces(solve_ivp, rhs, cuts, [0.0, 1.0], rtol=JACOBI_RTOL, atol=1e-13,
-                              max_step=length / 16.0)
-    if not sol.success:
-        raise IntegrationError(f"Jacobi integration failed: {sol.message}",
-                               reached=float(sol.t[-1]))
+    state = solve_pieces(solve_ivp, rhs, cuts, [0.0, 1.0], rtol=JACOBI_RTOL, atol=1e-13,
+                         max_step=length / 16.0)
     # np.unique without its numpy.ma import: sort, then drop repeats
     ts = np.sort(np.concatenate([np.linspace(0.0, length, JACOBI_GRID + 1),
                                  np.asarray(list(breakpoints), dtype=float)]))
@@ -267,8 +268,11 @@ def eigen_index(K, length):
     inertia the count below that cutoff is the number of negative LDL^T
     pivots of the shifted matrix (Golub and Van Loan, *Matrix Computations*,
     8.4); a zero pivot counts as positive, leaving out an eigenvalue equal
-    to the cutoff.
+    to the cutoff.  A ``length`` that is not finite and positive raises
+    :class:`DomainError`.
     """
+    if not (math.isfinite(length) and length > 0):
+        raise DomainError("index form length must be finite and positive")
     h = length / (EIGEN_NODES + 1)
     t = np.linspace(h, length - h, EIGEN_NODES)
     Kv = np.asarray(K(t), dtype=float)

@@ -359,7 +359,7 @@ def test_cap_launch_falls_once_and_rises_once_across_its_kink(monkeypatch):
     runs = _counting_solves(monkeypatch)
     with pytest.raises(IntegrationError) as info:
         shoot(m, r0, alpha, 100.0)
-    assert len(runs) == 3 and [run.status for run in runs] == [0, 0, 0]
+    assert len(runs) == 3 and runs[-1].sol.ts[-1] == 100.0
     geom = _Geometry(m)
     got = geom.arcs(c, [r0, m.r_max])
     # the primitive holds the exit to the digit (51.919135473948435 at 40
@@ -387,7 +387,7 @@ def test_cap_exit_without_a_primitive_is_read_from_the_solve(tmp_path, monkeypat
     with pytest.raises(IntegrationError) as info:
         shoot(m, 0.5, 0.3, 60.0)
     reached = info.value.reached
-    assert len(runs) == 1 and runs[0].status == 0 and runs[0].t[-1] == 60.0
+    assert len(runs) == 1 and runs[0].sol.ts[-1] == 60.0
     assert runs[0].sol(reached, 1)[0] == pytest.approx(m.r_max, abs=1e-9)
     assert reached == pytest.approx(49.52214000735265, abs=1e-9)
 
@@ -432,7 +432,7 @@ def test_shoot_on_a_profile_the_geometry_rejects_is_one_solve(tmp_path, monkeypa
     m = _dip_model(tmp_path)
     with pytest.raises(SearchError):
         _Geometry(m)
-    assert kink_crossings(m, 0.5, math.cos(1.0), float(m.phi(0.5)) * math.sin(1.0), 3.0) == []
+    assert kink_crossings(m, 0.5, math.cos(1.0), float(m.phi(0.5)) * math.sin(1.0), 3.0) is None
     runs = _counting_solves(monkeypatch)
     shoot(m, 0.5, 1.0, 3.0)
     assert len(runs) == 1
@@ -601,6 +601,22 @@ def test_distance_at_the_sphere_antipode_returns_few_paths(sphere3):
     for path in paths:
         assert path.length == pytest.approx(d, abs=1e-12)
         assert _ends_at(path, q, 1e-10)
+
+
+def test_distance_raises_when_a_re_shoot_fails(sphere3, monkeypatch):
+    # the length needs no solve; a path whose solve fails is not dropped
+    import pinchlab.geodesics as geodesics
+
+    def failing(*args, **kwargs):
+        raise IntegrationError("step size too small", reached=0.25)
+
+    monkeypatch.setattr(geodesics, "solve_ivp", failing)
+    p, q = (1.0, 0.0), (2.0, 1.0)
+    d, _ = distance(sphere3, p, q, return_paths=False)
+    assert d == pytest.approx(sphere_oracle(p, q), abs=1e-12)
+    with pytest.raises(IntegrationError) as info:
+        distance(sphere3, p, q)
+    assert info.value.reached == 0.25
 
 
 # float.hex of distance(m, p, q) from the exact per-piece arc primitive.  A
