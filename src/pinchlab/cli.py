@@ -199,10 +199,7 @@ def run_cli(argv=None):
         return 0 if e.code == 0 else 2
     try:
         return _dispatch(args)
-    except PinchlabError as e:
-        print(f"pinchlab: error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (PinchlabError, OSError) as e:
         print(f"pinchlab: error: {e}", file=sys.stderr)
         return 2
 
@@ -296,8 +293,6 @@ def _dispatch(args):
         doc["assumptions"] = res["assumptions"]
         _emit_json(doc, args.out)
         return 0
-
-    raise PinchlabError(f"unknown subcommand {args.cmd!r}")
 
 
 def main():

@@ -68,11 +68,6 @@ def brentq(*args, **kwargs):
     return brentq(*args, **kwargs)
 
 
-@functools.cache
-def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _wrap_angle(a):
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
@@ -84,12 +79,10 @@ class GeodesicPath:
     clairaut_c: float
     samples: np.ndarray            # (N, 4) columns t, r, theta, rdot
     length: float
-    clairaut_residual: float
-    speed_residual: float
     meridian: bool
     thetadot: np.ndarray = field(repr=False, default=None)
     _state_fn: object = field(repr=False, default=None)
-    _phi2: object = field(repr=False, default=None)
+    _phi: object = field(repr=False, default=None)      # the warping profile
     _crossings: object = field(repr=False, default=None)
 
     def state(self, t, rows=4):
@@ -117,21 +110,39 @@ class GeodesicPath:
             self._crossings = self._crossings()
         return self._crossings
 
+    @functools.cached_property
+    def _residuals(self):
+        """The CSV's columns |phi^2 thetadot - c| and |rdot^2 + phi^2
+        thetadot^2 - 1|, one float per sample, on first read."""
+        # sampled radii may stray past [0, r_max] by rounding; clip as eval does
+        phi = self._phi._eval(np.clip(self.samples[:, 1], 0.0, self._phi.r_max), 0)
+        # a float's ** (C pow), not numpy's x * x, which differs from it in
+        # the last bit on some inputs: the golden CSV holds pow's phi^2
+        rows = [(p ** 2, rd, td) for p, rd, td in
+                zip(phi.tolist(), self.samples[:, 3].tolist(), self.thetadot.tolist())]
+        return ([abs(p2 * td - self.clairaut_c) for p2, _, td in rows],
+                [abs(rd * rd + p2 * td * td - 1.0) for p2, rd, td in rows])
+
+    @property
+    def clairaut_residual(self):
+        """The maximum of the CSV's ``clairaut_residual`` column."""
+        return max(self._residuals[0])
+
+    @property
+    def speed_residual(self):
+        """The maximum of the CSV's ``speed_residual`` column."""
+        return max(self._residuals[1])
+
     def dump_csv(self, out):
-        close = False
+        """Write the samples and residual columns as CSV to a path or stream."""
+        text = "t,r,theta,rdot,clairaut_residual,speed_residual\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n"
+            for row in zip(*self.samples.T.tolist(), *self._residuals))
         if isinstance(out, (str, bytes)):
-            out, close = open(out, "w"), True
-        try:
-            out.write("t,r,theta,rdot,clairaut_residual,speed_residual\n")
-            for (t, r, th, rd), td in zip(self.samples, self.thetadot):
-                p2 = self._phi2(r)
-                cres = abs(p2 * td - self.clairaut_c)
-                sres = abs(rd * rd + p2 * td * td - 1.0)
-                out.write(",".join(f"{v:.17g}" for v in (t, r, th, rd, cres, sres)))
-                out.write("\n")
-        finally:
-            if close:
-                out.close()
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -142,36 +153,21 @@ def _meridian_state_fn(m, r0, d0, theta0):
     R = m.r_max
     doubled = m.topology == DOUBLED_SPHERE
 
-    def point(t):
-        """(r, rdot, theta, thetadot) at one float t, in float arithmetic."""
+    def state(t, rows=4):
+        # one float in float arithmetic, with the bits an array entry gets
+        xp, t = (_FloatMath, float(t)) if isinstance(t, float) else (np, np.asarray(t, float))
         x = r0 + d0 * t
         if doubled:
             y = x % (2.0 * R)
             up = y <= R
-            bounces = abs(math.floor(x / R) - math.floor(r0 / R)) if d0 > 0 \
-                else abs(math.ceil(x / R) - math.ceil(r0 / R))
-            return (y if up else 2.0 * R - y, d0 if up else -d0,
-                    theta0 + math.pi * bounces, 0.0)
-        up = x >= 0
-        return abs(x), d0 if up else -d0, theta0 + math.pi * (not up), 0.0
-
-    def state(t, rows=4):
-        if isinstance(t, float):
-            return point(float(t))[:rows]
-        x = r0 + d0 * np.asarray(t, dtype=float)
-        if doubled:
-            y = np.mod(x, 2.0 * R)
-            r = np.where(y <= R, y, 2.0 * R - y)
-            rd = np.where(y <= R, d0, -d0) * 1.0
+            r = xp.where(up, y, 2.0 * R - y)
             # each pole passage (x crossing a multiple of R) flips the meridian
-            bounces = np.abs(np.floor(x / R) - math.floor(r0 / R)) if d0 > 0 \
-                else np.abs(np.ceil(x / R) - math.ceil(r0 / R))
-            th = theta0 + math.pi * bounces
+            flips = abs(xp.floor(x / R) - math.floor(r0 / R)) if d0 > 0 \
+                else abs(xp.ceil(x / R) - math.ceil(r0 / R))
         else:
-            r = np.abs(x)
-            rd = np.where(x >= 0, d0, -d0) * 1.0
-            th = theta0 + math.pi * (x < 0)
-        return (r, rd, th, np.zeros_like(r))[:rows]
+            up = x >= 0
+            r, flips = abs(x), x < 0
+        return (r, xp.where(up, d0, -d0) * 1.0, theta0 + math.pi * flips, 0.0 * r)[:rows]
 
     return state
 
@@ -213,9 +209,8 @@ def check_cap_meridian(m, r0, d0, T):
     ``r0`` (outward for ``d0 > 0``) leaves the domain of a cap model."""
     top = r0 + T if d0 > 0 else T - r0
     if m.topology == CAP and top > m.r_max:
-        reached = (m.r_max - r0) if d0 > 0 else (r0 + m.r_max)
         raise IntegrationError("meridian leaves the configured cap domain",
-                               reached=reached)
+                               reached=(m.r_max - r0) if d0 > 0 else (r0 + m.r_max))
 
 
 def shoot(m, r0, alpha, T, theta0=0.0):
@@ -245,52 +240,39 @@ def shoot(m, r0, alpha, T, theta0=0.0):
     R = m.r_max
     r0 = min(float(r0), R)
 
-    ts = np.linspace(0.0, T, SHOOT_SAMPLES)
-    phi_s = m.phi.scalar_fn(0)
-    # sampled radii may stray past [0, R] by rounding; clip as eval does
-    phi2 = lambda rr: phi_s(min(max(float(rr), 0.0), R)) ** 2
-
     if sa == 0.0:
         d0 = 1.0 if ca >= 0 else -1.0
         check_cap_meridian(m, r0, d0, T)
-        st = _meridian_state_fn(m, r0, d0, theta0)
-        r, rd, th, td = st(ts)
-        samples = np.column_stack([ts, r, th, rd])
-        return GeodesicPath(0.0, samples, T, 0.0, 0.0, True, thetadot=td,
-                            _state_fn=st, _phi2=phi2,
-                            _crossings=lambda: _meridian_crossings(m, r0, d0, T))
+        c, state = 0.0, _meridian_state_fn(m, r0, d0, theta0)
+        crossings = lambda: _meridian_crossings(m, r0, d0, T)
+    else:
+        phi0 = m.phi.scalar_fn(0)(r0)
+        c = phi0 * sa
+        phi_dphi = m.phi.scalar_fn((0, 1))
+        if m.topology == CAP:
+            inside = phi_dphi
+            phi_dphi = lambda r: inside(R if r > R else r)
 
-    phi0 = phi_s(r0)
-    c = phi0 * sa
-    y0 = [r0, ca, theta0, sa / phi0]
+        def rhs(t, y):
+            # y is a list of floats (an array under scipy, with the same bits)
+            r, rd, th, td = y
+            p, dp = phi_dphi(r)
+            return [rd, p * dp * td * td, td, -2.0 * dp / p * rd * td]
 
-    phi_dphi = m.phi.scalar_fn((0, 1))
-    if m.topology == CAP:
-        inside = phi_dphi
-        phi_dphi = lambda r: inside(R if r > R else r)
+        crossings = kink_crossings(m, r0, ca, c, T)
+        state = solve_pieces(solve_ivp, rhs, [0.0, *(crossings or ()), T],
+                             [r0, ca, theta0, sa / phi0], "geodesic",
+                             rtol=DEFAULT_SHOOT_TOL, atol=DEFAULT_SHOOT_TOL * 1e-2)
+        if m.topology == CAP:
+            _raise_on_cap_exit(state, R)
+        if crossings is None:
+            # no Clairaut primitive: read from the solve, on first read
+            crossings = lambda: _solved_crossings(m, state)
 
-    def rhs(t, y):
-        # y is a list of floats (an array under scipy, with the same bits)
-        r, rd, th, td = y
-        p, dp = phi_dphi(r)
-        return [rd, p * dp * td * td, td, -2.0 * dp / p * rd * td]
-
-    crossings = kink_crossings(m, r0, ca, c, T)
-    state = solve_pieces(solve_ivp, rhs, [0.0, *(crossings or ()), T], y0,
-                         rtol=DEFAULT_SHOOT_TOL, atol=DEFAULT_SHOOT_TOL * 1e-2)
-    if m.topology == CAP:
-        _raise_on_cap_exit(state, R)
-
+    ts = np.linspace(0.0, T, SHOOT_SAMPLES)
     r, rd, th, td = state(ts)
-    phi = m.phi._eval(np.clip(r, 0.0, R), 0)
-    clair = float(np.max(np.abs(phi**2 * td - c)))
-    speed = float(np.max(np.abs(rd**2 + phi**2 * td**2 - 1.0)))
-    samples = np.column_stack([ts, r, th, rd])
-    if crossings is None:
-        # no Clairaut primitive: read from the solve, on first read
-        crossings = lambda: _solved_crossings(m, state)
-    return GeodesicPath(c, samples, T, clair, speed, False, thetadot=td,
-                        _state_fn=state, _phi2=phi2, _crossings=crossings)
+    return GeodesicPath(c, np.column_stack([ts, r, th, rd]), T, sa == 0.0, thetadot=td,
+                        _state_fn=state, _phi=m.phi, _crossings=crossings)
 
 
 def _raise_on_cap_exit(sol, R):
@@ -328,7 +310,7 @@ def _solved_crossings(m, sol):
     return sorted(t for t in out if 1e-15 < t < ts[-1] - 1e-15)
 
 
-def solve_pieces(solve, fun, cuts, y0, **settings):
+def solve_pieces(solve, fun, cuts, y0, stage, **settings):
     """DOP853 over [cuts[0], cuts[-1]], restarted at every interior cut.
 
     ``solve`` is the caller's ``solve_ivp`` and ``settings`` its keyword
@@ -337,14 +319,19 @@ def solve_pieces(solve, fun, cuts, y0, **settings):
     final state (Hairer, Norsett and Wanner, *Solving ODEs I*, II.6), so no
     step straddles a cut.  Returns the pieces' dense outputs joined into one
     reader; with one piece the reader is that run's own.  A run that fails
-    raises ``solve``'s :class:`IntegrationError`, whose ``reached`` is a
-    time of the whole span, since every piece runs on its own part of it.
+    raises :class:`IntegrationError` with ``solve``'s ``reached``, an
+    arclength of the whole span, since every piece runs on its own part of
+    it; its message names the ``stage`` and ``reached`` before ``solve``'s.
     """
     pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo >= 1e-15] \
         or [(cuts[0], cuts[-1])]
     times, interpolants = [[float(pieces[0][0])]], []
     for lo, hi in pieces:
-        run = solve(fun, (lo, hi), y0, **settings)
+        try:
+            run = solve(fun, (lo, hi), y0, **settings)
+        except IntegrationError as e:
+            raise IntegrationError(f"{stage} integration failed at arclength {e.reached}: {e}",
+                                   reached=e.reached) from e
         times.append(run.sol.ts[1:])
         interpolants.extend(run.sol.interpolants)
         y0 = run.y
@@ -425,11 +412,13 @@ def kink_crossings(m, r0, ca, c, T):
 
 
 class _FloatMath:
-    """numpy's names for the closed forms, on one float.  math's sin, cos and
-    sqrt round as numpy's do; arctan2 is numpy's own, because libm's atan2
-    may differ from it in the last bit."""
+    """numpy's names for the closed forms and the meridian's fold, on one
+    float.  math's sin, cos and sqrt round as numpy's do, and floor and ceil
+    are exact; arctan2 is numpy's own, because libm's atan2 may differ from
+    it in the last bit."""
 
     sin, cos, sqrt, maximum = math.sin, math.cos, math.sqrt, max
+    floor, ceil = math.floor, math.ceil
     arctan2 = lambda y, x: float(np.arctan2(y, x))
     where = lambda cond, a, b: a if cond else b
 
@@ -438,7 +427,7 @@ class _FloatMath:
 def _panels(levels):
     """Gauss-Legendre nodes and weights on [0, 1], ``ANCHOR_ORDER`` per panel,
     on panels graded geometrically toward 0: [0, 2^-levels], ..., [1/2, 1]."""
-    x, w = _leggauss(ANCHOR_ORDER)
+    x, w = np.polynomial.legendre.leggauss(ANCHOR_ORDER)
     edges = np.concatenate([[0.0], np.power(2.0, -np.arange(levels, -1, -1.0))])
     a, b = edges[:-1, None], edges[1:, None]
     return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()

@@ -226,7 +226,7 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
     a zero within ``tol`` of the endpoint is excluded (Morse convention
     counts only interior conjugate points).  A solve whose step falls below
     ten ulp raises :class:`IntegrationError` with ``reached``, the last
-    arclength it accepted.
+    arclength it accepted, named in its message with the Jacobi stage.
     """
     if not (math.isfinite(length) and length > 0):
         raise DomainError("Jacobi length must be finite and positive")
@@ -239,8 +239,8 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
         return [y[1], -k * y[0]]
 
     cuts = sorted({0.0, float(length), *(b for b in breakpoints if 0.0 < b < length)})
-    state = solve_pieces(solve_ivp, rhs, cuts, [0.0, 1.0], rtol=JACOBI_RTOL, atol=1e-13,
-                         max_step=length / 16.0)
+    state = solve_pieces(solve_ivp, rhs, cuts, [0.0, 1.0], "Jacobi", rtol=JACOBI_RTOL,
+                         atol=1e-13, max_step=length / 16.0)
     # np.unique without its numpy.ma import: sort, then drop repeats
     ts = np.sort(np.concatenate([np.linspace(0.0, length, JACOBI_GRID + 1),
                                  np.asarray(list(breakpoints), dtype=float)]))

@@ -179,6 +179,7 @@ def test_invalid_inputs_exit_two(capsys):
     assert run(capsys, "pinch")[0] == 2                  # no model source
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "build", "--bogus-flag")[0] == 2
+    assert run(capsys, "build", "--model", "family", "--n", "10", "--delta", "0.02")[0] == 2
 
 
 def test_unknown_segment_kind_exits_two(tmp_path, capsys):
@@ -212,6 +213,12 @@ def test_malformed_profile_json_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "pinch", "--from", str(garbled))
     assert code == 2
     assert "garbled.json" in err
+    one = tmp_path / "one.json"
+    run(capsys, "build", "--model", "round_sphere", "--out", str(one))
+    one.write_text(json.dumps({**json.loads(one.read_text()), "n": 1}))
+    code, _, err = run(capsys, "pinch", "--from", str(one))
+    assert code == 2
+    assert "dimension" in err
 
 
 

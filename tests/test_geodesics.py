@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 
@@ -9,7 +10,8 @@ from pinchlab import (DomainError, IntegrationError, SearchError, build_model,
                       criticality_certificate, distance, farthest_from_pole,
                       inj_at_pole, jacobi_conjugate_points, shoot)
 from pinchlab.geodesics import _Geometry, kink_crossings
-from pinchlab.profiles import PL2_BAND, SegmentSpec, load_manifold, manifold_from_dict
+from pinchlab.profiles import (DOUBLED_SPHERE, PL2_BAND, SegmentSpec, load_manifold,
+                               manifold_from_dict)
 from pinchlab.variation import JACOBI_ZERO_TOL, SEC_PERP, path_curvature
 
 
@@ -467,6 +469,64 @@ def test_geodesic_csv_dump(sphere3, tmp_path):
     assert last[4] <= 1e-8 and last[5] <= 1e-8
 
 
+def _json_cap():
+    """The LINEAR + PARABOLA cap of :func:`_kinked_cap`, read from profile JSON."""
+    return manifold_from_dict({
+        "n": 3, "topology": "CAP",
+        "phi": {"segments": [{"kind": "LINEAR", "domain": [0.0, 1.0]},
+                             {"kind": "PARABOLA", "domain": [1.0, 50.0],
+                              "c0": 1.0, "c1": 1.0, "c2": 0.05}]},
+        "f": {"segments": [{"kind": "PARABOLA", "domain": [0.0, 50.0],
+                            "c0": 0.0, "c1": 0.0, "c2": 0.5}]}})
+
+
+def test_residuals_are_the_maxima_of_their_csv_columns(sphere3, gaussian3, family10):
+    # the residual attributes are the maxima of the columns the CSV prints,
+    # to the bit, on meridians both ways and on launches off them
+    draw = np.random.default_rng(26)
+    models = [sphere3, gaussian3, family10, _json_cap()]
+    models += [build_model("family", int(draw.integers(3, 13)), float(draw.uniform(0.55, 0.95)),
+                           float(draw.uniform(0.01, 0.05))) for _ in range(10)]
+    for m in models:
+        hi = min(m.r_max, 20.0)
+        for alpha in (0.0, math.pi, *draw.uniform(-math.pi, math.pi, 6).tolist()):
+            r0, T = float(draw.uniform(0.05, 0.95)) * hi, float(draw.uniform(0.5, 2.5))
+            path = shoot(m, r0, alpha, T)
+            buf = io.StringIO()
+            path.dump_csv(buf)
+            rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+            columns = [max(float(row[j]) for row in rows) for j in (4, 5)]
+            assert [path.clairaut_residual, path.speed_residual] == columns, (m.meta, r0, alpha)
+            if alpha == 0.0 or alpha == math.pi:
+                assert path.meridian and path.clairaut_residual == path.speed_residual == 0.0
+
+
+def test_meridian_float_and_array_states_agree_at_pole_passages(sphere3, family10, gaussian3):
+    # one body folds x = r0 + d0 t at the poles for one float and for an
+    # array; at each passage x = k r_max, and one ulp either side, the float
+    # state has the bits of the array's entry
+    draw = np.random.default_rng(31)
+    for m in (sphere3, family10, gaussian3):
+        R, doubled = m.r_max, m.topology == DOUBLED_SPHERE
+        for r0 in draw.uniform(0.0, min(R, 5.0), 5).tolist():
+            # x = r0 + d0 t meets k r_max at t = d0 (k r_max - r0); a cap
+            # folds at its pole only
+            for d0, ks in ((1.0, (1, 2, 3) if doubled else ()),
+                           (-1.0, (0, -1, -2) if doubled else (0,))):
+                passages = [d0 * (k * R - r0) for k in ks]
+                if not passages:
+                    continue
+                path = shoot(m, r0, 0.0 if d0 > 0 else math.pi, passages[-1] + 1.0)
+                for t in passages:
+                    ts = [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+                    columns = path.state(np.array(ts))
+                    for j, tj in enumerate(ts):
+                        one = path.state(tj)
+                        assert all(type(v) is float for v in one)
+                        assert [v.hex() for v in one] == [float(c[j]).hex() for c in columns], \
+                            (m.meta, r0, d0, tj)
+
+
 # -- distance ---------------------------------------------------------------
 
 
@@ -616,6 +676,19 @@ def test_distance_raises_when_a_re_shoot_fails(sphere3, monkeypatch):
     assert d == pytest.approx(sphere_oracle(p, q), abs=1e-12)
     with pytest.raises(IntegrationError) as info:
         distance(sphere3, p, q)
+    assert info.value.reached == 0.25
+
+
+def test_a_failed_shoot_names_the_geodesic_stage_and_arclength(sphere3, monkeypatch):
+    import pinchlab.geodesics as geodesics
+
+    def failing(*args, **kwargs):
+        raise IntegrationError("step size too small", reached=0.25)
+
+    monkeypatch.setattr(geodesics, "solve_ivp", failing)
+    with pytest.raises(IntegrationError) as info:
+        shoot(sphere3, 1.0, 0.7, 2.0)
+    assert str(info.value) == "geodesic integration failed at arclength 0.25: step size too small"
     assert info.value.reached == 0.25
 
 
@@ -904,6 +977,24 @@ def test_refine_takes_its_cell_ends_from_the_scan(monkeypatch, family10):
         for a, b in ((p, q), (q, p)):
             distance(fams[k], a, b, return_paths=False)
     assert per_call == [n - 2 for n in REFINE_EVALS_BEFORE_SEEDING]
+
+
+def test_a_target_near_a_meridian_angle_is_refined_in_the_meridian_cell(family10,
+                                                                       monkeypatch):
+    # 1e-10 off the meridian's angle the meridian is no candidate; the root
+    # lies in the scan's first cell, whose c = 0 end holds the meridian limit
+    import pinchlab.geodesics as geodesics
+    first_cell, refine = [], geodesics._refine
+
+    def recording(geom, cls, r1, r2, target, cgrid, i, scan):
+        first_cell.append(cgrid[i] == 0.0)
+        return refine(geom, cls, r1, r2, target, cgrid, i, scan)
+
+    monkeypatch.setattr(geodesics, "_refine", recording)
+    p, q = (1.0, 0.0), (2.0, 1e-10)
+    for a, b in ((p, q), (q, p)):
+        assert distance(family10, a, b)[0] == 1.0
+    assert any(first_cell)
 
 
 def test_cubic_arc_row_bits_do_not_depend_on_a_turning_row(family10):

@@ -67,6 +67,17 @@ def test_band_symmetric_full_width_ramp():
     assert abs(_pl_integral(nodes)) <= 1e-12
 
 
+def test_family_potential_band_with_its_plateau_on_the_right():
+    # family(3, 0.3, 0.02): f'' rises from -(n-1)(1-eps) = -1.4 to
+    # (n-1) eps = 0.6, and 1.4 > 0.6 puts the plateau on the right
+    m = build_model("family", 3, 0.3, 0.02)
+    nodes = m.f.segments[1].params["nodes"]
+    assert nodes[0] == (0.0, -1.4) and nodes[-2][1] == nodes[-1][1] == 0.6
+    assert nodes == sorted(nodes) and [d for _, d in nodes] == sorted(d for _, d in nodes)
+    assert abs(_pl_integral(nodes)) <= BAND_INTEGRAL_TOL
+    assert c2_ok(m.phi) and c2_ok(m.f)
+
+
 def test_band_boundary_layer_shape():
     d = 0.02
     nodes = solve_smoothing_band(-math.cos(d), 0.0, d, -math.sin(d))

@@ -441,7 +441,9 @@ def test_jacobi_raises_on_non_finite_curvature():
 
 def test_jacobi_raises_when_solver_fails():
     # past t = 0.5 the field oscillates at 1e17 per unit arclength: the
-    # step falls below ten ulp at the last step accepted before the jump
-    with pytest.raises(IntegrationError, match="Required step size") as info:
+    # step falls below ten ulp at the last step accepted before the jump,
+    # and the message names the stage and that arclength
+    with pytest.raises(IntegrationError, match=r"^Jacobi integration failed at arclength "
+                                               r"0\.4999999999999987: Required step size") as info:
         jacobi_conjugate_points(lambda t: 1e34 if t > 0.5 else 1.0, 2.0)
     assert info.value.reached == 0.4999999999999987

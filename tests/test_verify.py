@@ -154,6 +154,12 @@ def test_gaussian_certificate_noncritical(gaussian3):
     assert cert.noncritical
 
 
+def test_certificate_of_a_point_to_itself_raises(family10):
+    # p = q has distance 0 and no realizing path to certify
+    with pytest.raises(DomainError, match="no realizing geodesic"):
+        criticality_certificate(family10, (1.0, 0.5), (1.0, 0.5))
+
+
 def test_family_far_pole_certificate(family10):
     q = (family10.r_max, 0.0)
     cert = criticality_certificate(family10, (0.0, 0.0), q)
