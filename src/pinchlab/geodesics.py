@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IntegrationError, SearchError
-from .profiles import CAP, CONSTANT, DOUBLED_SPHERE, LINEAR, PARABOLA, PL2_BAND, SINE
+from .profiles import CAP, CONSTANT, DOUBLED_SPHERE, LINEAR, PL2_BAND, SINE
 
 DEFAULT_SHOOT_TOL = 1e-12       # shoot's DOP853 rtol; atol is 1e-2 of it
 DEFAULT_DISTANCE_TOL = 1e-6     # distance's tie window
@@ -461,21 +461,7 @@ class _Geometry:
             raise SearchError("warping profile is flat at the pole")
         self._flank_phi = [self.phi_s(r) for r in self._flank_r]
         self.c_max = self._flank_phi[-1]
-        # the flank as (kind, lo, hi, k): SINE, LINEAR or CONSTANT (k its
-        # value), or PL2_BAND for a cubic with value and derivatives k at lo,
-        # which is one piece of a PL2_BAND or a whole PARABOLA
-        self._pieces = []
-        for seg in m.phi.segments:
-            if seg.kind == PL2_BAND:
-                offs, rows = seg._band_table[math]
-                self._pieces += [(PL2_BAND, seg.lo + o0, seg.lo + o1, row)
-                                 for o0, o1, row in zip(offs, offs[1:], rows)]
-            elif seg.kind == PARABOLA:
-                p = seg.params
-                self._pieces.append((PL2_BAND, seg.lo, seg.hi,
-                                     (p["c0"], p["c1"], 2.0 * p["c2"], 0.0)))
-            else:
-                self._pieces.append((seg.kind, seg.lo, seg.hi, seg.params.get("value")))
+        self._pieces = m.phi.pieces
         self._starts = [p[1] for p in self._pieces]
         # the piece holding each interval between successive flank radii
         self._flank_pieces = [

@@ -307,6 +307,26 @@ class RadialProfile:
         return [*rs[:bisect.bisect_left(rs, b)], b]
 
     @cached_property
+    def pieces(self):
+        """The smooth pieces of the segments as (kind, lo, hi, k), in order:
+        a SINE, LINEAR or CONSTANT segment with k its ``value`` (None but on
+        a CONSTANT), or a cubic, of kind PL2_BAND, with k its value and three
+        derivatives at lo: a whole PARABOLA or a PL2_BAND between two nodes.
+        The mirror image about ``reflect_at`` is not listed."""
+        out = []
+        for seg in self.segments:
+            if seg.kind == PL2_BAND:
+                offs, rows = seg._band_table[math]
+                out += [(PL2_BAND, seg.lo + o0, seg.lo + o1, row)
+                        for o0, o1, row in zip(offs, offs[1:], rows)]
+            elif seg.kind == PARABOLA:
+                p = seg.params
+                out.append((PL2_BAND, seg.lo, seg.hi, (p["c0"], p["c1"], 2.0 * p["c2"], 0.0)))
+            else:
+                out.append((seg.kind, seg.lo, seg.hi, seg.params.get("value")))
+        return tuple(out)
+
+    @cached_property
     def _slope_candidates(self):
         return sorted({0.0, *self.kinks(), *self.inflections()})
 

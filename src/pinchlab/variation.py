@@ -118,9 +118,9 @@ class TestField:
 
 
 def berger_test_field(r):
-    """The sin / plateau / -sin field on [0, r]; requires r >= pi."""
-    if r < math.pi - 1e-12:
-        raise DomainError("Berger test field needs total length >= pi")
+    """The sin / plateau / -sin field on [0, r]; requires a finite r >= pi."""
+    if not (math.isfinite(r) and r >= math.pi - 1e-12):
+        raise DomainError(f"Berger test field needs a finite total length >= pi, got {r}")
     return TestField(float(r))
 
 
@@ -128,8 +128,9 @@ def second_variation(K, psi, length=None, breakpoints=()):
     """int (psi')^2 - psi^2 K dt for a field vanishing at both ends.
 
     ``psi`` is a :class:`TestField` or a (value, derivative) pair of
-    callables, in which case ``length`` is required.  ``K`` is the sectional
-    curvature sampled along the geodesic, as a callable of arclength.
+    callables, in which case a finite positive ``length`` is required.
+    ``K`` is the sectional curvature sampled along the geodesic, as a
+    callable of arclength.
     Quadrature nodes are forced at the field's breakpoints and at
     ``breakpoints``; for a K from :func:`path_curvature` pass
     ``breakpoints=path.crossings``, without which the kinks of K keep the
@@ -141,9 +142,9 @@ def second_variation(K, psi, length=None, breakpoints=()):
         bps = set(psi.breakpoints)
     else:
         val, der = psi
-        if length is None:
-            raise DomainError("length is required for a user-supplied field")
         bps = set()
+    if length is None or not (math.isfinite(length) and length > 0):
+        raise DomainError(f"a finite positive field length is required, got {length}")
     bps.update(breakpoints)
 
     def f(t):
@@ -352,10 +353,9 @@ def loop_index_check(m, loop, eps=None):
         raise DomainError("loop must start and end at the pole")
     if x_field_norm(m, 0.0) > 1e-12:
         raise DomainError("loop base point must be a zero of the field")
-    if eps is None:
-        eps = m.meta.get("eps")
-    if eps is None or eps <= 0:
-        raise DomainError("loop check needs a positive eps")
+    eps = m.meta.get("eps") if eps is None else eps
+    if eps is None or not (math.isfinite(eps) and eps > 0):
+        raise DomainError(f"loop check needs a finite positive eps, got {eps}")
 
     threshold = math.pi / eps
     dirs = ["slice"] if (loop.meridian or m.n == 2) else ["slice", "fiber"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -62,8 +63,9 @@ class PinchReport:
 
     ``violations`` lists every grid point that breaks a bound, as dicts
     {"r", "quantity", "value", "bound"} sorted by r, then by quantity name.
-    The report stores them as plain columns and builds the dicts on first
-    read, so callers that read only ``passed`` or ``margins()`` build none.
+    The report keeps the grid and the checked columns and builds the dicts
+    on first read, so callers that read only ``passed`` or ``margins()``
+    build none.  ``==`` and ``hash`` read the verdict fields only.
     """
 
     mode: str
@@ -73,14 +75,21 @@ class PinchReport:
     achieved_lower: float
     achieved_upper: float
     lower_scale: float
-    _violation_columns: tuple = field(repr=False)  # (r, quantity, value, bound)
     tol_lower: float
     tol_upper: float
+    # (rs, [(quantity, values, bound, violation mask), ...])
+    _checks: tuple = field(repr=False, compare=False)
 
     @cached_property
     def violations(self):
-        return tuple({"r": r, "quantity": q, "value": v, "bound": b}
-                     for r, q, v, b in zip(*self._violation_columns))
+        rs, checks = self._checks
+        r = rs.tolist()
+        out = [{"r": r[i], "quantity": name, "value": v, "bound": bound}
+               for name, values, bound, bad in sorted(checks, key=itemgetter(0))
+               for i, v in zip(np.flatnonzero(bad).tolist(), values[bad].tolist())]
+        # rs strictly increases (_pinch_grid): a stable sort keeps one r's names in order
+        out.sort(key=itemgetter("r"))
+        return tuple(out)
 
     @property
     def passed(self):
@@ -117,11 +126,10 @@ def verify_pinch(m, mode=RICCI_MODE, eps=None, upper=None, grid_size=DEFAULT_GRI
     if mode not in (RICCI_MODE, SEC_MODE):
         raise DomainError(f"unknown pinch mode {mode!r}")
     eps = _model_eps(m, eps)
-    n = m.n
     rs = _pinch_grid(m, grid_size)
 
     if mode == RICCI_MODE:
-        scale = float(n - 1)
+        scale = float(m.n - 1)
         upper = 1.0 if upper is None else float(upper)
         lower_names, upper_names = ("bakry_rr", "bakry_tt"), ("ric_rr", "ric_tt")
         upper_target = scale * upper
@@ -131,39 +139,21 @@ def verify_pinch(m, mode=RICCI_MODE, eps=None, upper=None, grid_size=DEFAULT_GRI
         lower_names, upper_names = ("wsec_rT", "wsec_Tr", "wsec_TT"), ("sec_rad", "sec_tan")
     # only the columns this mode checks
     tab = curvature_table(m, rs, lower_names + upper_names)
-    lower_q = {k: tab[k] for k in lower_names}
-    upper_q = {k: tab[k] for k in upper_names}
 
     delta = m.meta.get("delta")
     tol_lower = PINCH_TOL_LOWER
     # documented band overshoot of the family construction, O(delta^2)
     tol_upper = scale * 5.0 * delta**2 if delta is not None else 1e-6
 
-    achieved_lower = min(float(v.min()) for v in lower_q.values())
-    achieved_upper = max(float(v.max()) for v in upper_q.values())
+    achieved_lower = min(float(tab[k].min()) for k in lower_names)
+    achieved_upper = max(float(tab[k].max()) for k in upper_names)
     lower_bound = eps * scale
 
-    # (quantity, values, bound, violation mask), in quantity-name order
-    checks = sorted([(name, v, lower_bound, v < lower_bound - tol_lower)
-                     for name, v in lower_q.items()]
-                    + [(name, v, upper_target, v > upper_target + tol_upper)
-                       for name, v in upper_q.items()], key=lambda c: c[0])
-    names, values, bounds, masks = zip(*checks)
-    hits = [np.flatnonzero(bad) for bad in masks]
-    index = np.concatenate(hits)
-    rank = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
-    value = np.concatenate([v[h] for v, h in zip(values, hits)])
-    # rs is strictly increasing (_pinch_grid), so grid-index order is r order
-    order = np.lexsort((rank, index))
-    rank = rank[order]
-    # object arrays hand every hit the same str and float objects
-    columns = (tuple(rs[index[order]].tolist()),
-               tuple(np.array(names, dtype=object)[rank].tolist()),
-               tuple(value[order].tolist()),
-               tuple(np.array(bounds, dtype=object)[rank].tolist()))
-
-    return PinchReport(mode, eps, upper_target, len(rs), achieved_lower,
-                       achieved_upper, scale, columns, tol_lower, tol_upper)
+    checks = [(k, tab[k], lower_bound, tab[k] < lower_bound - tol_lower) for k in lower_names]
+    checks += [(k, tab[k], upper_target, tab[k] > upper_target + tol_upper)
+               for k in upper_names]
+    return PinchReport(mode, eps, upper_target, len(rs), achieved_lower, achieved_upper,
+                       scale, tol_lower, tol_upper, (rs, checks))
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,35 @@ def test_wrongly_typed_profile_field_exits_two(tmp_path, capsys, field, edit):
     assert field in err
 
 
+def _set(container, key, value):
+    container[key] = value
+
+
+@pytest.mark.parametrize("message, edit", [
+    ("unknown topology 'TORUS'", lambda doc: doc.update(topology="TORUS")),
+    ("segments do not abut", lambda doc: _set(doc["phi"]["segments"][0]["domain"], 1, 1.5)),
+    ("reflect_at must coincide", lambda doc: doc.update(L=doc["L"] + 0.01)),
+    ("vanishing slopes at L", lambda doc: doc["f"]["segments"][-1].update(c1=1.0)),
+    ("PARABOLA segment lacks parameter 'c2'", lambda doc: _segment(doc, "PARABOLA").pop("c2")),
+    ("empty segment interval", lambda doc: _segment(doc, "CONSTANT").update(domain=[1.0, 1.0])),
+    ("nodes must start at offset 0",
+     lambda doc: _set(_segment(doc, "PL2_BAND")["nodes"][0], 0, 1e-3)),
+    ("nodes must span the full segment width",
+     lambda doc: _segment(doc, "PL2_BAND")["nodes"].pop()),
+], ids=["topology", "abut", "L", "doubling_slope", "parabola_c2", "empty_domain",
+        "nodes_start", "nodes_span"])
+def test_malformed_profile_structure_exits_two(tmp_path, capsys, message, edit):
+    out = tmp_path / "m.json"
+    run(capsys, "build", "--model", "family", "--n", "10", "--eps", "0.8",
+        "--delta", "0.02", "--out", str(out))
+    doc = json.loads(out.read_text())
+    edit(doc)
+    out.write_text(json.dumps(doc))
+    code, text, err = run(capsys, "pinch", "--from", str(out))
+    assert code == 2 and text == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("argv, name", [
     (("family-limit", "--n", "10", "--eps", "0.8", "--deltas", "abc"), "--deltas"),
     (("curvature", "--model", "gaussian", "--n", "3", "--grid", "-5"), "--grid"),
@@ -281,6 +310,8 @@ def test_wrongly_typed_profile_field_exits_two(tmp_path, capsys, field, edit):
     (("curvature", "--model", "gaussian", "--n", "3", "--grid", "1000000000"), "--grid"),
     (("family-limit", "--n", "10", "--eps", "0.8", "--deltas", "0.02", "--grid",
       "1000001"), "--grid"),
+    (("pinch", "--model", "gaussian", "--n", "abc"), "--n"),
+    (("family-limit", "--n", "10", "--eps", "0.8", "--deltas", ","), "--deltas"),
 ])
 def test_bad_argument_values_exit_two(capsys, argv, name):
     code, _, err = run(capsys, *argv)

@@ -246,6 +246,32 @@ def test_kinks(sphere3, gaussian3, family10):
     assert band_last.kinks() == [1.0]
 
 
+def test_pieces_are_the_smooth_pieces_of_the_segments(family10):
+    # a PARABOLA and each PL2_BAND piece are cubics with their value and
+    # three derivatives at lo; the pieces abut and cover the segments
+    for prof in (family10.phi, family10.f):
+        pieces = prof.pieces
+        assert pieces is prof.pieces
+        bands = [s for s in prof.segments if s.kind == PL2_BAND]
+        assert len(pieces) == len(prof.segments) + sum(len(s.params["nodes"]) - 2
+                                                      for s in bands)
+        assert pieces[0][1] == 0.0 and pieces[-1][2] == prof.segments[-1].hi
+        assert all(a[2] == b[1] for a, b in zip(pieces, pieces[1:]))
+        for kind, lo, hi, k in pieces:
+            if kind != PL2_BAND:
+                seg = next(s for s in prof.segments if s.lo <= lo and hi <= s.hi)
+                assert kind == seg.kind and k == seg.params.get("value")
+                continue
+            ds = np.linspace(0.0, hi - lo, 7)[:-1]      # hi belongs to the next piece
+            taylor = (k[0] + k[1] * ds + k[2] * ds**2 / 2 + k[3] * ds**3 / 6,
+                      k[1] + k[2] * ds + k[3] * ds**2 / 2, k[2] + k[3] * ds)
+            for order, want in enumerate(taylor):
+                got = prof.eval(lo + ds, order)
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-9), (kind, lo, order)
+    assert family10.f.pieces[0][0] == PL2_BAND
+    assert [p[0] for p in family10.phi.pieces] == [SINE] + [PL2_BAND] * 3 + [CONSTANT]
+
+
 def test_inflections_are_zeros_of_the_second_derivative(gaussian3, family10):
     assert gaussian3.f.inflections() == []
     assert RadialProfile((SegmentSpec(SINE, 0.0, 4.0),)).inflections() == [math.pi]

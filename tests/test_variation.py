@@ -7,6 +7,8 @@ import pytest
 from pinchlab import (DomainError, IntegrationError, berger_test_field,
                       build_model, geodesic_index, jacobi_conjugate_points,
                       line_integral, loop_index_check, second_variation, shoot)
+from pinchlab.profiles import (DOUBLED_SPHERE, PARABOLA, SINE, ManifoldWithDensity,
+                               RadialProfile, SegmentSpec)
 from pinchlab.variation import (EIGEN_NODES, RICCI, SEC_PERP, eigen_index,
                                 path_curvature, quad_piecewise)
 
@@ -38,8 +40,10 @@ def test_berger_field_square_integral():
 
 
 def test_berger_field_rejects_short_length():
-    with pytest.raises(DomainError):
-        berger_test_field(0.9 * math.pi)
+    # NaN and inf built a field whose quadrature raised IntegrationError
+    for r in (0.9 * math.pi, math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite total length"):
+            berger_test_field(r)
 
 
 def test_berger_sine_pieces_cancel():
@@ -94,8 +98,10 @@ def test_second_variation_family_meridian_needs_path_kinks(family10):
 
 
 def test_second_variation_requires_length_for_user_field():
-    with pytest.raises(DomainError):
-        second_variation(K_ZERO, (np.sin, np.cos))
+    # length -1 integrated over [-1, 0] and returned 0.4546
+    for length in (None, 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite positive field length"):
+            second_variation(K_ONE, (np.sin, np.cos), length=length)
 
 
 # -- line integrals ---------------------------------------------------------
@@ -397,6 +403,34 @@ def test_loop_check_requires_pole_base(family10):
     path = shoot(family10, 1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         loop_index_check(family10, path)
+
+
+def test_loop_check_requires_a_zero_of_the_field_at_its_base():
+    # the round sphere with f = r - r^2/pi doubled at L = pi/2: |X| = 1 at
+    # both poles
+    L = math.pi / 2
+    f = SegmentSpec(PARABOLA, 0.0, L, {"c0": 0.0, "c1": 1.0, "c2": -1.0 / math.pi})
+    m = ManifoldWithDensity(3, RadialProfile((SegmentSpec(SINE, 0.0, L),), reflect_at=L),
+                            RadialProfile((f,), reflect_at=L), DOUBLED_SPHERE)
+    loop = shoot(m, 0.0, 0.0, 2 * math.pi)
+    with pytest.raises(DomainError, match="zero of the field"):
+        loop_index_check(m, loop, eps=0.9)
+
+
+def test_loop_check_rejects_non_finite_eps(sphere3):
+    # NaN gave NOT_APPLICABLE with threshold NaN, inf SATISFIED with threshold 0
+    loop = shoot(sphere3, 0.0, 0.0, 2 * math.pi)
+    for eps in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(DomainError, match="finite positive eps"):
+            loop_index_check(sphere3, loop, eps=eps)
+
+
+def test_path_curvature_rejects_unknown_kind_and_direction(sphere3):
+    path = shoot(sphere3, 1.0, 0.7, 1.0)
+    with pytest.raises(DomainError, match="unknown integrand 'BOGUS'"):
+        path_curvature(sphere3, path, "BOGUS")
+    with pytest.raises(DomainError, match="unknown direction class 'diagonal'"):
+        path_curvature(sphere3, path, SEC_PERP, "diagonal")
 
 
 # -- scalar and vector curvature along paths --------------------------------

@@ -8,6 +8,8 @@ from pinchlab import (DomainError, INFEASIBLE, build_model, critical_radius,
                       inj_gap_hypothesis, klingenberg_delta_search,
                       verify_pinch, verify_quadratic_growth)
 from pinchlab.curvature import curvature_table
+from pinchlab.profiles import (CAP, LINEAR, PARABOLA, ManifoldWithDensity, RadialProfile,
+                               SegmentSpec)
 from pinchlab.verify import (DEFAULT_GRID, _pinch_grid, make_report,
                              pinch_report_doc)
 
@@ -74,6 +76,21 @@ def test_pinch_upper_must_be_finite(gaussian3):
     for upper in (math.nan, math.inf):
         with pytest.raises(DomainError, match="upper"):
             verify_pinch(gaussian3, "SEC", upper=upper, grid_size=1000)
+
+
+def test_pinch_rejects_an_unknown_mode(gaussian3):
+    with pytest.raises(DomainError, match="unknown pinch mode 'BOGUS'"):
+        verify_pinch(gaussian3, "bogus")
+
+
+def test_pinch_reports_compare_and_hash_by_their_verdict_fields():
+    # the grid and columns behind the listing take no part in == or hash
+    a, b = (verify_pinch(build_model("family", 3, 0.9, 0.02)) for _ in range(2))
+    other = verify_pinch(build_model("family", 10, 0.8, 0.02))
+    assert a == b and hash(a) == hash(b)
+    assert a != other
+    assert a.violations == b.violations
+    assert "_checks" not in repr(a)
 
 
 def _reference_quantities(m, mode):
@@ -341,6 +358,12 @@ def test_klingenberg_needs_zero_at_pole(gaussian3):
     m = build_model("round_sphere", 3)
     res = klingenberg_delta_search(m, eps=0.9, l=3.0)
     assert res != INFEASIBLE   # X = 0 everywhere, N(delta) = 0
+    # a cap with f = r + r^2/2: |X| = 1 at the pole
+    f = SegmentSpec(PARABOLA, 0.0, 10.0, {"c0": 0.0, "c1": 1.0, "c2": 0.5})
+    cap = ManifoldWithDensity(3, RadialProfile((SegmentSpec(LINEAR, 0.0, 10.0),)),
+                              RadialProfile((f,)), CAP)
+    with pytest.raises(DomainError, match="pole must be a zero of the field"):
+        klingenberg_delta_search(cap, eps=0.8, l=3.0)
 
 
 # -- report schema ----------------------------------------------------------
