@@ -4,9 +4,9 @@ manifolds with density."""
 from .errors import (ConstructionError, DomainError, IntegrationError,
                      PinchlabError, SearchError)
 from .profiles import (ManifoldWithDensity, RadialProfile, SegmentSpec,
-                       build_model, check_c2, doubling_point, eval_profile,
-                       load_manifold, manifold_from_dict, manifold_to_dict,
-                       save_manifold, solve_smoothing_band)
+                       build_model, check_c2, doubling_point, load_manifold,
+                       manifold_from_dict, manifold_to_dict, save_manifold,
+                       solve_smoothing_band)
 from .curvature import (CurvatureSample, curvature_sample, curvature_table,
                         dump_csv, sec_plane, x_field_norm)
 from .geodesics import (GeodesicPath, distance, farthest_from_pole,

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError
-from .profiles import DOUBLED_SPHERE, LINEAR, SINE, clip_radii, clip_radius
+from .profiles import DOUBLED_SPHERE, LINEAR, SINE, _FloatMath, clip_radii, clip_radius
 
 POLE_TOL = 1e-6
 
@@ -57,17 +57,12 @@ class CurvatureSample:
 assert tuple(f.name for f in fields(CurvatureSample)) == CSV_COLUMNS
 
 
-def _pick(cond, a, b):
-    """:func:`numpy.where` for one point."""
-    return a if cond else b
-
-
-def _sectional(m, where=np.where):
+def _sectional(m, xp=np):
     """The kernel (r, phi, phi', phi'') -> (sec_rad, sec_tan, at_pole) of ``m``,
     with sec_rad = -phi''/phi, sec_tan = (1 - phi'^2)/phi^2 and the pole rule.
 
-    The one curvature kernel: elementwise on arrays with ``where=np.where``,
-    or on one float radius in float arithmetic with ``where=_pick``.  The
+    The one curvature kernel: elementwise on arrays with ``xp=np``, or on
+    one float radius in float arithmetic with ``xp=_FloatMath``.  The
     model's constants are read once, here, not on every call.
 
     * Within POLE_TOL of a pole the 0/0 ratios take the limit of the analytic
@@ -81,6 +76,7 @@ def _sectional(m, where=np.where):
     cap = m.phi.segments[0]
     kind, cap_hi = cap.kind, cap.hi
     analytic = kind in (SINE, LINEAR)
+    where = xp.where
 
     def kernel(r, phi, dphi, ddphi):
         pole_dist = where(R - r < r, R - r, r) if doubled else r
@@ -113,17 +109,17 @@ _OF_F = frozenset({"f", "df", "ddf", "xnorm"}) | _BAKRY | _WSEC   # columns that
 _ALL = frozenset(CSV_COLUMNS)
 
 
-def _columns(m, want, r, phi_at, f_at, where):
+def _columns(m, want, r, phi_at, f_at, xp):
     """The columns of the set ``want`` at ``r`` as a dict, with those of phi
     alone always in it: the one path of the formulas above the kernel
     :func:`_sectional`.
 
     ``phi_at(orders)`` and ``f_at(orders)`` evaluate the profiles at ``r``
-    clipped to their domain.  Elementwise on arrays with ``where=np.where``,
-    or on one float in float arithmetic with ``where=_pick``; the two give
-    the same bits.
+    clipped to their domain.  Elementwise on arrays with ``xp=np``, or on
+    one float in float arithmetic with ``xp=_FloatMath``; the two give the
+    same bits.
     """
-    s = m.potential_scale
+    s, where = m.potential_scale, xp.where
     phi, dphi, ddphi = phi_at((0, 1, 2))
     out = {"r": r, "phi": phi, "dphi": dphi, "ddphi": ddphi}
     if want & _OF_F:
@@ -132,7 +128,7 @@ def _columns(m, want, r, phi_at, f_at, where):
         else:
             df, ddf = f_at((1, 2))
         out["df"], out["ddf"] = df, ddf
-    sec_rad, sec_tan, at_pole = _sectional(m, where)(r, phi, dphi, ddphi)
+    sec_rad, sec_tan, at_pole = _sectional(m, xp)(r, phi, dphi, ddphi)
     out["sec_rad"], out["sec_tan"] = sec_rad, sec_tan
     if want & (_BAKRY | _WSEC):
         # f' phi'/phi, limit f'' at the pole
@@ -177,7 +173,7 @@ def curvature_table(m, r, columns=CSV_COLUMNS):
         phi_at, f_at = partial(m.phi._eval, rc), partial(m.f._eval, rc)
     else:
         phi_at, f_at = partial(m.phi.eval, r), partial(m.f.eval, r)
-    out = _columns(m, want, r, phi_at, f_at, np.where)
+    out = _columns(m, want, r, phi_at, f_at, np)
     return {k: out[k] for k in CSV_COLUMNS if k in want}
 
 
@@ -189,7 +185,7 @@ def sectional_fn(m):
     sec_tan; no domain check: the caller guarantees 0 <= r <= r_max.
     """
     phi = m.phi.scalar_fn((0, 1, 2))
-    kernel = _sectional(m, _pick)
+    kernel = _sectional(m, _FloatMath)
 
     def sec(r):
         sec_rad, sec_tan, _ = kernel(r, *phi(r))
@@ -210,7 +206,7 @@ def curvature_sample(m, r):
     rp, rf = clip_radius(r, m.r_max), clip_radius(r, m.f.r_max)
     try:
         out = _columns(m, _ALL, r, lambda o: m.phi.scalar_fn(o)(rp),
-                       lambda o: m.f.scalar_fn(o)(rf), _pick)
+                       lambda o: m.f.scalar_fn(o)(rf), _FloatMath)
     except ZeroDivisionError:
         raise DomainError(f"phi vanishes at r = {r}, away from a pole") from None
     return CurvatureSample(*[float(out[k]) for k in CSV_COLUMNS])

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IntegrationError, SearchError
-from .profiles import CAP, CONSTANT, DOUBLED_SPHERE, LINEAR, PL2_BAND, SINE
+from .profiles import CAP, CONSTANT, DOUBLED_SPHERE, LINEAR, PL2_BAND, SINE, _FloatMath
 
 DEFAULT_SHOOT_TOL = 1e-12       # shoot's DOP853 rtol; atol is 1e-2 of it
 DEFAULT_DISTANCE_TOL = 1e-6     # distance's tie window
@@ -409,18 +409,6 @@ def kink_crossings(m, r0, ca, c, T):
 # Surfaces, 4-4), and on the cubic pieces of PARABOLA and PL2_BAND segments
 # they are Gauss-Legendre sums under r = r_b + s^2, so no panel straddles a
 # kink and the sqrt singularity at a turning radius r_b is removed exactly.
-
-
-class _FloatMath:
-    """numpy's names for the closed forms and the meridian's fold, on one
-    float.  math's sin, cos and sqrt round as numpy's do, and floor and ceil
-    are exact; arctan2 is numpy's own, because libm's atan2 may differ from
-    it in the last bit."""
-
-    sin, cos, sqrt, maximum = math.sin, math.cos, math.sqrt, max
-    floor, ceil = math.floor, math.ceil
-    arctan2 = lambda y, x: float(np.arctan2(y, x))
-    where = lambda cond, a, b: a if cond else b
 
 
 @functools.cache

@@ -85,75 +85,72 @@ class SegmentSpec:
     def closed_form(self, order, xp):
         """Callable giving the value (order 0) or a derivative (order 1, 2).
 
-        Each kind's formulas are written once: with ``xp=np`` the callable
-        takes an array of radii, with ``xp=math`` one float, and both give the
-        same bits.  A constant comes back as a scalar that broadcasts.
+        With ``xp=np`` the callable takes an array of radii; with ``math`` or
+        :class:`_FloatMath` one float, from the segment's cached triple
+        (value, slope, second derivative); both give the same bits, but for
+        a PL2_BAND value on a wide piece, whose ds**3 numpy's power and
+        libm's pow may round apart.  A constant comes back as a scalar that
+        broadcasts.
 
         ``order`` may also be a tuple of orders: the callable then returns a
         tuple, one entry per order, with the bits each order gives alone, and
-        the orders share their work -- sin r on a SINE segment; the piece
-        search and the offset into the piece on a PL2_BAND.  On one float it
-        takes all three orders in one pass and picks those asked for.
+        on arrays the orders share their work -- sin r on a SINE segment; the
+        piece search and the offset into the piece on a PL2_BAND.
         """
-        kind, p, lo = self.kind, self.params, self.lo
-        if isinstance(order, tuple):
-            return self._joint_form(order, xp)
-        if kind == SINE:
-            return (xp.sin, xp.cos, lambda r: -xp.sin(r))[order]
-        if kind == LINEAR:
-            return (lambda r: r, lambda r: 1.0, lambda r: 0.0)[order]
-        if kind == CONSTANT:
-            v = p["value"] if order == 0 else 0.0
-            return lambda r: v
-        if kind == PARABOLA:
-            c0, c1, c2 = p["c0"], p["c1"], p["c2"]
-            return (lambda r: c0 + (r - lo) * (c1 + c2 * (r - lo)),
-                    lambda r: c1 + 2.0 * c2 * (r - lo),
-                    lambda r: 2.0 * c2)[order]
-        # PL2_BAND: exact integrals of the piecewise-linear second derivative
-        if xp is np:
-            joint = self._joint_form((order,), np)
-            return lambda r: joint(r)[0]
-        offs, rows = self._band_table[math]
-        # the piece holding s is the number of interior nodes <= s
-        inner = offs[1:-1]
-        form = _BAND_FORMS[order]
-
-        def band(r):
-            s = r - lo
-            i = bisect.bisect_right(inner, s)
-            return form(rows[i], s - offs[i])
-
-        return band
-
-    def _joint_form(self, orders, xp):
-        """:meth:`closed_form` for a tuple of orders."""
-        kind, lo = self.kind, self.lo
-        if xp is math:
-            # one float: the three orders in one pass, then the ones asked for
-            if kind == SINE:
-                def triple(r):
-                    s = math.sin(r)
-                    return s, math.cos(r), -s
-            elif kind == PL2_BAND:
-                offs, rows = self._band_table[math]
-                inner = offs[1:-1]
-                f0, f1, f2 = _BAND_FORMS
-
-                def triple(r):
-                    s = r - lo
-                    i = bisect.bisect_right(inner, s)
-                    c, ds = rows[i], s - offs[i]
-                    return f0(c, ds), f1(c, ds), f2(c, ds)
-            else:
-                f0, f1, f2 = (self.closed_form(o, math) for o in (0, 1, 2))
-
-                def triple(r):
-                    return f0(r), f1(r), f2(r)
-            if orders == (0, 1, 2):
-                return triple
-            pick = _picker(orders)
+        if xp is not np:
+            pick, triple = _picker(order), self._triple
             return lambda r: pick(triple(r))
+        if isinstance(order, tuple):
+            return self._array_form(order)
+        form = self._array_form((order,))
+        return lambda r: form(r)[0]
+
+    @cached_property
+    def _forms(self):
+        """The (value, slope, second derivative) callables of a LINEAR,
+        CONSTANT or PARABOLA segment: arithmetic that takes one float or an
+        array of radii alike."""
+        p, lo = self.params, self.lo
+        if self.kind == LINEAR:
+            return (lambda r: r, lambda r: 1.0, lambda r: 0.0)
+        if self.kind == CONSTANT:
+            v = p["value"]
+            return (lambda r: v, lambda r: 0.0, lambda r: 0.0)
+        c0, c1, c2 = p["c0"], p["c1"], p["c2"]
+        return (lambda r: c0 + (r - lo) * (c1 + c2 * (r - lo)),
+                lambda r: c1 + 2.0 * c2 * (r - lo),
+                lambda r: 2.0 * c2)
+
+    @cached_property
+    def _triple(self):
+        """r -> (value, slope, second derivative) on one float, built once."""
+        kind, lo = self.kind, self.lo
+        if kind == SINE:
+            def triple(r):
+                s = math.sin(r)
+                return s, math.cos(r), -s
+        elif kind == PL2_BAND:
+            # exact integrals of the piecewise-linear second derivative
+            offs, rows = self._band_table[math]
+            # the piece holding s is the number of interior nodes <= s
+            inner = offs[1:-1]
+            f0, f1, f2 = _BAND_FORMS
+
+            def triple(r):
+                s = r - lo
+                i = bisect.bisect_right(inner, s)
+                c, ds = rows[i], s - offs[i]
+                return f0(c, ds), f1(c, ds), f2(c, ds)
+        else:
+            f0, f1, f2 = self._forms
+
+            def triple(r):
+                return f0(r), f1(r), f2(r)
+        return triple
+
+    def _array_form(self, orders):
+        """:meth:`closed_form` on arrays, for a tuple of orders."""
+        kind, lo = self.kind, self.lo
         if kind == SINE:
             def sine(r):
                 # phi'' = -phi, and negation is exact: sin r is taken once
@@ -173,7 +170,7 @@ class SegmentSpec:
                 c, ds = np.take(cols, i, axis=1), s - offs[i]
                 return tuple(form(c, ds) for form in forms)
             return band
-        fns = [self.closed_form(o, np) for o in orders]
+        fns = [self._forms[o] for o in orders]
         return lambda r: tuple(fn(r) for fn in fns)
 
     @cached_property
@@ -208,12 +205,27 @@ _BAND_FORMS = (
 )
 
 
-def _picker(orders):
-    """Callable taking a (value, slope, second derivative) tuple to the tuple
-    of ``orders``."""
-    if len(orders) > 1:
-        return operator.itemgetter(*orders)
-    return lambda v: tuple(v[o] for o in orders)
+def _picker(order):
+    """Callable taking a (value, slope, second derivative) tuple to the entry
+    of an int ``order``, or to the tuple of a tuple of orders."""
+    if not isinstance(order, tuple):
+        return operator.itemgetter(order)
+    if len(order) > 1:
+        return operator.itemgetter(*order)
+    return lambda v: tuple(v[o] for o in order)
+
+
+class _FloatMath:
+    """numpy's names for the closed forms, on one float: the ``xp`` that
+    runs an array formula on one float with the bits an array entry gets.
+    math's sin, cos and sqrt round as numpy's do, and floor and ceil are
+    exact; arctan2 is numpy's own, because libm's atan2 may differ from it
+    in the last bit."""
+
+    sin, cos, sqrt, maximum = math.sin, math.cos, math.sqrt, max
+    floor, ceil = math.floor, math.ceil
+    arctan2 = lambda y, x: float(np.arctan2(y, x))
+    where = lambda cond, a, b: a if cond else b
 
 
 @dataclass(frozen=True)
@@ -254,18 +266,16 @@ class RadialProfile:
     def kinks(self):
         """Sorted radii in (0, r_max) where the second derivative is not smooth.
 
-        The junctions, the interior nodes of every ``PL2_BAND`` and, on a
-        doubled profile, their mirror images about L.  L itself is one only
+        The starts of the :attr:`pieces` after the first -- the junctions
+        and the interior nodes of every ``PL2_BAND`` -- and, on a doubled
+        profile, their mirror images about L.  L itself is one only
         after a ``PL2_BAND``, whose third derivative flips sign there: the
         slopes of a doubled model vanish at L, and the even reflection of a
         sine, a constant or a parabola with zero slope is smooth.  Composite
         quadrature of anything built from the second derivative needs a node
         at each.
         """
-        ks = [s.lo for s in self.segments[1:]]
-        for seg in self.segments:
-            if seg.kind == PL2_BAND:
-                ks.extend(seg.lo + o for o, _ in seg.params["nodes"][1:-1])
+        ks = [piece[1] for piece in self.pieces[1:]]
         L = self.reflect_at
         if L is not None:
             ks.extend([L + (L - k) for k in ks])
@@ -391,38 +401,26 @@ class RadialProfile:
         """Closure evaluating one scalar radius fast (no array round-trips).
 
         Built for ODE right-hand sides, where the array machinery of
-        :meth:`eval` dominates the step cost.  ``order`` may be a tuple of
-        orders, such as ``(0, 1)``; the closure then returns a tuple with
-        the bits each order gives alone, from one reflection and one segment
-        search.  Raises DomainError on an order other than 0, 1 or 2; no
-        domain checks: the caller guarantees 0 <= r <= r_max.
+        :meth:`eval` dominates the step cost: one segment search, then the
+        segment's cached (value, slope, second derivative) triple.  ``order``
+        may be a tuple of orders, such as ``(0, 1)``; the closure then
+        returns a tuple with the bits each order gives alone.  Raises
+        DomainError on an order other than 0, 1 or 2; no domain checks: the
+        caller guarantees 0 <= r <= r_max.
         """
         _check_order(order)
         edges = [s.lo for s in self.segments[1:]]
+        triples = [seg._triple for seg in self.segments]
+        pick = _picker(order)
         L = self.reflect_at
-        if isinstance(order, tuple):
-            pick = _picker(order)
-            triples = [seg.closed_form((0, 1, 2), math) for seg in self.segments]
 
-            def joint(r, edges=edges, triples=triples, bl=bisect.bisect_right):
-                if L is not None and r > L:
-                    # beyond L the slope flips sign
-                    r = L - (r - L)
-                    v0, v1, v2 = triples[bl(edges, r)](r)
-                    return pick((v0, -v1, v2))
-                return pick(triples[bl(edges, r)](r))
-
-            return joint
-        evals = [seg.closed_form(order, math) for seg in self.segments]
-        odd = order % 2 == 1
-
-        def fn(r, edges=edges, evals=evals, bl=bisect.bisect_right):
-            sign = 1.0
+        def fn(r, edges=edges, triples=triples, bl=bisect.bisect_right):
             if L is not None and r > L:
+                # beyond L the slope flips sign
                 r = L - (r - L)
-                if odd:
-                    sign = -1.0
-            return sign * evals[bl(edges, r)](r)
+                v0, v1, v2 = triples[bl(edges, r)](r)
+                return pick((v0, -v1, v2))
+            return pick(triples[bl(edges, r)](r))
 
         return fn
 
@@ -450,11 +448,6 @@ def _check_order(order):
     for o in order if isinstance(order, tuple) else (order,):
         if o not in (0, 1, 2):
             raise DomainError("order must be 0, 1 or 2")
-
-
-def eval_profile(profile, r, order=0):
-    """Closed-form value/derivative of ``profile`` at radius ``r``."""
-    return profile(r, order)
 
 
 def check_c2(profile):

@@ -63,9 +63,10 @@ class PinchReport:
 
     ``violations`` lists every grid point that breaks a bound, as dicts
     {"r", "quantity", "value", "bound"} sorted by r, then by quantity name.
-    The report keeps the grid and the checked columns and builds the dicts
-    on first read, so callers that read only ``passed`` or ``margins()``
-    build none.  ``==`` and ``hash`` read the verdict fields only.
+    The report keeps only the hits of each checked column and builds the
+    dicts on first read, so callers that read only ``passed`` or
+    ``margins()`` build none.  ``==`` and ``hash`` read the verdict fields
+    only.
     """
 
     mode: str
@@ -77,17 +78,15 @@ class PinchReport:
     lower_scale: float
     tol_lower: float
     tol_upper: float
-    # (rs, [(quantity, values, bound, violation mask), ...])
-    _checks: tuple = field(repr=False, compare=False)
+    # [(quantity, hit radii, hit values, bound), ...]
+    _checks: list = field(repr=False, compare=False)
 
     @cached_property
     def violations(self):
-        rs, checks = self._checks
-        r = rs.tolist()
-        out = [{"r": r[i], "quantity": name, "value": v, "bound": bound}
-               for name, values, bound, bad in sorted(checks, key=itemgetter(0))
-               for i, v in zip(np.flatnonzero(bad).tolist(), values[bad].tolist())]
-        # rs strictly increases (_pinch_grid): a stable sort keeps one r's names in order
+        out = [{"r": r, "quantity": name, "value": v, "bound": bound}
+               for name, rs, values, bound in sorted(self._checks, key=itemgetter(0))
+               for r, v in zip(rs.tolist(), values.tolist())]
+        # the grid strictly increases (_pinch_grid): a stable sort keeps one r's names in order
         out.sort(key=itemgetter("r"))
         return tuple(out)
 
@@ -149,11 +148,11 @@ def verify_pinch(m, mode=RICCI_MODE, eps=None, upper=None, grid_size=DEFAULT_GRI
     achieved_upper = max(float(tab[k].max()) for k in upper_names)
     lower_bound = eps * scale
 
-    checks = [(k, tab[k], lower_bound, tab[k] < lower_bound - tol_lower) for k in lower_names]
-    checks += [(k, tab[k], upper_target, tab[k] > upper_target + tol_upper)
-               for k in upper_names]
+    hits = [(k, tab[k] < lower_bound - tol_lower, lower_bound) for k in lower_names]
+    hits += [(k, tab[k] > upper_target + tol_upper, upper_target) for k in upper_names]
+    checks = [(k, rs[bad], tab[k][bad], bound) for k, bad, bound in hits]
     return PinchReport(mode, eps, upper_target, len(rs), achieved_lower, achieved_upper,
-                       scale, tol_lower, tol_upper, (rs, checks))
+                       scale, tol_lower, tol_upper, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +266,15 @@ def verify_quadratic_growth(m, p_r=0.0, t_max=None, eps=None):
     """Max violation of the quadratic growth bound for f along radial geodesics.
 
     bound(t) = f(p) - ((n-1) pi + |X(p)|) t + (n-1) eps t^2 / 2; the report
-    is max(bound - f) over the grid, passing iff <= 1e-8.
+    is max(bound - f) over the grid, passing iff <= 1e-8.  A ``t_max`` that
+    :func:`check_arclength` rejects raises DomainError.
     """
     eps = _model_eps(m, eps)
     n = m.n
     s = m.potential_scale
     if t_max is None:
         t_max = m.r_max - p_r
+    check_arclength(m, t_max)
     ts = np.linspace(0.0, t_max, GROWTH_GRID + 1)
     rs = np.clip(p_r + ts, 0.0, m.r_max)
     fvals = s * m.f.eval(rs, 0)
@@ -321,7 +322,7 @@ def klingenberg_delta_search(m, eps=None, l=None):
 
     def field_cond(d):
         rs = m.f.slope_extreme_radii(min(2.0 * d, m.r_max))
-        nd = float(np.max(m.potential_scale * np.abs(m.f.eval(rs, 1))))
+        nd = float(np.max(x_field_norm(m, rs)))
         return 3.0 * eps * d + nd - rhs
 
     hi = m.r_max / 2.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,21 @@ def test_pinch_reports_compare_and_hash_by_their_verdict_fields():
     assert a != other
     assert a.violations == b.violations
     assert "_checks" not in repr(a)
+
+
+def test_passing_pinch_reports_keep_only_their_hits(family10):
+    # a report keeps the hits of each checked column, not the grid and the
+    # columns: those took about 500 KiB per report
+    verify_pinch(family10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = [verify_pinch(family10) for _ in range(20)]
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(rep.passed and rep.violations == () for rep in reports)
+    assert kept / len(reports) < 50 * 1024
 
 
 def _reference_quantities(m, mode):
@@ -295,6 +311,14 @@ def test_gaussian_growth(gaussian3):
 def test_family_growth(family10):
     rep = verify_quadratic_growth(family10)
     assert rep["pass"]
+
+
+def test_growth_rejects_a_bad_t_max(family10):
+    # -1 failed over t in [-1, 0], 0 passed vacuously, 1e300 overflowed to
+    # an inf violation and inf raised only after a numpy warning
+    for t_max in (-1.0, 0.0, 1e300, math.inf, math.nan):
+        with pytest.raises(DomainError, match="arclength"):
+            verify_quadratic_growth(family10, t_max=t_max)
 
 
 # -- Klingenberg delta search -----------------------------------------------
