@@ -7,64 +7,38 @@ Exit codes: 0 all checks pass, 1 a verification reported violations,
 
 Output is deterministic: JSON is emitted with sorted keys and each float as
 its shortest round-trip repr, a non-finite float as null; CSV floats are
-written at 17 significant digits.  Every report embeds the defaults it ran
-with.
+written at 17 significant digits (``profiles.json_text`` and
+``profiles.csv_lines``).  The pinch, gap and klingenberg reports share one
+schema, {"suite", "model", "params", "pass", "margins", "violations",
+"resolution", "tolerances"} (:func:`_report`), and embed the defaults they
+ran with.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
 from .errors import PinchlabError
-from .profiles import (LINEAR, SINE, build_model, load_manifold,
-                       manifold_to_dict)
+from .profiles import (LINEAR, SINE, build_model, csv_lines, json_text, load_manifold,
+                       manifold_to_dict, save_manifold, write_text)
 from .curvature import dump_csv
 from .geodesics import (DEFAULT_DISTANCE_TOL, DEFAULT_SHOOT_TOL, inj_at_pole,
                         shoot)
 from .variation import geodesic_index
-from .verify import (INFEASIBLE, diameter_gap, inj_gap_hypothesis,
-                     klingenberg_delta_search, make_report, pinch_report_doc,
-                     verify_pinch)
+from .verify import (DEFAULT_GRID, INFEASIBLE, diameter_gap, inj_gap_hypothesis,
+                     klingenberg_delta_search, verify_pinch)
 
 MAX_GRID = 10**6   # --grid above this would ask for gigabytes of arrays
 
 DEFAULTS = {
-    "grid": 10_000,
+    "grid": DEFAULT_GRID,
     "integrator_tol": DEFAULT_SHOOT_TOL,
     "distance_tol": DEFAULT_DISTANCE_TOL,
 }
-
-
-def _fmt(v):
-    if isinstance(v, (float, np.floating)):
-        # strict JSON has no Infinity or NaN
-        return float(v) if math.isfinite(v) else None
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    if isinstance(v, dict):
-        return {k: _fmt(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return [_fmt(x) for x in v]
-    return v
-
-
-def _emit_text(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(doc, out):
-    _emit_text(json.dumps(_fmt(doc), sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
 def _int_at_least(low, high=None):
@@ -133,6 +107,22 @@ def _model_params(args):
     return {k: v for k, v in (("model", args.model), ("n", args.n),
                               ("eps", args.eps), ("delta", args.delta),
                               ("scale", args.scale)) if v is not None}
+
+
+def _report(suite, m, args, passed, margins, violations=(), params=None,
+            resolution=None, tolerances=None):
+    """The report document of a suite.  The model flags given on the command
+    line override ``params``, and ``resolution`` overrides :data:`DEFAULTS`."""
+    return {
+        "suite": suite,
+        "model": manifold_to_dict(m),
+        "params": {**(params or {}), **_model_params(args)},
+        "pass": bool(passed),
+        "margins": margins,
+        "violations": list(violations),
+        "resolution": {**DEFAULTS, **(resolution or {})},
+        "tolerances": tolerances or {},
+    }
 
 
 def build_parser():
@@ -205,40 +195,51 @@ def run_cli(argv=None):
 
 
 def _dispatch(args):
+    out = args.out or sys.stdout
+    if args.cmd == "family-limit":
+        rows = []
+        ok = True
+        for d in args.deltas:
+            m = build_model("family", args.n, args.eps, d)
+            rep = verify_pinch(m, eps=args.eps, grid_size=args.grid)
+            ok = ok and rep.passed
+            mg = rep.margins()
+            rows.append((d, m.r_max, math.pi / args.eps, inj_at_pole(m),
+                         mg["lower_margin"], mg["upper_margin"]))
+        header = ("delta", "L_delta", "pi_over_eps", "inj_p", "pinch_lower_margin",
+                  "pinch_upper_margin")
+        write_text(out, csv_lines(header, zip(*rows)))
+        return 0 if ok else 1
+
+    m = _resolve_model(args)
     if args.cmd == "build":
-        m = _resolve_model(args)
-        _emit_json(manifold_to_dict(m), args.out)
+        save_manifold(m, out)
         return 0
 
     if args.cmd == "curvature":
-        m = _resolve_model(args)
         lo = 0.0 if m.phi.segments[0].kind in (SINE, LINEAR) else 1e-6
-        dump_csv(m, np.linspace(lo, m.r_max, args.grid + 1), args.out or sys.stdout)
+        dump_csv(m, np.linspace(lo, m.r_max, args.grid + 1), out)
         return 0
 
-    if args.cmd == "pinch":
-        m = _resolve_model(args)
-        rep = verify_pinch(m, args.mode.upper(), args.eps, args.upper,
-                           grid_size=args.grid)
-        doc = pinch_report_doc(m, rep, _model_params(args))
-        doc["resolution"].update(DEFAULTS, grid=args.grid)
-        _emit_json(doc, args.out)
-        return 0 if rep.passed else 1
-
     if args.cmd == "geodesic":
-        m = _resolve_model(args)
-        shoot(m, args.r0, args.dir, args.length).dump_csv(args.out or sys.stdout)
+        shoot(m, args.r0, args.dir, args.length).dump_csv(out)
         return 0
 
     if args.cmd == "index":
-        m = _resolve_model(args)
         path = shoot(m, args.r0, args.dir, args.length)
         res = geodesic_index(m, path)
-        _emit_json(res.to_dict(length=path.length), args.out)
+        write_text(out, [json_text({**res.to_dict(), "length": path.length})])
         return 0 if res.cross_check_agree else 1
 
-    if args.cmd == "gap":
-        m = _resolve_model(args)
+    # the suite reports
+    if args.cmd == "pinch":
+        rep = verify_pinch(m, args.mode.upper(), args.eps, args.upper,
+                           grid_size=args.grid)
+        doc = _report("pinch", m, args, rep.passed, rep.margins(), rep.violations,
+                      {"mode": rep.mode, "eps": rep.eps_target, "upper": rep.upper_target},
+                      {"grid_size": rep.grid_size, "grid": args.grid},
+                      {"tol_lower": rep.tol_lower, "tol_upper": rep.tol_upper})
+    elif args.cmd == "gap":
         gap = diameter_gap(m, eps=args.eps)
         hyp = inj_gap_hypothesis(m, eps=args.eps)
         violations = []
@@ -246,53 +247,27 @@ def _dispatch(args):
             violations.append({"r": gap.farthest_point[0],
                                "quantity": "farthest_distance",
                                "value": gap.farthest, "bound": gap.bound})
-        doc = make_report(
-            "gap", m, _model_params(args),
-            gap.diameter_ok and gap.berger_check,
-            {"farthest": gap.farthest, "bound": gap.bound,
-             "zero_bound": gap.zero_bound, "inj_p": gap.inj_p,
-             "inj_threshold": gap.bound,
-             "inj_hypothesis_met": hyp["hypothesis_met"],
-             "berger_inner": gap.berger_inner},
-            violations, resolution=DEFAULTS)
-        _emit_json(doc, args.out)
-        return 0 if doc["pass"] else 1
-
-    if args.cmd == "family-limit":
-        rows = ["delta,L_delta,pi_over_eps,inj_p,pinch_lower_margin,pinch_upper_margin"]
-        ok = True
-        for d in args.deltas:
-            m = build_model("family", args.n, args.eps, d)
-            rep = verify_pinch(m, eps=args.eps, grid_size=args.grid)
-            ok = ok and rep.passed
-            mg = rep.margins()
-            rows.append(",".join(f"{v:.17g}" for v in (
-                d, m.r_max, math.pi / args.eps, inj_at_pole(m),
-                mg["lower_margin"], mg["upper_margin"])))
-        _emit_text("\n".join(rows) + "\n", args.out)
-        return 0 if ok else 1
-
-    if args.cmd == "klingenberg":
-        m = _resolve_model(args)
+        doc = _report("gap", m, args, gap.diameter_ok and gap.berger_check,
+                      {"farthest": gap.farthest, "bound": gap.bound,
+                       "zero_bound": gap.zero_bound, "inj_p": gap.inj_p,
+                       "inj_threshold": gap.bound,
+                       "inj_hypothesis_met": hyp["hypothesis_met"],
+                       "berger_inner": gap.berger_inner},
+                      violations)
+    else:  # klingenberg
         res = klingenberg_delta_search(m, eps=args.eps, l=args.loop_length)
+        params = {"l": args.loop_length}
         if res == INFEASIBLE:
-            doc = make_report("klingenberg", m,
-                              {**_model_params(args), "l": args.loop_length},
-                              False, {"status": INFEASIBLE},
-                              [{"r": 0.0, "quantity": "feasibility",
-                                "value": 0.0, "bound": 0.0}],
-                              resolution=DEFAULTS)
-            _emit_json(doc, args.out)
-            return 1
-        doc = make_report("klingenberg", m,
-                          {**_model_params(args), "l": args.loop_length},
-                          True, {"delta_max": res["delta_max"],
-                                 "delta": res["delta"],
-                                 "binding": res["binding"], **res["margins"]},
-                          resolution=DEFAULTS)
-        doc["assumptions"] = res["assumptions"]
-        _emit_json(doc, args.out)
-        return 0
+            doc = _report("klingenberg", m, args, False, {"status": INFEASIBLE},
+                          [{"r": 0.0, "quantity": "feasibility", "value": 0.0,
+                            "bound": 0.0}], params)
+        else:
+            doc = _report("klingenberg", m, args, True,
+                          {"delta_max": res["delta_max"], "delta": res["delta"],
+                           "binding": res["binding"], **res["margins"]}, (), params)
+            doc["assumptions"] = res["assumptions"]
+    write_text(out, [json_text(doc)])
+    return 0 if doc["pass"] else 1
 
 
 def main():

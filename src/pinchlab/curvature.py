@@ -17,14 +17,14 @@ the field norm apply the manifold's ``potential_scale``.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
-from .profiles import DOUBLED_SPHERE, LINEAR, SINE, _FloatMath, clip_radii, clip_radius
+from .profiles import (DOUBLED_SPHERE, LINEAR, SINE, _FloatMath, clip_radii, clip_radius,
+                       csv_lines, write_text)
 
 POLE_TOL = 1e-6
 
@@ -233,22 +233,7 @@ def x_field_norm(m, r):
 
 
 def dump_csv(m, r, out):
-    """17-column full-precision CSV (header mandatory) at radii ``r``."""
+    """17-column full-precision CSV (header mandatory) at radii ``r``, to a
+    path or a text stream."""
     t = curvature_table(m, r)
-    close = False
-    if isinstance(out, (str, bytes)):
-        out, close = open(out, "w"), True
-    try:
-        out.write(",".join(CSV_COLUMNS) + "\n")
-        cols = [t[c] for c in CSV_COLUMNS]
-        for row in zip(*cols):
-            out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if close:
-            out.close()
-
-
-def csv_string(m, r):
-    buf = io.StringIO()
-    dump_csv(m, r, buf)
-    return buf.getvalue()
+    write_text(out, csv_lines(CSV_COLUMNS, [t[c] for c in CSV_COLUMNS]))

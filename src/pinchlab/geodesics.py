@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IntegrationError, SearchError
-from .profiles import CAP, CONSTANT, DOUBLED_SPHERE, LINEAR, PL2_BAND, SINE, _FloatMath
+from .profiles import (CAP, CONSTANT, DOUBLED_SPHERE, LINEAR, PL2_BAND, SINE, _FloatMath,
+                       csv_lines, sorted_unique, write_text)
 
 DEFAULT_SHOOT_TOL = 1e-12       # shoot's DOP853 rtol; atol is 1e-2 of it
 DEFAULT_DISTANCE_TOL = 1e-6     # distance's tie window
@@ -135,14 +136,8 @@ class GeodesicPath:
 
     def dump_csv(self, out):
         """Write the samples and residual columns as CSV to a path or stream."""
-        text = "t,r,theta,rdot,clairaut_residual,speed_residual\n" + "".join(
-            ",".join(f"{v:.17g}" for v in row) + "\n"
-            for row in zip(*self.samples.T.tolist(), *self._residuals))
-        if isinstance(out, (str, bytes)):
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            out.write(text)
+        header = ("t", "r", "theta", "rdot", "clairaut_residual", "speed_residual")
+        write_text(out, csv_lines(header, [*self.samples.T.tolist(), *self._residuals]))
 
 
 # ---------------------------------------------------------------------------
@@ -745,9 +740,7 @@ def distance(m, p, q, return_paths=True):
         cgrid = cmax_pair * np.sin(alphas)
         # extra nodes approaching the grazing limit c -> cmax geometrically
         near = cmax_pair * (1.0 - np.power(10.0, -np.arange(2.0, 13.0)))
-        # np.unique without its numpy.ma import: sort, then drop repeats
-        cgrid = np.sort(np.concatenate([[cmax_pair * 1e-8], cgrid, near[near > cgrid[-1]]]))
-        cgrid = cgrid[np.concatenate(([True], cgrid[1:] != cgrid[:-1]))]
+        cgrid = sorted_unique(np.concatenate([[cmax_pair * 1e-8], cgrid, near[near > cgrid[-1]]]))
         # scan tables prepended with the exact meridian limits at c = 0
         cgrid0 = np.concatenate([[0.0], cgrid])
         limits = {"direct": (0.0, abs(r2 - r1)), "turn_lo": (math.pi, r1 + r2),

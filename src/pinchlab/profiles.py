@@ -21,6 +21,7 @@ import bisect
 import json
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -87,10 +88,8 @@ class SegmentSpec:
 
         With ``xp=np`` the callable takes an array of radii; with ``math`` or
         :class:`_FloatMath` one float, from the segment's cached triple
-        (value, slope, second derivative); both give the same bits, but for
-        a PL2_BAND value on a wide piece, whose ds**3 numpy's power and
-        libm's pow may round apart.  A constant comes back as a scalar that
-        broadcasts.
+        (value, slope, second derivative); both give the same bits.  A
+        constant comes back as a scalar that broadcasts.
 
         ``order`` may also be a tuple of orders: the callable then returns a
         tuple, one entry per order, with the bits each order gives alone, and
@@ -199,7 +198,8 @@ class SegmentSpec:
 # offset ds into a piece, from the piece's coefficients c = (value, slope,
 # second derivative, slope of the second derivative) at its left node.
 _BAND_FORMS = (
-    lambda c, ds: c[0] + c[1] * ds + 0.5 * c[2] * (ds * ds) + c[3] * ds**3 / 6.0,
+    # products, not ds**3: numpy's array power and libm's pow round apart
+    lambda c, ds: c[0] + c[1] * ds + 0.5 * c[2] * (ds * ds) + c[3] * (ds * ds * ds) / 6.0,
     lambda c, ds: c[1] + c[2] * ds + 0.5 * c[3] * (ds * ds),
     lambda c, ds: c[2] + c[3] * ds,
 )
@@ -443,6 +443,13 @@ def clip_radius(r, R):
     return 0.0 if r < 0.0 else R if r > R else r
 
 
+def sorted_unique(x):
+    """np.unique of a float array without its numpy.ma import: sort, then
+    drop repeats."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _check_order(order):
     """Raise DomainError unless ``order``, or each order of a tuple, is 0, 1 or 2."""
     for o in order if isinstance(order, tuple) else (order,):
@@ -581,6 +588,16 @@ class ManifoldWithDensity:
         return self.phi.r_max
 
 
+def _model_eps(m, eps):
+    """``eps`` as a float, or the model's meta eps when it is None; raises
+    DomainError unless the value is finite and positive."""
+    if eps is None:
+        eps = m.meta.get("eps")
+    if eps is None or not (math.isfinite(eps) and eps > 0):
+        raise DomainError("a finite positive eps is required (pass it or set model meta)")
+    return float(eps)
+
+
 def doubling_point(n, eps, delta):
     """Closed-form zero of the potential slope in the cylinder branch.
 
@@ -691,6 +708,48 @@ def build_family(n, eps, delta, potential_scale=1.0):
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# Every file pinchlab writes goes through json_text or csv_lines, then
+# write_text: JSON with sorted keys, each float as its shortest round-trip
+# repr and a non-finite float as null; CSV floats at 17 significant digits.
+
+
+def _fmt(v):
+    if isinstance(v, (float, np.floating)):
+        # strict JSON has no Infinity or NaN
+        return float(v) if math.isfinite(v) else None
+    if isinstance(v, (np.integer,)):
+        return int(v)
+    if isinstance(v, (np.bool_,)):
+        return bool(v)
+    if isinstance(v, dict):
+        return {k: _fmt(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_fmt(x) for x in v]
+    return v
+
+
+def json_text(doc):
+    """``doc`` as indented JSON text with sorted keys, ending in a newline."""
+    return json.dumps(_fmt(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def csv_lines(header, columns):
+    """CSV lines, each ending in a newline: ``header``, then one row per
+    index of the equal-length ``columns``.  Yields row by row, so numpy
+    columns are read in place rather than copied to lists."""
+    yield ",".join(header) + "\n"
+    for row in zip(*columns):
+        yield ",".join(f"{v:.17g}" for v in row) + "\n"
+
+
+def write_text(out, lines):
+    """Write the strings ``lines`` in turn to ``out``, a path or a text stream."""
+    if isinstance(out, (str, bytes, os.PathLike)):
+        with open(out, "w") as fh:
+            fh.writelines(lines)
+    else:
+        out.writelines(lines)
 
 
 def _seg_to_dict(seg):
@@ -830,10 +889,9 @@ def _quadratic_roots(a, b, c):
     return [q / a] + ([c / q] if q != 0.0 else [])
 
 
-def save_manifold(m, path):
-    with open(path, "w") as fh:
-        json.dump(manifold_to_dict(m), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def save_manifold(m, out):
+    """Write the profile JSON of ``m`` to ``out``, a path or a text stream."""
+    write_text(out, [json_text(manifold_to_dict(m))])
 
 
 def load_manifold(path):

@@ -19,13 +19,13 @@ eigenvalues of the discretized index form int (psi')^2 - K psi^2
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, IntegrationError
+from .profiles import _model_eps, sorted_unique
 from .curvature import curvature_table, ricci_eigenvalues, sectional_fn, x_field_norm
 from .geodesics import solve_ivp, solve_pieces
 
@@ -242,10 +242,8 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
     cuts = sorted({0.0, float(length), *(b for b in breakpoints if 0.0 < b < length)})
     state = solve_pieces(solve_ivp, rhs, cuts, [0.0, 1.0], "Jacobi", rtol=JACOBI_RTOL,
                          atol=1e-13, max_step=length / 16.0)
-    # np.unique without its numpy.ma import: sort, then drop repeats
-    ts = np.sort(np.concatenate([np.linspace(0.0, length, JACOBI_GRID + 1),
-                                 np.asarray(list(breakpoints), dtype=float)]))
-    ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
+    ts = sorted_unique(np.concatenate([np.linspace(0.0, length, JACOBI_GRID + 1),
+                                       np.asarray(list(breakpoints), dtype=float)]))
     vals = state(ts, 1)[0]
     zeros = []
     for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
@@ -295,18 +293,12 @@ class IndexResult:
     cross_check_agree: bool = True
     classes: dict = field(default_factory=dict)
 
-    def to_dict(self, length=None):
-        d = {"multiplicity": self.multiplicity,
-             "conjugate_points": list(self.conjugate_points),
-             "index": self.index,
-             "method": self.method,
-             "cross_check_agree": self.cross_check_agree}
-        if length is not None:
-            d["length"] = length
-        return d
-
-    def to_json(self, length=None):
-        return json.dumps(self.to_dict(length), sort_keys=True)
+    def to_dict(self):
+        return {"multiplicity": self.multiplicity,
+                "conjugate_points": list(self.conjugate_points),
+                "index": self.index,
+                "method": self.method,
+                "cross_check_agree": self.cross_check_agree}
 
 
 def geodesic_index(m, path):
@@ -353,9 +345,7 @@ def loop_index_check(m, loop, eps=None):
         raise DomainError("loop must start and end at the pole")
     if x_field_norm(m, 0.0) > 1e-12:
         raise DomainError("loop base point must be a zero of the field")
-    eps = m.meta.get("eps") if eps is None else eps
-    if eps is None or not (math.isfinite(eps) and eps > 0):
-        raise DomainError(f"loop check needs a finite positive eps, got {eps}")
+    eps = _model_eps(m, eps)
 
     threshold = math.pi / eps
     dirs = ["slice"] if (loop.meridian or m.n == 2) else ["slice", "fiber"]

@@ -1,9 +1,7 @@
 """Verification suites: pinching, criticality, gap theorems, growth, delta search.
 
 Every suite returns a report object with achieved margins and an explicit
-violation list; nothing is clamped or hidden.  Reports serialize to the
-common JSON schema {"suite", "model", "params", "pass", "margins",
-"violations", "resolution", "tolerances"}.
+violation list; nothing is clamped or hidden.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError
-from .profiles import DOUBLED_SPHERE, PL2_BAND, manifold_to_dict
+from .profiles import DOUBLED_SPHERE, PL2_BAND, _model_eps, sorted_unique
 from .curvature import curvature_table, x_field_norm
 from .geodesics import (_POLE, N_ANGLES, check_arclength, check_cap_meridian, distance,
                         farthest_from_pole, inj_at_pole)
@@ -33,14 +31,6 @@ DELTA_SEARCH_TOL = 1e-9   # field_bound bisection stops at 1e-3 of this width
 DEFAULT_GRID = 10_000
 
 
-def _model_eps(m, eps):
-    if eps is None:
-        eps = m.meta.get("eps")
-    if eps is None or not (math.isfinite(eps) and eps > 0):
-        raise DomainError("a finite positive eps is required (pass it or set model meta)")
-    return float(eps)
-
-
 def _pinch_grid(m, grid_size):
     """Uniform radial grid, refined x8 inside the smoothing bands."""
     rs = [np.linspace(0.0, m.r_max, grid_size + 1)]
@@ -52,9 +42,7 @@ def _pinch_grid(m, grid_size):
     for lo, hi in bands:
         k = max(8, int(math.ceil((hi - lo) / step * 8)))
         rs.append(np.linspace(lo, hi, k + 1))
-    # np.unique without its numpy.ma import: sort, then drop repeats
-    rs = np.sort(np.concatenate(rs))
-    return rs[np.concatenate(([True], rs[1:] != rs[:-1]))]
+    return sorted_unique(np.concatenate(rs))
 
 
 @dataclass(frozen=True)
@@ -372,32 +360,3 @@ def klingenberg_delta_search(m, eps=None, l=None):
             "caps": caps, "margins": margins,
             "assumptions": ["Sard-generic regular value near gamma(l - delta)"]}
 
-
-# ---------------------------------------------------------------------------
-# JSON report schema
-
-
-def make_report(suite, m, params, passed, margins, violations=(),
-                resolution=None, tolerances=None):
-    """Assemble the machine-readable report document common to all suites."""
-    return {
-        "suite": suite,
-        "model": manifold_to_dict(m),
-        "params": dict(params),
-        "pass": bool(passed),
-        "margins": dict(margins),
-        "violations": [dict(v) for v in violations],
-        "resolution": dict(resolution or {}),
-        "tolerances": dict(tolerances or {}),
-    }
-
-
-def pinch_report_doc(m, report, extra_params=None):
-    params = {"mode": report.mode, "eps": report.eps_target,
-              "upper": report.upper_target}
-    params.update(extra_params or {})
-    return make_report(
-        "pinch", m, params, report.passed, report.margins(),
-        report.violations,
-        resolution={"grid_size": report.grid_size},
-        tolerances={"tol_lower": report.tol_lower, "tol_upper": report.tol_upper})

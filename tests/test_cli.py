@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -8,9 +9,9 @@ import sys
 import pytest
 
 import pinchlab
-from pinchlab import build_model, save_manifold
-from pinchlab.cli import run_cli
-from test_golden import README_COMMANDS
+from pinchlab import build_model, load_manifold, save_manifold
+from pinchlab.cli import DEFAULTS, run_cli
+from test_golden import FAMILY, README_COMMANDS
 
 
 def run(capsys, *argv):
@@ -171,6 +172,62 @@ def test_klingenberg_loop_off_the_model_exits_two(tmp_path, capsys, r_max,
                        "--loop-length", loop_length)
     assert code == 2
     assert message in err
+
+
+REPORT_KEYS = {"suite", "model", "params", "pass", "margins", "violations", "resolution",
+               "tolerances"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("pinch", *FAMILY), 0),
+    (("pinch", "--model", "family", "--n", "3", "--eps", "0.9", "--delta", "0.02"), 1),
+    (("gap", *FAMILY), 0),
+    (("klingenberg", *FAMILY, "--loop-length", "3.0"), 0),
+    (("klingenberg", "--model", "family", "--n", "10", "--eps", "0.5", "--delta", "0.02",
+      "--loop-length", "3.0"), 1),
+], ids=["pinch", "pinch_fail", "gap", "klingenberg", "klingenberg_infeasible"])
+def test_report_schema(capsys, argv, code):
+    got, text, _ = run(capsys, *argv)
+    assert got == code
+    doc = json.loads(text)
+    # a feasible klingenberg report adds its assumptions
+    assert set(doc) - {"assumptions"} == REPORT_KEYS
+    assert doc["suite"] == argv[0]
+    assert doc["pass"] is (code == 0)
+    assert bool(doc["violations"]) is (code == 1)
+    assert doc["model"]["n"] == doc["params"]["n"] == int(argv[argv.index("--n") + 1])
+    assert doc["resolution"].items() >= DEFAULTS.items()
+
+
+def _json_cap(path):
+    """A cap read from profile JSON: phi = sin r, then a rising PARABOLA."""
+    path.write_text(json.dumps({"n": 3, "topology": "CAP", "meta": {"eps": 0.5},
+                                "phi": {"segments": [
+        {"kind": "SINE", "domain": [0.0, 1.0]},
+        {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": math.sin(1.0),
+         "c1": math.cos(1.0), "c2": 0.25}]},
+        "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, 2.0], "value": 0.0}]}}))
+    return load_manifold(str(path))
+
+
+@pytest.mark.parametrize("model", ["gaussian", "round_sphere", "family", "json_cap"])
+def test_save_manifold_writes_the_bytes_of_build(tmp_path, capsys, model):
+    if model == "json_cap":
+        m = _json_cap(tmp_path / "cap.json")
+        argv = ("build", "--from", str(tmp_path / "cap.json"))
+    elif model == "family":
+        m = build_model(model, 10, 0.8, 0.02)
+        argv = ("build", *FAMILY)
+    else:
+        m = build_model(model, 3)
+        argv = ("build", "--model", model)
+    assert run(capsys, *argv, "--out", str(tmp_path / "build.json"))[0] == 0
+    save_manifold(m, str(tmp_path / "saved.json"))
+    built = (tmp_path / "build.json").read_bytes()
+    assert (tmp_path / "saved.json").read_bytes() == built
+    buf = io.StringIO()
+    save_manifold(m, buf)
+    assert buf.getvalue().encode() == built
 
 
 def test_invalid_inputs_exit_two(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from pinchlab import (ConstructionError, DomainError, build_model, curvature_sample,
                       curvature_table, sec_plane, x_field_norm)
-from pinchlab.curvature import CSV_COLUMNS, csv_string, dump_csv, sectional_fn
+from pinchlab.curvature import CSV_COLUMNS, dump_csv, sectional_fn
 from pinchlab.profiles import (CAP, CONSTANT, PARABOLA, ManifoldWithDensity, RadialProfile,
                                SegmentSpec, manifold_from_dict, manifold_to_dict)
 
@@ -133,8 +133,10 @@ def test_pole_handling(sphere3, gaussian3):
     assert s.bakry_tt == pytest.approx(1.0)   # f' phi'/phi -> f'' at the pole
 
 
-def test_csv_dump_format(gaussian3):
-    text = csv_string(gaussian3, np.linspace(0.0, 5.0, 11))
+def test_csv_dump_format(gaussian3, tmp_path):
+    buf = io.StringIO()
+    dump_csv(gaussian3, np.linspace(0.0, 5.0, 11), buf)
+    text = buf.getvalue()
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 12
@@ -142,9 +144,10 @@ def test_csv_dump_format(gaussian3):
     assert len(row) == 17
     # full double precision round trip
     assert float(row[CSV_COLUMNS.index("bakry_rr")]) == 1.0
-    buf = io.StringIO()
-    dump_csv(gaussian3, np.linspace(0.0, 5.0, 11), buf)
-    assert buf.getvalue() == text
+    # a path gets the stream's bytes
+    path = tmp_path / "curv.csv"
+    dump_csv(gaussian3, np.linspace(0.0, 5.0, 11), str(path))
+    assert path.read_text() == text
 
 
 @pytest.mark.parametrize("d", [1.01e-6, 1e-5, 1e-4])

@@ -402,16 +402,6 @@ def test_scalar_fn_equals_eval_on_every_segment(kind):
         m = build_model(kind, 10, 0.8, 0.02)
         profiles = (m.phi, m.f)
 
-    def agree(floats, array, order):
-        # a PL2_BAND value reads ds**3, and numpy's power and libm's pow
-        # differ in the last bit on about 5% of inputs: on band_last's band,
-        # as wide as 1, the float and array values then differ in the last
-        # bit of an intermediate sum
-        if kind == "band_last" and order == 0:
-            np.testing.assert_allclose(floats, array, rtol=0.0, atol=2.0**-52)
-        else:
-            np.testing.assert_array_equal(floats, array)
-
     for prof in profiles:
         rs = [np.linspace(0.0, prof.r_max, 4001)]
         for seg in prof.segments:
@@ -424,7 +414,8 @@ def test_scalar_fn_equals_eval_on_every_segment(kind):
         rs = np.clip(rs, 0.0, prof.r_max)
         for order in (0, 1, 2):
             scalar_fn = prof.scalar_fn(order)
-            agree([scalar_fn(r) for r in rs.tolist()], prof.eval(rs, order), order)
+            np.testing.assert_array_equal([scalar_fn(r) for r in rs.tolist()],
+                                          prof.eval(rs, order))
             # the per-segment path of check_c2 and build_family, on each
             # segment's own interval (the last one closed at its end)
             for seg in prof.segments:
@@ -433,7 +424,7 @@ def test_scalar_fn_equals_eval_on_every_segment(kind):
                     own = own[own < seg.hi]
                 fn = seg.closed_form(order, math)
                 floats = [fn(r) for r in own.tolist()]
-                agree(floats, prof.eval(own, order), order)
+                np.testing.assert_array_equal(floats, prof.eval(own, order))
                 # up to L the segment's float form is scalar_fn's, bit for bit
                 assert [v.hex() for v in floats] == [scalar_fn(r).hex() for r in own.tolist()]
                 # an int order on arrays is the one-order tuple's entry

@@ -11,8 +11,7 @@ from pinchlab import (DomainError, INFEASIBLE, build_model, critical_radius,
 from pinchlab.curvature import curvature_table
 from pinchlab.profiles import (CAP, LINEAR, PARABOLA, ManifoldWithDensity, RadialProfile,
                                SegmentSpec)
-from pinchlab.verify import (DEFAULT_GRID, _pinch_grid, make_report,
-                             pinch_report_doc)
+from pinchlab.verify import DEFAULT_GRID, _pinch_grid
 
 
 # -- pinch verification -----------------------------------------------------
@@ -389,19 +388,3 @@ def test_klingenberg_needs_zero_at_pole(gaussian3):
     with pytest.raises(DomainError, match="pole must be a zero of the field"):
         klingenberg_delta_search(cap, eps=0.8, l=3.0)
 
-
-# -- report schema ----------------------------------------------------------
-
-
-def test_report_schema(family10):
-    rep = verify_pinch(family10, grid_size=1000)
-    doc = pinch_report_doc(family10, rep)
-    assert set(doc) == {"suite", "model", "params", "pass", "margins",
-                        "violations", "resolution", "tolerances"}
-    assert doc["pass"] is True
-    assert doc["model"]["n"] == 10
-    doc2 = make_report("x", family10, {}, False, {}, [{"r": 1.0,
-                                                       "quantity": "q",
-                                                       "value": 0.0,
-                                                       "bound": 1.0}])
-    assert doc2["violations"][0]["quantity"] == "q"
