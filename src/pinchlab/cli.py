@@ -23,9 +23,9 @@ import sys
 import numpy as np
 
 from .errors import PinchlabError
-from .profiles import (LINEAR, SINE, build_model, csv_lines, json_text, load_manifold,
-                       manifold_to_dict, save_manifold, write_text)
-from .curvature import dump_csv
+from .profiles import (build_model, csv_lines, json_text, load_manifold, manifold_to_dict,
+                       save_manifold, write_text)
+from .curvature import dump_csv, grid_ends
 from .geodesics import (DEFAULT_DISTANCE_TOL, DEFAULT_SHOOT_TOL, inj_at_pole,
                         shoot)
 from .variation import geodesic_index
@@ -104,9 +104,13 @@ def _resolve_model(args):
 
 
 def _model_params(args):
-    return {k: v for k, v in (("model", args.model), ("n", args.n),
-                              ("eps", args.eps), ("delta", args.delta),
-                              ("scale", args.scale)) if v is not None}
+    """The model flags a report ran with.  A model read with --from ignores
+    all but ``eps``, which the suites read."""
+    flags = [("eps", args.eps)]
+    if not args.from_json:
+        flags += [("model", args.model), ("n", args.n), ("delta", args.delta),
+                  ("scale", args.scale)]
+    return {k: v for k, v in flags if v is not None}
 
 
 def _report(suite, m, args, passed, margins, violations=(), params=None,
@@ -217,8 +221,7 @@ def _dispatch(args):
         return 0
 
     if args.cmd == "curvature":
-        lo = 0.0 if m.phi.segments[0].kind in (SINE, LINEAR) else 1e-6
-        dump_csv(m, np.linspace(lo, m.r_max, args.grid + 1), out)
+        dump_csv(m, np.linspace(*grid_ends(m), args.grid + 1), out)
         return 0
 
     if args.cmd == "geodesic":

@@ -17,16 +17,17 @@ the field norm apply the manifold's ``potential_scale``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
-from .profiles import (DOUBLED_SPHERE, LINEAR, SINE, _FloatMath, clip_radii, clip_radius,
-                       csv_lines, write_text)
+from .profiles import DOUBLED_SPHERE, LINEAR, SINE, _FloatMath, clip_radii, csv_lines, write_text
 
 POLE_TOL = 1e-6
+ANALYTIC_CAPS = (SINE, LINEAR)   # cap kinds whose 0/0 ratios have a closed-form pole limit
 
 CSV_COLUMNS = ("r", "phi", "dphi", "ddphi", "f", "df", "ddf",
                "sec_rad", "sec_tan", "ric_rr", "ric_tt",
@@ -75,7 +76,7 @@ def _sectional(m, xp=np):
     doubled = m.topology == DOUBLED_SPHERE
     cap = m.phi.segments[0]
     kind, cap_hi = cap.kind, cap.hi
-    analytic = kind in (SINE, LINEAR)
+    analytic = kind in ANALYTIC_CAPS
     where = xp.where
 
     def kernel(r, phi, dphi, ddphi):
@@ -95,6 +96,22 @@ def _sectional(m, xp=np):
         return sec_rad, sec_tan, at_pole
 
     return kernel
+
+
+def grid_ends(m):
+    """The ends (lo, hi) of a radial grid every radius of which the kernel
+    :func:`_sectional` accepts: 0 and r_max on an analytic cap, else POLE_TOL
+    in from each pole, the far one of a doubled model included."""
+    R = m.r_max
+    if m.phi.segments[0].kind in ANALYTIC_CAPS:
+        return 0.0, R
+    if m.topology != DOUBLED_SPHERE:
+        return POLE_TOL, R
+    hi = R - POLE_TOL
+    # R - hi is exact, but R - POLE_TOL may have rounded up
+    while R - hi < POLE_TOL:
+        hi = math.nextafter(hi, 0.0)
+    return POLE_TOL, hi
 
 
 def ricci_eigenvalues(n, sec_rad, sec_tan):
@@ -203,10 +220,8 @@ def curvature_sample(m, r):
     raises DomainError.
     """
     r = float(r)
-    rp, rf = clip_radius(r, m.r_max), clip_radius(r, m.f.r_max)
     try:
-        out = _columns(m, _ALL, r, lambda o: m.phi.scalar_fn(o)(rp),
-                       lambda o: m.f.scalar_fn(o)(rf), _FloatMath)
+        out = _columns(m, _ALL, r, partial(m.phi, r), partial(m.f, r), _FloatMath)
     except ZeroDivisionError:
         raise DomainError(f"phi vanishes at r = {r}, away from a pole") from None
     return CurvatureSample(*[float(out[k]) for k in CSV_COLUMNS])
@@ -227,9 +242,8 @@ def sec_plane(m, r, w):
 
 def x_field_norm(m, r):
     """|X| = potential_scale * |f'(r)|, with the bits of curvature_table's
-    ``xnorm``."""
-    out = m.potential_scale * np.abs(m.f.eval(r, 1))
-    return float(out[0]) if np.isscalar(r) else out
+    ``xnorm``: a float on one radius, an array on an array."""
+    return m.potential_scale * abs(m.f(r, 1))
 
 
 def dump_csv(m, r, out):

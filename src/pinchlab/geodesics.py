@@ -313,10 +313,10 @@ def solve_pieces(solve, fun, cuts, y0, stage, **settings):
     skipped, and each other piece gets its own run from the previous piece's
     final state (Hairer, Norsett and Wanner, *Solving ODEs I*, II.6), so no
     step straddles a cut.  Returns the pieces' dense outputs joined into one
-    reader; with one piece the reader is that run's own.  A run that fails
-    raises :class:`IntegrationError` with ``solve``'s ``reached``, an
-    arclength of the whole span, since every piece runs on its own part of
-    it; its message names the ``stage`` and ``reached`` before ``solve``'s.
+    reader.  A run that fails raises :class:`IntegrationError` with
+    ``solve``'s ``reached``, an arclength of the whole span, since every
+    piece runs on its own part of it; its message names the ``stage`` and
+    ``reached`` before ``solve``'s.
     """
     pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo >= 1e-15] \
         or [(cuts[0], cuts[-1])]
@@ -330,8 +330,6 @@ def solve_pieces(solve, fun, cuts, y0, stage, **settings):
         times.append(run.sol.ts[1:])
         interpolants.extend(run.sol.interpolants)
         y0 = run.y
-    if len(pieces) == 1:
-        return run.sol
     return type(run.sol)(np.concatenate(times), interpolants)
 
 

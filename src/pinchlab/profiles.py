@@ -83,27 +83,6 @@ class SegmentSpec:
             if abs(offs[-1] - (self.hi - self.lo)) > 1e-12:
                 raise ConstructionError("PL2_BAND nodes must span the full segment width")
 
-    def closed_form(self, order, xp):
-        """Callable giving the value (order 0) or a derivative (order 1, 2).
-
-        With ``xp=np`` the callable takes an array of radii; with ``math`` or
-        :class:`_FloatMath` one float, from the segment's cached triple
-        (value, slope, second derivative); both give the same bits.  A
-        constant comes back as a scalar that broadcasts.
-
-        ``order`` may also be a tuple of orders: the callable then returns a
-        tuple, one entry per order, with the bits each order gives alone, and
-        on arrays the orders share their work -- sin r on a SINE segment; the
-        piece search and the offset into the piece on a PL2_BAND.
-        """
-        if xp is not np:
-            pick, triple = _picker(order), self._triple
-            return lambda r: pick(triple(r))
-        if isinstance(order, tuple):
-            return self._array_form(order)
-        form = self._array_form((order,))
-        return lambda r: form(r)[0]
-
     @cached_property
     def _forms(self):
         """The (value, slope, second derivative) callables of a LINEAR,
@@ -148,7 +127,11 @@ class SegmentSpec:
         return triple
 
     def _array_form(self, orders):
-        """:meth:`closed_form` on arrays, for a tuple of orders."""
+        """Callable taking an array of radii to the tuple of the ``orders``
+        (0 the value, 1 and 2 the derivatives), with the bits of
+        :attr:`_triple`; a constant comes back as a scalar that broadcasts.
+        The orders share their work: sin r on a SINE segment; the piece
+        search and the offset into the piece on a PL2_BAND."""
         kind, lo = self.kind, self.lo
         if kind == SINE:
             def sine(r):
@@ -256,12 +239,6 @@ class RadialProfile:
         if self.reflect_at is not None:
             return 2.0 * self.reflect_at
         return self.segments[-1].hi
-
-    def junctions(self):
-        js = [s.lo for s in self.segments[1:]]
-        if self.reflect_at is not None:
-            js.append(self.reflect_at)
-        return js
 
     def kinks(self):
         """Sorted radii in (0, r_max) where the second derivative is not smooth.
@@ -376,12 +353,12 @@ class RadialProfile:
             first, last = int(idx.min()), int(idx.max())
         if first == last:
             # one segment holds every radius: no masks
-            outs = [np.full_like(r, v) for v in segs[first].closed_form(orders, np)(r)]
+            outs = [np.full_like(r, v) for v in segs[first]._array_form(orders)(r)]
         else:
             outs = [np.empty_like(r) for _ in orders]
             for i in range(first, last + 1):
                 m = idx == i
-                for out, v in zip(outs, segs[i].closed_form(orders, np)(r[m])):
+                for out, v in zip(outs, segs[i]._array_form(orders)(r[m])):
                     out[m] = v
         if L is not None:
             for o, out in zip(orders, outs):
@@ -395,7 +372,14 @@ class RadialProfile:
         return np.array([s.lo for s in self.segments[1:]])
 
     def __call__(self, r, order=0):
-        return float(self.eval(r, order)[0]) if np.isscalar(r) else self.eval(r, order)
+        """The checked reader: on one radius, the value or derivatives of
+        :meth:`scalar_fn` at ``r`` clipped as :func:`clip_radius` clips it, a
+        float for an int ``order`` and a tuple of floats for a tuple; on an
+        array, :meth:`eval`."""
+        if not np.isscalar(r):
+            return self.eval(r, order)
+        v = self.scalar_fn(order)(clip_radius(r, self.r_max))
+        return tuple(map(float, v)) if isinstance(order, tuple) else float(v)
 
     def scalar_fn(self, order=0):
         """Closure evaluating one scalar radius fast (no array round-trips).
@@ -468,13 +452,12 @@ def check_c2(profile):
     segs = profile.segments
     for left, right in zip(segs, segs[1:]):
         rj = right.lo
-        out.append((rj, *(abs(left.closed_form(o, math)(rj) - right.closed_form(o, math)(rj))
-                          for o in (0, 1, 2))))
+        out.append((rj, *(abs(a - b) for a, b in zip(left._triple(rj), right._triple(rj)))))
     if profile.reflect_at is not None:
         L = profile.reflect_at
         last = segs[-1]
         # mirror image: even orders match themselves, odd orders flip sign
-        v1 = last.closed_form(1, math)(L)
+        v1 = last._triple(L)[1]
         out.append((L, 0.0, 2.0 * abs(v1), 0.0))
     return out
 
@@ -671,7 +654,7 @@ def build_family(n, eps, delta, potential_scale=1.0):
                            {"left_value": math.cos(delta),
                             "left_slope": math.sin(delta),
                             "nodes": phi_nodes})
-    A = phi_band.closed_form(0, math)(half)
+    A = phi_band._triple(half)[0]
     phi = RadialProfile((SegmentSpec(SINE, 0.0, r_band_phi),
                          phi_band,
                          SegmentSpec(CONSTANT, half, L, {"value": A})),
@@ -682,16 +665,16 @@ def build_family(n, eps, delta, potential_scale=1.0):
     cap = SegmentSpec(PARABOLA, 0.0, r_band_f, {"c0": 0.0, "c1": 0.0, "c2": c2_cap})
     f_nodes = solve_smoothing_band(-(n - 1) * (1.0 - eps), (n - 1) * eps, delta, 0.0)
     f_band = SegmentSpec(PL2_BAND, r_band_f, r_band_phi,
-                         {"left_value": cap.closed_form(0, math)(r_band_f),
-                          "left_slope": cap.closed_form(1, math)(r_band_f),
+                         {"left_value": cap._triple(r_band_f)[0],
+                          "left_slope": cap._triple(r_band_f)[1],
                           "nodes": f_nodes})
     f_tail = SegmentSpec(PARABOLA, r_band_phi, L,
-                         {"c0": f_band.closed_form(0, math)(r_band_phi),
-                          "c1": f_band.closed_form(1, math)(r_band_phi),
+                         {"c0": f_band._triple(r_band_phi)[0],
+                          "c1": f_band._triple(r_band_phi)[1],
                           "c2": 0.5 * (n - 1) * eps})
     f = RadialProfile((cap, f_band, f_tail), reflect_at=L)
 
-    fdot_L = f_tail.closed_form(1, math)(L)
+    fdot_L = f_tail._triple(L)[1]
     if abs(fdot_L) > C2_TOL:
         raise ConstructionError(f"potential slope at doubling point is {fdot_L:.3e}, not 0")
     if not c2_ok(phi) or not c2_ok(f):
@@ -871,11 +854,10 @@ def _check_positive(phi):
                 # the slope d1 + d2 x + d3 x^2 / 2 at the offset x into the piece
                 rs += [lo + o0 + x for x in _quadratic_roots(0.5 * d3, d2, d1)
                        if 0.0 <= x <= o1 - o0]
-        value = seg.closed_form(0, math)
         for r in rs:
-            if lo <= r <= hi and r > 0.0 and not value(r) > 0.0:
+            if lo <= r <= hi and r > 0.0 and not seg._triple(r)[0] > 0.0:
                 raise ConstructionError(f"profile JSON: phi must be positive on (0, r_max),"
-                                        f" but phi({r!r}) = {value(r)!r}")
+                                        f" but phi({r!r}) = {seg._triple(r)[0]!r}")
 
 
 def _quadratic_roots(a, b, c):

@@ -113,9 +113,6 @@ class TestField:
         return np.where(t <= math.pi / 2, np.cos(t),
                         np.where(t < r - math.pi / 2, 0.0, -np.cos(t - r)))
 
-    def __call__(self, t):
-        return self.value(t)
-
 
 def berger_test_field(r):
     """The sin / plateau / -sin field on [0, r]; requires a finite r >= pi."""

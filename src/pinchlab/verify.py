@@ -187,9 +187,8 @@ def criticality_certificate(m, p, q, eps=None):
     inners = []
     for path in paths:
         r_q, rd_q, _, _ = path.state(path.length)
-        s = m.potential_scale
-        inners.append(s * float(m.f(float(np.clip(r_q, 0.0, m.r_max)), 1))
-                      * float(rd_q))
+        # the path's end may overshoot r_max by more than clip_radius allows
+        inners.append(m.potential_scale * m.f(min(max(r_q, 0.0), m.r_max), 1) * float(rd_q))
     lower = -(n - 1) * math.pi - x_field_norm(m, p[0]) + (n - 1) * eps * d
     return CriticalityCertificate(tuple(p), tuple(q), d, min(inners),
                                   critical_radius(m, p[0], eps), lower,
@@ -266,7 +265,7 @@ def verify_quadratic_growth(m, p_r=0.0, t_max=None, eps=None):
     ts = np.linspace(0.0, t_max, GROWTH_GRID + 1)
     rs = np.clip(p_r + ts, 0.0, m.r_max)
     fvals = s * m.f.eval(rs, 0)
-    f_p = s * float(m.f(p_r, 0))
+    f_p = s * m.f(p_r, 0)
     xp = x_field_norm(m, p_r)
     bound = f_p - ((n - 1) * math.pi + xp) * ts + 0.5 * (n - 1) * eps * ts**2
     worst = float(np.max(bound - fvals))

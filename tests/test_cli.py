@@ -199,6 +199,42 @@ def test_report_schema(capsys, argv, code):
     assert doc["resolution"].items() >= DEFAULTS.items()
 
 
+@pytest.mark.parametrize("suite, extra", [
+    ("pinch", ("--mode", "sec")), ("gap", ()), ("klingenberg", ("--loop-length", "3.0"))])
+def test_from_reports_list_only_the_eps_flag(tmp_path, capsys, suite, extra):
+    # a model read with --from ignores --model, --n, --delta and --scale, so
+    # the report's params used to list argparse's n = 3 and scale = ricci
+    # for a family built with n = 10 and scale = sec
+    path = str(tmp_path / "sec.json")
+    assert run(capsys, "build", *FAMILY, "--scale", "sec", "--out", path)[0] == 0
+    for eps in ((), ("--eps", "0.8")):
+        code, text, _ = run(capsys, suite, "--from", path, *extra, *eps)
+        assert code in (0, 1)
+        doc = json.loads(text)
+        assert doc["model"]["n"] == 10 and doc["model"]["potential_scale"] == 1 / 9
+        assert not {"model", "n", "delta", "scale"} & set(doc["params"])
+        if eps:
+            assert doc["params"]["eps"] == 0.8
+
+
+def test_curvature_from_a_doubled_non_analytic_cap(tmp_path, capsys):
+    # phi = r - r^2/(2L) is one PARABOLA on [0, L] doubled at L = 1: both
+    # poles are non-analytic, and 2 - 1e-6 rounds up, less than 1e-6 from
+    # the far pole; the grid used to keep that far pole and exit 2
+    path = tmp_path / "parabola.json"
+    path.write_text(json.dumps({"n": 3, "topology": "DOUBLED_SPHERE", "L": 1.0,
+                                "phi": {"segments": [{"kind": "PARABOLA", "domain": [0.0, 1.0],
+                                                      "c0": 0.0, "c1": 1.0, "c2": -0.5}]},
+                                "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, 1.0],
+                                                    "value": 0.0}]}}))
+    code, text, _ = run(capsys, "curvature", "--from", str(path), "--grid", "100")
+    assert code == 0
+    rows = text.strip().split("\n")[1:]
+    assert len(rows) == 101
+    rs = [float(row.split(",")[0]) for row in rows]
+    assert rs[0] == 1e-6 and all(min(r, 2.0 - r) >= 1e-6 for r in rs)
+
+
 def _json_cap(path):
     """A cap read from profile JSON: phi = sin r, then a rising PARABOLA."""
     path.write_text(json.dumps({"n": 3, "topology": "CAP", "meta": {"eps": 0.5},

@@ -178,9 +178,10 @@ def _json_cap():
 
 def _edge_radii(m):
     """Both ends, every junction of phi and f, L +- 1 ulp and r_max + 1e-13."""
-    rs = [0.0, m.r_max, m.r_max + 1e-13, *m.phi.junctions(), *m.f.junctions()]
+    rs = [0.0, m.r_max, m.r_max + 1e-13,
+          *(seg.lo for prof in (m.phi, m.f) for seg in prof.segments[1:])]
     if m.L is not None:
-        rs += [math.nextafter(m.L, 0.0), math.nextafter(m.L, math.inf)]
+        rs += [m.L, math.nextafter(m.L, 0.0), math.nextafter(m.L, math.inf)]
     return rs
 
 

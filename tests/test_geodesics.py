@@ -779,7 +779,7 @@ def _dip_model(tmp_path):
         {"kind": "PL2_BAND", "domain": [1.0, 1.004], "left_value": 1.0,
          "left_slope": 1.0, "nodes": nodes},
         {"kind": "PARABOLA", "domain": [1.004, 50.0],
-         "c0": band.closed_form(0, math)(1.004), "c1": 1.0, "c2": 0.0}]},
+         "c0": band._triple(1.004)[0], "c1": 1.0, "c2": 0.0}]},
         "f": {"segments": [{"kind": "PARABOLA", "domain": [0.0, 50.0],
                             "c0": 0.0, "c1": 0.0, "c2": 0.5}]}}
     path = tmp_path / "dip.json"

@@ -245,7 +245,7 @@ def test_kinks(sphere3, gaussian3, family10):
     assert len(ks) == 8 and ks == sorted(ks)
     assert all(0.0 < k < family10.r_max for k in ks)
     assert L not in ks and family10.phi.segments[-1].kind == CONSTANT
-    assert set(family10.phi.junctions()) - {L} <= set(ks)
+    assert {seg.lo for seg in family10.phi.segments[1:]} <= set(ks)
     assert np.allclose([L + (L - k) for k in ks][::-1], ks, rtol=0.0, atol=1e-15)
     band = family10.phi.segments[1]
     assert band.kind == PL2_BAND
@@ -412,26 +412,52 @@ def test_scalar_fn_equals_eval_on_every_segment(kind):
         if prof.reflect_at is not None:
             rs = np.concatenate([rs, prof.r_max - rs])
         rs = np.clip(rs, 0.0, prof.r_max)
+        hexes = lambda values: [float(v).hex() for v in values]
         for order in (0, 1, 2):
             scalar_fn = prof.scalar_fn(order)
-            np.testing.assert_array_equal([scalar_fn(r) for r in rs.tolist()],
-                                          prof.eval(rs, order))
-            # the per-segment path of check_c2 and build_family, on each
+            want = prof.eval(rs, order)
+            np.testing.assert_array_equal([scalar_fn(r) for r in rs.tolist()], want)
+            # the checked float reader, on every segment and both sides of L
+            assert hexes(prof(r, order) for r in rs.tolist()) == hexes(want)
+            # each segment's float triple (the reads of check_c2, build_family
+            # and _check_positive) and its array form (eval's), on the
             # segment's own interval (the last one closed at its end)
             for seg in prof.segments:
                 own = np.linspace(seg.lo, seg.hi, 257)
                 if seg is not prof.segments[-1]:
                     own = own[own < seg.hi]
-                fn = seg.closed_form(order, math)
-                floats = [fn(r) for r in own.tolist()]
-                np.testing.assert_array_equal(floats, prof.eval(own, order))
-                # up to L the segment's float form is scalar_fn's, bit for bit
-                assert [v.hex() for v in floats] == [scalar_fn(r).hex() for r in own.tolist()]
-                # an int order on arrays is the one-order tuple's entry
-                np.testing.assert_array_equal(
-                    np.broadcast_to(seg.closed_form(order, np)(own), own.shape).view(np.int64),
-                    np.broadcast_to(seg.closed_form((order,), np)(own)[0],
-                                    own.shape).view(np.int64))
+                floats = [seg._triple(r)[order] for r in own.tolist()]
+                want = prof.eval(own, order)
+                assert hexes(floats) == hexes(want)
+                # up to L the segment's triple is scalar_fn's, bit for bit
+                assert hexes(floats) == hexes(scalar_fn(r) for r in own.tolist())
+                arrays = seg._array_form((order,))(own)[0]
+                assert hexes(np.broadcast_to(arrays, own.shape)) == hexes(want)
+        # a tuple of orders reads a tuple of floats, each with eval's bits
+        joint = [prof(r, (0, 1, 2)) for r in rs.tolist()]
+        assert all(type(v) is float for row in joint for v in row)
+        assert [hexes(col) for col in zip(*joint)] == [hexes(col)
+                                                       for col in prof.eval(rs, (0, 1, 2))]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "round_sphere", "family"])
+def test_call_on_one_radius_reads_scalar_fn(kind):
+    # prof(r, order) on one radius clips it as eval does, then reads
+    # scalar_fn: a float for an int order, a tuple of floats for a tuple
+    m = build_model(kind, 10, 0.8, 0.02)
+    for prof in (m.phi, m.f):
+        R = prof.r_max
+        got = prof(1.0, (0, 1))
+        assert type(got) is tuple and got == prof.scalar_fn((0, 1))(1.0)
+        # LINEAR and PARABOLA forms give np.float64 on one np.float64
+        assert type(prof(np.float64(1.0), 1)) is float
+        assert all(type(v) is float for v in prof(np.float64(1.0), (0, 1, 2)))
+        assert prof(-1e-13, (0, 1, 2)) == prof(0.0, (0, 1, 2))
+        assert prof(R + 1e-13, (0, 1, 2)) == prof(R, (0, 1, 2))
+        for bad in (math.nan, -1e-11, R + 1e-11):
+            for order in (0, 1, (0, 1, 2)):
+                with pytest.raises(DomainError, match="outside profile domain"):
+                    prof(bad, order)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "round_sphere", "family"])
@@ -491,7 +517,9 @@ def test_joint_scalar_fn_equals_one_order_at_a_time():
     kinds = set()
     for i, prof in enumerate([p for m in models for p in (m.phi, m.f)] + [_band_last()]):
         R, L = prof.r_max, prof.reflect_at
-        marks = [0.0, R, *prof.junctions()]
+        marks = [0.0, R, *(seg.lo for seg in prof.segments[1:])]
+        if L is not None:
+            marks.append(L)
         for seg in prof.segments:
             kinds.add(seg.kind)
             if seg.kind == PL2_BAND:
