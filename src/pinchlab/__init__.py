@@ -17,8 +17,7 @@ from .variation import (IndexResult, TestField, berger_test_field,
                         second_variation)
 from .verify import (INFEASIBLE, CriticalityCertificate, GapReport,
                      PinchReport, critical_radius, criticality_certificate,
-                     diameter_gap, inj_gap_hypothesis,
-                     klingenberg_delta_search, verify_pinch,
+                     diameter_gap, klingenberg_delta_search, verify_pinch,
                      verify_quadratic_growth)
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ written at 17 significant digits (``profiles.json_text`` and
 ``profiles.csv_lines``).  The pinch, gap and klingenberg reports share one
 schema, {"suite", "model", "params", "pass", "margins", "violations",
 "resolution", "tolerances"} (:func:`_report`), and embed the defaults they
-ran with.
+ran with.  A report's ``pass`` is true exactly when ``violations`` is empty.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from .curvature import dump_csv, grid_ends
 from .geodesics import (DEFAULT_DISTANCE_TOL, DEFAULT_SHOOT_TOL, inj_at_pole,
                         shoot)
 from .variation import geodesic_index
-from .verify import (DEFAULT_GRID, INFEASIBLE, diameter_gap, inj_gap_hypothesis,
-                     klingenberg_delta_search, verify_pinch)
+from .verify import DEFAULT_GRID, diameter_gap, klingenberg_delta_search, verify_pinch
 
 MAX_GRID = 10**6   # --grid above this would ask for gigabytes of arrays
 
@@ -113,7 +112,7 @@ def _model_params(args):
     return {k: v for k, v in flags if v is not None}
 
 
-def _report(suite, m, args, passed, margins, violations=(), params=None,
+def _report(suite, m, args, margins, violations, params=None,
             resolution=None, tolerances=None):
     """The report document of a suite.  The model flags given on the command
     line override ``params``, and ``resolution`` overrides :data:`DEFAULTS`."""
@@ -121,7 +120,7 @@ def _report(suite, m, args, passed, margins, violations=(), params=None,
         "suite": suite,
         "model": manifold_to_dict(m),
         "params": {**(params or {}), **_model_params(args)},
-        "pass": bool(passed),
+        "pass": not violations,
         "margins": margins,
         "violations": list(violations),
         "resolution": {**DEFAULTS, **(resolution or {})},
@@ -238,36 +237,27 @@ def _dispatch(args):
     if args.cmd == "pinch":
         rep = verify_pinch(m, args.mode.upper(), args.eps, args.upper,
                            grid_size=args.grid)
-        doc = _report("pinch", m, args, rep.passed, rep.margins(), rep.violations,
+        doc = _report("pinch", m, args, rep.margins(), rep.violations,
                       {"mode": rep.mode, "eps": rep.eps_target, "upper": rep.upper_target},
                       {"grid_size": rep.grid_size, "grid": args.grid},
                       {"tol_lower": rep.tol_lower, "tol_upper": rep.tol_upper})
     elif args.cmd == "gap":
         gap = diameter_gap(m, eps=args.eps)
-        hyp = inj_gap_hypothesis(m, eps=args.eps)
-        violations = []
-        if not gap.diameter_ok:
-            violations.append({"r": gap.farthest_point[0],
-                               "quantity": "farthest_distance",
-                               "value": gap.farthest, "bound": gap.bound})
-        doc = _report("gap", m, args, gap.diameter_ok and gap.berger_check,
+        doc = _report("gap", m, args,
                       {"farthest": gap.farthest, "bound": gap.bound,
                        "zero_bound": gap.zero_bound, "inj_p": gap.inj_p,
                        "inj_threshold": gap.bound,
-                       "inj_hypothesis_met": hyp["hypothesis_met"],
+                       "inj_hypothesis_met": gap.inj_hypothesis_met,
                        "berger_inner": gap.berger_inner},
-                      violations)
+                      gap.violations)
     else:  # klingenberg
         res = klingenberg_delta_search(m, eps=args.eps, l=args.loop_length)
-        params = {"l": args.loop_length}
-        if res == INFEASIBLE:
-            doc = _report("klingenberg", m, args, False, {"status": INFEASIBLE},
-                          [{"r": 0.0, "quantity": "feasibility", "value": 0.0,
-                            "bound": 0.0}], params)
-        else:
-            doc = _report("klingenberg", m, args, True,
-                          {"delta_max": res["delta_max"], "delta": res["delta"],
-                           "binding": res["binding"], **res["margins"]}, (), params)
+        margins = ({"status": res["status"]} if res["violations"] else
+                   {"delta_max": res["delta_max"], "delta": res["delta"],
+                    "binding": res["binding"], **res["margins"]})
+        doc = _report("klingenberg", m, args, margins, res["violations"],
+                      {"l": args.loop_length})
+        if "assumptions" in res:
             doc["assumptions"] = res["assumptions"]
     write_text(out, [json_text(doc)])
     return 0 if doc["pass"] else 1

@@ -816,7 +816,8 @@ def manifold_from_dict(d):
     ``potential_scale`` or segment parameter that is not a finite number, or
     ``nodes`` that are not [offset, value] pairs raise ConstructionError
     naming the field; so does a warping profile ``phi`` that is not positive
-    on (0, r_max), and at r_max on a cap."""
+    on (0, r_max), and at r_max on a cap, and a potential ``f`` with
+    |f'(0)| > C2_TOL, which is not differentiable at the pole."""
     topology = _field(d, "topology")
     reflect = _finite_field(d, "L") if topology == DOUBLED_SPHERE else None
     n = _field(d, "n")
@@ -827,6 +828,9 @@ def manifold_from_dict(d):
                             _profile_from_dict(d, "f", reflect), topology,
                             scale, d.get("meta", {}))
     _check_positive(m.phi)
+    if abs(m.f(0.0, 1)) > C2_TOL:
+        raise ConstructionError("profile JSON: the potential f must be flat at the pole,"
+                                f" but f'(0) = {m.f(0.0, 1)!r}")
     return m
 
 

@@ -1,7 +1,7 @@
 """Verification suites: pinching, criticality, gap theorems, growth, delta search.
 
-Every suite returns a report object with achieved margins and an explicit
-violation list; nothing is clamped or hidden.
+The pinch, gap and Klingenberg suites list each failed check and pass
+exactly when the list is empty; nothing is clamped or hidden.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .geodesics import (_POLE, N_ANGLES, check_arclength, check_cap_meridian, di
 
 RICCI_MODE = "RICCI"
 SEC_MODE = "SEC"
-INFEASIBLE = "INFEASIBLE"
+INFEASIBLE = "INFEASIBLE"   # the status of an infeasible klingenberg_delta_search
 
 PINCH_TOL_LOWER = 1e-6
 GAP_TOL = 1e-6
@@ -52,9 +52,9 @@ class PinchReport:
     ``violations`` lists every grid point that breaks a bound, as dicts
     {"r", "quantity", "value", "bound"} sorted by r, then by quantity name.
     The report keeps only the hits of each checked column and builds the
-    dicts on first read, so callers that read only ``passed`` or
-    ``margins()`` build none.  ``==`` and ``hash`` read the verdict fields
-    only.
+    dicts on first read; ``passed`` is true exactly when no column has a hit,
+    so callers that read only ``passed`` or ``margins()`` build none.  ``==``
+    and ``hash`` read the verdict fields only.
     """
 
     mode: str
@@ -80,8 +80,7 @@ class PinchReport:
 
     @property
     def passed(self):
-        return (self.achieved_lower >= self.eps_target * self.lower_scale - self.tol_lower
-                and self.achieved_upper <= self.upper_target + self.tol_upper)
+        return not any(rs.size for _, rs, _, _ in self._checks)
 
     def margins(self):
         return {
@@ -132,12 +131,16 @@ def verify_pinch(m, mode=RICCI_MODE, eps=None, upper=None, grid_size=DEFAULT_GRI
     # documented band overshoot of the family construction, O(delta^2)
     tol_upper = scale * 5.0 * delta**2 if delta is not None else 1e-6
 
-    achieved_lower = min(float(tab[k].min()) for k in lower_names)
-    achieved_upper = max(float(tab[k].max()) for k in upper_names)
+    # a NaN value fails its bound and makes its extreme NaN; min and max skip a
+    # NaN after their first argument, and keep the first of -0.0 and 0.0
+    lows = [float(tab[k].min()) for k in lower_names]
+    highs = [float(tab[k].max()) for k in upper_names]
+    achieved_lower = math.nan if any(map(math.isnan, lows)) else min(lows)
+    achieved_upper = math.nan if any(map(math.isnan, highs)) else max(highs)
     lower_bound = eps * scale
 
-    hits = [(k, tab[k] < lower_bound - tol_lower, lower_bound) for k in lower_names]
-    hits += [(k, tab[k] > upper_target + tol_upper, upper_target) for k in upper_names]
+    hits = [(k, ~(tab[k] >= lower_bound - tol_lower), lower_bound) for k in lower_names]
+    hits += [(k, ~(tab[k] <= upper_target + tol_upper), upper_target) for k in upper_names]
     checks = [(k, rs[bad], tab[k][bad], bound) for k, bad, bound in hits]
     return PinchReport(mode, eps, upper_target, len(rs), achieved_lower, achieved_upper,
                        scale, tol_lower, tol_upper, checks)
@@ -217,6 +220,18 @@ class GapReport:
     def berger_check(self):
         return self.berger_inner <= GAP_TOL
 
+    @property
+    def inj_hypothesis_met(self):
+        return self.inj_p >= self.bound - GAP_TOL
+
+    @property
+    def violations(self):
+        """The failed checks at r of the farthest point, sorted by quantity name."""
+        checks = (("berger_inner", self.berger_inner, 0.0, self.berger_check),
+                  ("farthest_distance", self.farthest, self.bound, self.diameter_ok))
+        return tuple({"r": self.farthest_point[0], "quantity": q, "value": v, "bound": b}
+                     for q, v, b, ok in checks if not ok)
+
 
 def diameter_gap(m, p=(0.0, 0.0), eps=None):
     """Farthest distance from the pole p against the diameter gap bounds.
@@ -236,17 +251,6 @@ def diameter_gap(m, p=(0.0, 0.0), eps=None):
     cert = criticality_certificate(m, p, q, eps)
     inj = inj_at_pole(m)
     return GapReport(tuple(p), q, far, bound, zero_bound, inj, cert.min_inner)
-
-
-def inj_gap_hypothesis(m, eps=None):
-    """Compare inj at the pole with the gap threshold."""
-    eps = _model_eps(m, eps)
-    inj = inj_at_pole(m)
-    threshold = critical_radius(m, 0.0, eps)
-    met = inj >= threshold - GAP_TOL
-    boundary = abs(inj - threshold) <= GAP_TOL
-    return {"inj_p": inj, "threshold": threshold,
-            "hypothesis_met": met, "boundary_case": boundary}
 
 
 def verify_quadratic_growth(m, p_r=0.0, t_max=None, eps=None):
@@ -277,6 +281,12 @@ def verify_quadratic_growth(m, p_r=0.0, t_max=None, eps=None):
 # Klingenberg-style delta search
 
 
+def _infeasible(quantity, value, bound):
+    """An infeasible delta search: the failed condition with its two sides."""
+    return {"status": INFEASIBLE,
+            "violations": [{"r": 0.0, "quantity": quantity, "value": value, "bound": bound}]}
+
+
 def klingenberg_delta_search(m, eps=None, l=None):
     """Largest delta meeting the arithmetic loop conditions, then halved.
 
@@ -293,9 +303,12 @@ def klingenberg_delta_search(m, eps=None, l=None):
                     the meridian the Jacobi field is phi, so the conjugate
                     points are the multiples k inj_p <= l; failure halves delta.
 
-    Returns INFEASIBLE when eps <= 1/2 (the right side of field_bound is
-    non-positive).  Geometric genericity beyond these checks (Sard) is
-    reported as an assumption, not verified.
+    An infeasible search returns {"status": INFEASIBLE, "violations": [v]}, v
+    naming the failed condition and its two sides: ``eps`` <= 1/2, the
+    ``loop_length`` cap <= 0, ``loop_minus_delta`` (l - delta) <= 0 while
+    halving, or ``non_conjugate`` after 60 halvings (bound: the nearest
+    k inj_p).  A feasible result lists no violation.  Geometric genericity
+    beyond these checks (Sard) is reported as an assumption, not verified.
     """
     eps = _model_eps(m, eps)
     if l is None or not (math.isfinite(l) and l > 0):
@@ -303,7 +316,7 @@ def klingenberg_delta_search(m, eps=None, l=None):
     if x_field_norm(m, 0.0) > 1e-12:
         raise DomainError("the pole must be a zero of the field")
     if eps <= 0.5:
-        return INFEASIBLE
+        return _infeasible("eps", eps, 0.5)
 
     rhs = math.pi * (2.0 * eps - 1.0)
 
@@ -333,7 +346,7 @@ def klingenberg_delta_search(m, eps=None, l=None):
     inj = inj_at_pole(m)
     caps["exp_diffeo"] = inj / 2.0
     if caps["loop_length"] <= 0:
-        return INFEASIBLE
+        return _infeasible("loop_length", caps["loop_length"], 0.0)
 
     delta_max = min(caps.values())
     binding = min(caps, key=caps.get)
@@ -347,15 +360,16 @@ def klingenberg_delta_search(m, eps=None, l=None):
     delta = delta_max / 2.0
     for _ in range(60):
         if l - delta <= 0:
-            return INFEASIBLE
+            return _infeasible("loop_minus_delta", l - delta, 0.0)
         if all(abs(z - (l - delta)) > 1e-6 for z in zeros):
             break
         delta *= 0.5
     else:
-        return INFEASIBLE
+        return _infeasible("non_conjugate", l - delta,
+                           min(zeros, key=lambda z: abs(z - (l - delta))))
 
     margins = {name: cap - delta for name, cap in caps.items()}
     return {"delta_max": delta_max, "delta": delta, "binding": binding,
-            "caps": caps, "margins": margins,
+            "caps": caps, "margins": margins, "violations": [],
             "assumptions": ["Sard-generic regular value near gamma(l - delta)"]}
 

@@ -218,15 +218,15 @@ def test_criterion_08_property_suites(sphere3, gaussian3, family10):
 def test_criterion_09_klingenberg_search(family10):
     from pinchlab import klingenberg_delta_search
     res = klingenberg_delta_search(family10, l=3.0)
-    feas = res != INFEASIBLE
+    feas = res["violations"] == []
     ok = feas and abs(res["delta_max"] - math.pi / 10) <= 1e-6 \
         and res["binding"] == "field_bound"
     infeasible = klingenberg_delta_search(family10, eps=0.5, l=3.0)
-    ok = ok and infeasible == INFEASIBLE
+    ok = ok and infeasible["status"] == INFEASIBLE
     dmax = res["delta_max"] if feas else float("nan")
     binding = res["binding"] if feas else "-"
     report(9, ok, f"delta_max {dmax:.8f} (target pi/10), binding {binding}; "
-                  f"eps=0.5 -> {infeasible}")
+                  f"eps=0.5 -> {infeasible['status']}")
 
 
 def test_criterion_10_range_discrepancy(capsys):

@@ -176,6 +176,9 @@ def test_klingenberg_loop_off_the_model_exits_two(tmp_path, capsys, r_max,
 
 REPORT_KEYS = {"suite", "model", "params", "pass", "margins", "violations", "resolution",
                "tolerances"}
+# a field cap of about 1e-9: 60 halvings leave l - delta at the far pole
+NEAR_HALF = ("--model", "family", "--n", "10", "--eps", "0.500000001", "--delta", "0.02")
+NEAR_HALF_R_MAX = repr(build_model("family", 10, 0.500000001, 0.02).r_max)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -185,7 +188,11 @@ REPORT_KEYS = {"suite", "model", "params", "pass", "margins", "violations", "res
     (("klingenberg", *FAMILY, "--loop-length", "3.0"), 0),
     (("klingenberg", "--model", "family", "--n", "10", "--eps", "0.5", "--delta", "0.02",
       "--loop-length", "3.0"), 1),
-], ids=["pinch", "pinch_fail", "gap", "klingenberg", "klingenberg_infeasible"])
+    (("klingenberg", *FAMILY, "--loop-length", "7.0"), 1),
+    (("klingenberg", *FAMILY, "--loop-length", "0.01"), 1),
+    (("klingenberg", *NEAR_HALF, "--loop-length", NEAR_HALF_R_MAX), 1),
+], ids=["pinch", "pinch_fail", "gap", "klingenberg", "klingenberg_infeasible",
+        "klingenberg_loop_length", "klingenberg_loop_minus_delta", "klingenberg_non_conjugate"])
 def test_report_schema(capsys, argv, code):
     got, text, _ = run(capsys, *argv)
     assert got == code
@@ -378,8 +385,9 @@ def _set(container, key, value):
      lambda doc: _set(_segment(doc, "PL2_BAND")["nodes"][0], 0, 1e-3)),
     ("nodes must span the full segment width",
      lambda doc: _segment(doc, "PL2_BAND")["nodes"].pop()),
+    ("f'(0) = -0.3", lambda doc: doc["f"]["segments"][0].update(c1=-0.3)),
 ], ids=["topology", "abut", "L", "doubling_slope", "parabola_c2", "empty_domain",
-        "nodes_start", "nodes_span"])
+        "nodes_start", "nodes_span", "pole_slope"])
 def test_malformed_profile_structure_exits_two(tmp_path, capsys, message, edit):
     out = tmp_path / "m.json"
     run(capsys, "build", "--model", "family", "--n", "10", "--eps", "0.8",

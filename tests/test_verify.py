@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from pinchlab import (DomainError, INFEASIBLE, build_model, critical_radius,
-                      criticality_certificate, diameter_gap,
-                      inj_gap_hypothesis, klingenberg_delta_search,
+                      criticality_certificate, diameter_gap, inj_at_pole,
+                      klingenberg_delta_search, manifold_from_dict,
                       verify_pinch, verify_quadratic_growth)
 from pinchlab.curvature import curvature_table
-from pinchlab.profiles import (CAP, LINEAR, PARABOLA, ManifoldWithDensity, RadialProfile,
-                               SegmentSpec)
-from pinchlab.verify import DEFAULT_GRID, _pinch_grid
+from pinchlab.profiles import (CAP, DOUBLED_SPHERE, LINEAR, PARABOLA, SINE, ManifoldWithDensity,
+                               RadialProfile, SegmentSpec)
+from pinchlab.verify import DEFAULT_GRID, GAP_TOL, _pinch_grid
 
 
 # -- pinch verification -----------------------------------------------------
@@ -106,6 +106,47 @@ def test_passing_pinch_reports_keep_only_their_hits(family10):
         tracemalloc.stop()
     assert all(rep.passed and rep.violations == () for rep in reports)
     assert kept / len(reports) < 50 * 1024
+
+
+def _extremes_verdict(rep):
+    """The verdict as PinchReport.passed computed it from the achieved
+    extremes before it read the hits."""
+    return (rep.achieved_lower >= rep.eps_target * rep.lower_scale - rep.tol_lower
+            and rep.achieved_upper <= rep.upper_target + rep.tol_upper)
+
+
+def test_pinch_verdict_matches_the_extremes_formula(gaussian3, sphere3, family10,
+                                                    family10_sec):
+    rng = np.random.default_rng(2028)
+    models = [gaussian3, sphere3, family10, family10_sec, build_model("family", 3, 0.9, 0.02),
+              build_model("gaussian", 5, 0.4)]
+    models += [build_model("family", int(rng.integers(3, 13)), float(rng.uniform(0.55, 0.95)),
+                           float(rng.uniform(0.01, 0.08))) for _ in range(40)]
+    verdicts = []
+    for m in models:
+        for mode in ("RICCI", "SEC"):
+            rep = verify_pinch(m, mode)
+            assert rep.passed is _extremes_verdict(rep) is (rep.violations == ())
+            verdicts.append(rep.passed)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("mode, nan_quantities", [("RICCI", {"bakry_tt", "ric_tt"}),
+                                                  ("SEC", {"sec_tan", "wsec_TT"})])
+def test_pinch_lists_nan_values_as_violations(mode, nan_quantities):
+    # phi'' = 2e300 on [1, 2] overflows phi'^2 in the tangential columns;
+    # the NaN rows used to break no bound and read -0.0 as achieved_upper
+    m = manifold_from_dict({"n": 3, "topology": "CAP", "phi": {"segments": [
+        {"kind": "LINEAR", "domain": [0.0, 1.0]},
+        {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 1.0, "c1": 1.0, "c2": 1e300}]},
+        "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, 2.0], "value": 0.0}]}})
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_pinch(m, mode, eps=0.5)
+    nan = [v for v in rep.violations if math.isnan(v["value"])]
+    assert {v["quantity"] for v in nan} == nan_quantities
+    assert all(v["r"] > 1.0 for v in nan)
+    assert math.isnan(rep.achieved_lower) and math.isnan(rep.achieved_upper)
+    assert not rep.passed
 
 
 def _reference_quantities(m, mode):
@@ -273,22 +314,39 @@ def test_gap_ratio_delta_sweep():
         assert abs(ratio - 0.5) <= 0.05
 
 
+@pytest.mark.parametrize("eps, failed", [(0.5, ["berger_inner"]),
+                                         (2.0, ["berger_inner", "farthest_distance"])])
+def test_gap_lists_each_failed_check(eps, failed):
+    # a doubled round sphere with f = -0.3 r + 0.3 r^2/(2L), flat at L but not
+    # at the pole, which profile JSON refuses: g(X, gdot) = 0.3 at the far
+    # pole, and from eps = 2 the diameter bound (2 pi + 0.3)/4 fails too
+    L = math.pi / 2
+    f = SegmentSpec(PARABOLA, 0.0, L, {"c0": 0.0, "c1": -0.3, "c2": 0.3 / (2 * L)})
+    m = ManifoldWithDensity(3, RadialProfile((SegmentSpec(SINE, 0.0, L),), reflect_at=L),
+                            RadialProfile((f,), reflect_at=L), DOUBLED_SPHERE)
+    gap = diameter_gap(m, eps=eps)
+    assert gap.berger_inner == pytest.approx(0.3, abs=1e-12)
+    sides = {"berger_inner": (gap.berger_inner, 0.0),
+             "farthest_distance": (gap.farthest, gap.bound)}
+    assert gap.violations == tuple({"r": gap.farthest_point[0], "quantity": q,
+                                    "value": sides[q][0], "bound": sides[q][1]} for q in failed)
+
+
 def test_inj_gap_hypothesis(family10, sphere3):
-    rep = inj_gap_hypothesis(family10)
-    assert rep["inj_p"] == pytest.approx(3.866991, abs=1e-6)
-    assert rep["threshold"] == pytest.approx(math.pi / 0.8, abs=1e-12)
-    assert not rep["hypothesis_met"]
-    rep = inj_gap_hypothesis(sphere3, eps=1.0)
-    assert rep["hypothesis_met"]
-    assert rep["boundary_case"]
+    gap = diameter_gap(family10)
+    assert gap.inj_p == pytest.approx(3.866991, abs=1e-6)
+    assert gap.bound == pytest.approx(math.pi / 0.8, abs=1e-12)
+    assert not gap.inj_hypothesis_met
+    gap = diameter_gap(sphere3, eps=1.0)
+    assert gap.inj_hypothesis_met
+    assert abs(gap.inj_p - gap.bound) <= GAP_TOL
 
 
 def test_inj_threshold_ratio_tends_to_one():
     ratios = []
     for delta in (0.08, 0.04, 0.02, 0.01):
-        m = build_model("family", 10, 0.8, delta)
-        rep = inj_gap_hypothesis(m)
-        ratios.append(rep["inj_p"] / rep["threshold"])
+        gap = diameter_gap(build_model("family", 10, 0.8, delta))
+        ratios.append(gap.inj_p / gap.bound)
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] < 1.0
     assert ratios[-1] > 0.98
@@ -325,7 +383,7 @@ def test_growth_rejects_a_bad_t_max(family10):
 
 def test_klingenberg_family(family10):
     res = klingenberg_delta_search(family10, l=3.0)
-    assert res != INFEASIBLE
+    assert res["violations"] == []
     assert res["delta_max"] == pytest.approx(math.pi / 10, abs=1e-6)
     assert res["binding"] == "field_bound"
     assert res["delta"] == pytest.approx(res["delta_max"] / 2)
@@ -368,7 +426,25 @@ def test_klingenberg_field_bound_meets_its_condition(n, eps, delta):
 
 
 def test_klingenberg_infeasible_at_half(family10):
-    assert klingenberg_delta_search(family10, eps=0.5, l=3.0) == INFEASIBLE
+    assert klingenberg_delta_search(family10, eps=0.5, l=3.0)["status"] == INFEASIBLE
+
+
+def test_klingenberg_infeasible_names_its_condition(family10):
+    # on near_half the field cap is about 1e-9, so l - delta stays within
+    # 1e-6 of the conjugate point inj_p = r_max through every halving
+    delta = klingenberg_delta_search(family10, l=3.0)["delta"]
+    near_half = build_model("family", 10, 0.5 + 1e-9, 0.02)
+    l_far = near_half.r_max
+    for quantity, m, eps, l, value, bound in (
+            ("eps", family10, 0.5, 3.0, 0.5, 0.5),
+            ("loop_length", family10, None, 7.0, (2 * math.pi - 7.0) / 3, 0.0),
+            ("loop_minus_delta", family10, None, 0.01, 0.01 - delta, 0.0),
+            ("non_conjugate", near_half, None, l_far, l_far, inj_at_pole(near_half))):
+        res = klingenberg_delta_search(m, eps=eps, l=l)
+        assert res["status"] == INFEASIBLE
+        assert res["violations"] == [{"r": 0.0, "quantity": quantity,
+                                      "value": pytest.approx(value, abs=1e-12),
+                                      "bound": pytest.approx(bound, abs=1e-12)}]
 
 
 def test_klingenberg_rejects_non_finite_loop_length(family10):
@@ -380,7 +456,7 @@ def test_klingenberg_rejects_non_finite_loop_length(family10):
 def test_klingenberg_needs_zero_at_pole(gaussian3):
     m = build_model("round_sphere", 3)
     res = klingenberg_delta_search(m, eps=0.9, l=3.0)
-    assert res != INFEASIBLE   # X = 0 everywhere, N(delta) = 0
+    assert res["violations"] == []   # X = 0 everywhere, N(delta) = 0
     # a cap with f = r + r^2/2: |X| = 1 at the pole
     f = SegmentSpec(PARABOLA, 0.0, 10.0, {"c0": 0.0, "c1": 1.0, "c2": 0.5})
     cap = ManifoldWithDensity(3, RadialProfile((SegmentSpec(LINEAR, 0.0, 10.0),)),
