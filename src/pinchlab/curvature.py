@@ -216,14 +216,11 @@ def curvature_sample(m, r):
     :func:`curvature_table`'s row, computed in float arithmetic.
 
     ``r`` is checked and clipped as :meth:`RadialProfile.eval` checks and
-    clips it; a non-analytic pole, or a phi that vanishes away from a pole,
-    raises DomainError.
+    clips it; a non-analytic pole raises DomainError.  Away from the poles
+    phi > 0, which :class:`ManifoldWithDensity` checks.
     """
     r = float(r)
-    try:
-        out = _columns(m, _ALL, r, partial(m.phi, r), partial(m.f, r), _FloatMath)
-    except ZeroDivisionError:
-        raise DomainError(f"phi vanishes at r = {r}, away from a pole") from None
+    out = _columns(m, _ALL, r, partial(m.phi, r), partial(m.f, r), _FloatMath)
     return CurvatureSample(*[float(out[k]) for k in CSV_COLUMNS])
 
 

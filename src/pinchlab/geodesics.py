@@ -420,9 +420,9 @@ class _Geometry:
     The warping profile must be nondecreasing on the flank [0, mid], mid = L
     on a doubled model and r_max on a cap.  That is checked exactly: the
     slope over the flank is least at 0, mid or one of the profile's kinks
-    and inflections between, and it must be at least -1e-9 at each (and
-    positive at the pole).  The same radii bracket every turning radius, and
-    the largest Clairaut constant of a turning geodesic is c_max = phi(mid).
+    and inflections between, and it must be at least -1e-9 at each (it is 1
+    at the pole, by construction).  The same radii bracket every turning radius,
+    and the largest Clairaut constant of a turning geodesic is c_max = phi(mid).
 
     ``turn_lo``, ``arcs`` and ``classes`` take one float c or an array of
     them, and give an array entry the bits the float gives.
@@ -438,8 +438,6 @@ class _Geometry:
         self._flank_r = m.phi.slope_extreme_radii(self.mid)
         if min(map(self.dphi_s, self._flank_r)) < -1e-9:
             raise SearchError("distance search requires a unimodal warping profile")
-        if self.dphi_s(0.0) <= 1e-13:
-            raise SearchError("warping profile is flat at the pole")
         self._flank_phi = [self.phi_s(r) for r in self._flank_r]
         self.c_max = self._flank_phi[-1]
         self._pieces = m.phi.pieces
@@ -843,9 +841,9 @@ def inj_at_pole(m):
     meridian, since every geodesic from the pole is a meridian.
 
     Along a meridian from the pole the tangential Jacobi field is the warping
-    profile phi itself (Petersen, Riemannian Geometry, 3rd ed., 4.2.3).  With
-    phi > 0 on (0, r_max), as :func:`farthest_from_pole` also assumes, its
-    first zero is the far pole r_max of a doubled model; a cap has none.
+    profile phi itself (Petersen, Riemannian Geometry, 3rd ed., 4.2.3).  Its
+    first zero is the far pole r_max of a doubled model, since phi > 0 on
+    (0, r_max) (:class:`ManifoldWithDensity` checks it); a cap has none.
     """
     return math.inf if m.topology == CAP else m.r_max
 

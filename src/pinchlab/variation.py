@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .profiles import _model_eps, sorted_unique
-from .curvature import curvature_table, ricci_eigenvalues, sectional_fn, x_field_norm
+from .curvature import curvature_table, ricci_eigenvalues, sectional_fn
 from .geodesics import solve_ivp, solve_pieces
 
 QUAD_TOL = 1e-9
@@ -332,16 +332,14 @@ def geodesic_index(m, path):
 def loop_index_check(m, loop, eps=None):
     """Check the loop implication: length > pi/eps forces index >= n-1.
 
-    The loop must be based at the pole, which must be a zero of the field
-    (so the boundary term of int sec_X cancels and int sec_X = int sec per
-    perpendicular parallel direction).
+    The loop must be based at the pole.  X = 0 there, as
+    :class:`ManifoldWithDensity` checks, so the boundary term of int sec_X
+    cancels and int sec_X = int sec per perpendicular parallel direction.
     """
     r_start = float(loop.state(0.0)[0])
     r_end = float(loop.state(loop.length)[0])
     if r_start > 1e-9 or r_end > 1e-9:
         raise DomainError("loop must start and end at the pole")
-    if x_field_norm(m, 0.0) > 1e-12:
-        raise DomainError("loop base point must be a zero of the field")
     eps = _model_eps(m, eps)
 
     threshold = math.pi / eps

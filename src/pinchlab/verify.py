@@ -14,8 +14,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError
-from .profiles import DOUBLED_SPHERE, PL2_BAND, _model_eps, sorted_unique
-from .curvature import curvature_table, x_field_norm
+from .profiles import C2_TOL, DOUBLED_SPHERE, PL2_BAND, _model_eps, sorted_unique
+from .curvature import curvature_table, grid_ends, x_field_norm
 from .geodesics import (_POLE, N_ANGLES, check_arclength, check_cap_meridian, distance,
                         farthest_from_pole, inj_at_pole)
 
@@ -32,16 +32,17 @@ DEFAULT_GRID = 10_000
 
 
 def _pinch_grid(m, grid_size):
-    """Uniform radial grid, refined x8 inside the smoothing bands."""
-    rs = [np.linspace(0.0, m.r_max, grid_size + 1)]
+    """Uniform radial grid between :func:`grid_ends`, refined x8 in the bands."""
+    lo, hi = grid_ends(m)
+    rs = [np.linspace(lo, hi, grid_size + 1)]
     step = m.r_max / grid_size
     bands = [(s.lo, s.hi) for prof in (m.phi, m.f)
              for s in prof.segments if s.kind == PL2_BAND]
     if m.topology == DOUBLED_SPHERE:
-        bands += [(m.r_max - hi, m.r_max - lo) for lo, hi in bands]
-    for lo, hi in bands:
-        k = max(8, int(math.ceil((hi - lo) / step * 8)))
-        rs.append(np.linspace(lo, hi, k + 1))
+        bands += [(m.r_max - b, m.r_max - a) for a, b in bands]
+    for a, b in bands:
+        k = max(8, int(math.ceil((b - a) / step * 8)))
+        rs.append(np.linspace(max(a, lo), min(b, hi), k + 1))
     return sorted_unique(np.concatenate(rs))
 
 
@@ -247,7 +248,7 @@ def diameter_gap(m, p=(0.0, 0.0), eps=None):
     q, far = farthest_from_pole(m)
     bound = critical_radius(m, p[0], eps)
     xp = x_field_norm(m, p[0])
-    zero_bound = 2.0 * math.pi / eps if xp < 1e-12 else None
+    zero_bound = 2.0 * math.pi / eps if xp <= C2_TOL else None
     cert = criticality_certificate(m, p, q, eps)
     inj = inj_at_pole(m)
     return GapReport(tuple(p), q, far, bound, zero_bound, inj, cert.min_inner)
@@ -291,7 +292,7 @@ def klingenberg_delta_search(m, eps=None, l=None):
     """Largest delta meeting the arithmetic loop conditions, then halved.
 
     Conditions on delta, for a hypothesized loop of length ``l`` based at the
-    pole (a zero of the field):
+    pole, where X = 0 (:class:`ManifoldWithDensity` checks it):
 
       field_bound:  3 eps delta + N(delta) < pi (2 eps - 1),
                     N(delta) = max |X| on [0, 2 delta], taken at 0, 2 delta
@@ -313,8 +314,6 @@ def klingenberg_delta_search(m, eps=None, l=None):
     eps = _model_eps(m, eps)
     if l is None or not (math.isfinite(l) and l > 0):
         raise DomainError("a finite positive hypothesized loop length is required")
-    if x_field_norm(m, 0.0) > 1e-12:
-        raise DomainError("the pole must be a zero of the field")
     if eps <= 0.5:
         return _infeasible("eps", eps, 0.5)
 

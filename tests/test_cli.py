@@ -242,6 +242,70 @@ def test_curvature_from_a_doubled_non_analytic_cap(tmp_path, capsys):
     assert rs[0] == 1e-6 and all(min(r, 2.0 - r) >= 1e-6 for r in rs)
 
 
+def _cap_with_phi(path, phi, f_slope=0.0):
+    """A cap on [0, 5] with the one warping segment ``phi`` (kind and
+    parameters) and f = f_slope r + r^2/2."""
+    path.write_text(json.dumps({"n": 3, "topology": "CAP", "phi": {"segments": [
+        {**phi, "domain": [0.0, 5.0]}]}, "f": {"segments": [
+            {"kind": "PARABOLA", "domain": [0.0, 5.0], "c0": 0.0, "c1": f_slope, "c2": 0.5}]}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("phi", [
+    {"kind": "PARABOLA", "c0": 0.0, "c1": 1.0, "c2": 0.0},
+    {"kind": "PL2_BAND", "left_value": 0.0, "left_slope": 1.0, "nodes": [[0.0, 0.0], [5.0, 0.0]]},
+], ids=["parabola", "band"])
+def test_pinch_on_a_non_analytic_cap(tmp_path, capsys, phi):
+    # phi = r written as one PARABOLA or one band: curvature accepted it, but
+    # pinch's grid, and its refinement of a band, started at the pole and
+    # exited 2 ("curvature at a non-analytic pole"); both now start
+    # POLE_TOL in, as curvature's grid does
+    code, text, err = run(capsys, "pinch", "--from", _cap_with_phi(tmp_path / "m.json", phi),
+                          "--eps", "0.5")
+    assert code == 0, err
+    doc = json.loads(text)
+    _, text, _ = run(capsys, "pinch", "--from",
+                     _cap_with_phi(tmp_path / "linear.json", {"kind": "LINEAR"}), "--eps", "0.5")
+    assert doc["pass"] and doc["margins"] == json.loads(text)["margins"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("build",), ("curvature", "--grid", "4"), ("pinch", "--eps", "0.5"),
+    ("geodesic", "--r0", "1", "--dir", "0.3", "--length", "1"),
+    ("index", "--r0", "1", "--dir", "0.3", "--length", "1"), ("gap", "--eps", "0.5"),
+    ("klingenberg", "--eps", "0.8", "--loop-length", "1")], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("phi, message", [
+    ({"kind": "PARABOLA", "c0": 0.0, "c1": 2.0, "c2": 0.0}, "phi'(0) = 2.0"),
+    ({"kind": "CONSTANT", "value": 0.5}, "phi(0) = 0.5"),
+], ids=["cone", "no_point"])
+def test_a_pole_that_is_not_smooth_exits_two(tmp_path, capsys, argv, phi, message):
+    # a cone (phi = 2r) and a cylinder end (phi = 0.5) are no models; geodesic
+    # and index exited 0 on both
+    code, text, err = run(capsys, *argv, "--from", _cap_with_phi(tmp_path / "m.json", phi))
+    assert code == 2 and text == ""
+    assert message in err
+
+
+def test_a_pole_slope_within_the_contract_passes(tmp_path, capsys):
+    # the doubled round sphere with f = 5e-10 r - 5e-10 r^2/(2L): |f'(0)| is
+    # within C2_TOL, so the model loads.  klingenberg refused it with
+    # "the pole must be" a zero of X at 1e-12, and gap gave no zero_bound
+    L = math.pi / 2
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps({"n": 3, "topology": "DOUBLED_SPHERE", "L": L,
+                                "meta": {"eps": 0.9},
+                                "phi": {"segments": [{"kind": "SINE", "domain": [0.0, L]}]},
+                                "f": {"segments": [{"kind": "PARABOLA", "domain": [0.0, L],
+                                                    "c0": 0.0, "c1": 5e-10,
+                                                    "c2": -5e-10 / (2 * L)}]}}))
+    code, text, err = run(capsys, "klingenberg", "--from", str(path), "--loop-length", "1.0")
+    assert code == 0, err
+    assert json.loads(text)["violations"] == []
+    code, text, err = run(capsys, "gap", "--from", str(path))
+    assert code == 0, err
+    assert json.loads(text)["margins"]["zero_bound"] == 2 * math.pi / 0.9
+
+
 def _json_cap(path):
     """A cap read from profile JSON: phi = sin r, then a rising PARABOLA."""
     path.write_text(json.dumps({"n": 3, "topology": "CAP", "meta": {"eps": 0.5},
@@ -386,8 +450,12 @@ def _set(container, key, value):
     ("nodes must span the full segment width",
      lambda doc: _segment(doc, "PL2_BAND")["nodes"].pop()),
     ("f'(0) = -0.3", lambda doc: doc["f"]["segments"][0].update(c1=-0.3)),
+    ("phi(0) = 0.5", lambda doc: doc["phi"]["segments"][0].update(
+        kind="PARABOLA", c0=0.5, c1=1.0, c2=0.0)),
+    ("phi'(0) = 2.0", lambda doc: doc["phi"]["segments"][0].update(
+        kind="PARABOLA", c0=0.0, c1=2.0, c2=0.0)),
 ], ids=["topology", "abut", "L", "doubling_slope", "parabola_c2", "empty_domain",
-        "nodes_start", "nodes_span", "pole_slope"])
+        "nodes_start", "nodes_span", "pole_slope", "pole_value", "cone_angle"])
 def test_malformed_profile_structure_exits_two(tmp_path, capsys, message, edit):
     out = tmp_path / "m.json"
     run(capsys, "build", "--model", "family", "--n", "10", "--eps", "0.8",

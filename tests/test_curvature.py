@@ -221,15 +221,12 @@ def test_curvature_sample_domain():
     # columns of phi alone do not read f
     assert curvature_table(m, [2.75], ("sec_rad",))["sec_rad"][0] == curvature_sample(
         _json_cap(), 2.75).sec_rad
-    # phi = 1 - r vanishes at r = 1, away from the pole: no silent NaN.  A
-    # profile JSON file cannot give that model, so it is built directly
+    # phi = 1 - r vanishes at r = 1, away from the pole, and is -1 at r_max:
+    # no model, so curvature never divides by it
     line = SegmentSpec(PARABOLA, 0.0, 2.0, {"c0": 1.0, "c1": -1.0, "c2": 0.0})
     zero = SegmentSpec(CONSTANT, 0.0, 2.0, {"value": 0.0})
-    m = ManifoldWithDensity(3, RadialProfile((line,)), RadialProfile((zero,)), CAP)
-    with pytest.raises(ConstructionError, match="phi must be positive"):
-        manifold_from_dict(manifold_to_dict(m))
-    with pytest.raises(DomainError, match="vanishes"):
-        curvature_sample(m, 1.0)
+    with pytest.raises(ConstructionError, match=r"phi must be positive .* phi\(2\.0\) = -1\.0"):
+        ManifoldWithDensity(3, RadialProfile((line,)), RadialProfile((zero,)), CAP)
 
 
 def test_curvature_table_columns(family10_sec):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pinchlab import (DomainError, IntegrationError, SearchError, build_model,
+from pinchlab import (ConstructionError, DomainError, IntegrationError, SearchError, build_model,
                       criticality_certificate, distance, farthest_from_pole,
                       inj_at_pole, jacobi_conjugate_points, shoot)
 from pinchlab.geodesics import _Geometry, kink_crossings
@@ -797,23 +797,25 @@ def test_distance_rejects_a_narrow_dip_in_the_warping_slope(tmp_path):
         distance(m, (0.5, 0.0), (3.0, 2.0))
 
 
-def test_a_cap_flat_at_the_pole_has_no_distance_but_shoots(tmp_path):
-    # phi = r^2 on [0, 2], in two PARABOLA pieces joined at the kink r = 1:
-    # phi' = 0 at the pole, so there is no Clairaut primitive, and shoot
-    # reads its kink crossing from the solve
+def test_a_cap_flat_at_the_pole_is_refused_and_a_dip_cap_shoots(tmp_path):
+    # phi = r^2 on [0, 2], in two PARABOLA pieces joined at the kink r = 1,
+    # has phi'(0) = 0: a cusp at the pole, which no model has
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"n": 3, "topology": "CAP", "phi": {"segments": [
         {"kind": "PARABOLA", "domain": [0.0, 1.0], "c0": 0.0, "c1": 0.0, "c2": 1.0},
         {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 1.0, "c1": 2.0, "c2": 1.0}]},
         "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, 2.0], "value": 0.0}]}}))
-    m = load_manifold(path)
-    with pytest.raises(SearchError, match="flat at the pole"):
-        distance(m, (0.5, 0.0), (1.5, 1.0))
-    assert kink_crossings(m, 0.5, math.cos(0.3), 0.25 * math.sin(0.3), 1.0) is None
+    with pytest.raises(ConstructionError, match=r"phi'\(0\) = 0\.0"):
+        load_manifold(path)
+    # the dip cap is not unimodal, so there is no Clairaut primitive, and
+    # shoot reads its five band crossings from the solve
+    m = _dip_model(tmp_path)
+    assert kink_crossings(m, 0.5, math.cos(0.3), 0.5 * math.sin(0.3), 1.0) is None
     geo = shoot(m, 0.5, 0.3, 1.0)
-    (t,) = geo.crossings
-    assert 0.0 < t < 1.0
-    assert geo.state(t)[0] == pytest.approx(1.0, abs=1e-12)
+    assert len(geo.crossings) == 5
+    for t, k in zip(geo.crossings, m.phi.kinks()):
+        assert 0.0 < t < 1.0
+        assert geo.state(t)[0] == pytest.approx(k, abs=1e-12)
 
 
 def test_turn_lo_inverts_phi_on_the_flank(sphere3, gaussian3):

@@ -7,8 +7,8 @@ import pytest
 from pinchlab import (ConstructionError, DomainError, RadialProfile,
                       SegmentSpec, build_model, check_c2, doubling_point,
                       manifold_from_dict, manifold_to_dict, solve_smoothing_band)
-from pinchlab.profiles import (BAND_INTEGRAL_TOL, CONSTANT, LINEAR, PARABOLA, PL2_BAND,
-                               SINE, c2_ok, _pl_integral)
+from pinchlab.profiles import (BAND_INTEGRAL_TOL, CAP, CONSTANT, LINEAR, PARABOLA, PL2_BAND,
+                               SINE, ManifoldWithDensity, c2_ok, _pl_integral)
 
 
 def test_eval_sine_segment():
@@ -165,6 +165,26 @@ def test_family_rejects_bad_parameters():
         build_model("family", 10, 0.8, math.inf)
     with pytest.raises(ConstructionError, match="n must"):
         build_model("gaussian", 1)
+    with pytest.raises(ConstructionError, match="dimension n must be at least 2, got nan"):
+        build_model("round_sphere", math.nan)
+    with pytest.raises(ConstructionError, match="family requires n >= 3, got nan"):
+        build_model("family", math.nan, 0.8, 0.02)
+
+
+@pytest.mark.parametrize("phi, f, message", [
+    ((LINEAR, {}), (PARABOLA, {"c0": 0.0, "c1": 1e-8, "c2": 0.5}), "f'(0) = 1e-08"),
+    ((PARABOLA, {"c0": 0.0, "c1": 2.0, "c2": 0.0}), (CONSTANT, {"value": 0.0}),
+     "phi'(0) = 2.0"),
+    ((PARABOLA, {"c0": 1e-3, "c1": 1.0, "c2": 0.0}), (CONSTANT, {"value": 0.0}),
+     "phi(0) = 0.001"),
+], ids=["f_slope", "cone", "no_point"])
+def test_the_constructor_checks_a_model_built_in_code(phi, f, message):
+    # the contract holds for a model built in code, not only for profile JSON;
+    # a phi that is not positive is test_curvature_sample_domain's case
+    profiles = [RadialProfile((SegmentSpec(kind, 0.0, 2.0, params),)) for kind, params in (phi, f)]
+    with pytest.raises(ConstructionError) as info:
+        ManifoldWithDensity(3, *profiles, CAP)
+    assert message in str(info.value)
 
 
 # -- C2 checks --------------------------------------------------------------
