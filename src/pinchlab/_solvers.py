@@ -302,8 +302,8 @@ class OdeSolution:
             t = np.asarray(t, dtype=float)
             if t.ndim:
                 i = np.clip(np.searchsorted(self.ts, t) - 1, 0, last)
-                t_old, h, y_old, F = self._table
-                return _horner(F[:, :rows, i], (t - t_old[i]) / h[i], y_old[:rows, i])
+                t_old, h, y_old, F = (a.take(i, -1) for a in self._table)   # t innermost
+                return _horner(F[:, :rows], (t - t_old) / h, y_old[:rows])
             t = float(t)
         return self.interpolants[min(max(bisect.bisect_left(self._times, t) - 1, 0),
                                      last)](t, rows)

@@ -213,7 +213,7 @@ class _FloatMath:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Ordered, abutting segments; optionally reflected about ``reflect_at``.
+    """Ordered segments abutting from r = 0; optionally reflected about ``reflect_at``.
 
     When ``reflect_at = L`` is set the segments cover [0, L] and the profile is
     defined on [0, 2L] by even reflection, which keeps the doubled profile
@@ -227,10 +227,10 @@ class RadialProfile:
     def __post_init__(self):
         segs = tuple(self.segments)
         object.__setattr__(self, "segments", segs)
-        for a, b in zip(segs, segs[1:]):
-            if abs(a.hi - b.lo) > 1e-13:
+        for hi, b in zip([0.0, *(a.hi for a in segs)], segs):
+            if not abs(hi - b.lo) <= 1e-13:
                 raise ConstructionError(
-                    f"segments do not abut: [..,{a.hi}) then [{b.lo},..)")
+                    f"segments do not abut from r = 0: [..,{hi}) then [{b.lo},..)")
         if self.reflect_at is not None:
             if abs(segs[-1].hi - self.reflect_at) > 1e-12:
                 raise ConstructionError("reflect_at must coincide with the last segment end")
@@ -866,9 +866,10 @@ def _check_positive(phi):
                 rs += [lo + o0 + x for x in _quadratic_roots(0.5 * d3, d2, d1)
                        if 0.0 <= x <= o1 - o0]
         for r in rs:
-            if lo <= r <= hi and r > 0.0 and not seg._triple(r)[0] > 0.0:
-                raise ConstructionError(f"phi must be positive on (0, r_max),"
-                                        f" but phi({r!r}) = {seg._triple(r)[0]!r}")
+            v = seg._triple(r)[0] if lo <= r <= hi and r > 0.0 else 1.0
+            if not (v > 0.0 and v * v > 0.0):   # phi^2 divides the curvature
+                raise ConstructionError(f"phi must be positive on (0, r_max), phi^2 too,"
+                                        f" but phi({r!r}) = {v!r}")
 
 
 def _quadratic_roots(a, b, c):

@@ -11,9 +11,9 @@ splits the perpendicular directions into two classes,
 Along a meridian both classes coincide (w = 1), giving the single tangential
 Jacobi equation psi'' + sec_rad(r(t)) psi = 0 with multiplicity n-1.
 
-The index is computed two independent ways: counting interior conjugate
-points of the Jacobi equation (JACOBI_ZEROS) and counting negative
-eigenvalues of the discretized index form int (psi')^2 - K psi^2
+The index is computed two independent ways: the interior conjugate points
+of one Jacobi solve for all classes (JACOBI_ZEROS), and the negative
+eigenvalues of each class's discretized index form int (psi')^2 - K psi^2
 (EIGEN_COUNT); the verify/acceptance suites require the two to agree.
 """
 
@@ -165,16 +165,18 @@ def path_curvature(m, path, kind=RICCI, direction="fiber"):
     ``RICCI``: Ric(gdot, gdot) = a^2 ric_rr + (1 - a^2) ric_tt with a = rdot.
     ``SEC_PERP``: sec of the plane spanned by gdot and a perpendicular
     parallel field; ``direction`` picks the in-slice class (w = 1) or the
-    fiber-orthogonal class (w = rdot^2).
+    fiber-orthogonal class (w = rdot^2), or a list of them, read at once.
     """
     if kind not in (RICCI, SEC_PERP):
         raise DomainError(f"unknown integrand {kind!r}")
-    if direction not in ("slice", "fiber"):
+    one = not isinstance(direction, (list, tuple))
+    dirs = [direction] if one else direction
+    if any(d not in ("slice", "fiber") for d in dirs):
         raise DomainError(f"unknown direction class {direction!r}")
 
     R, n = m.r_max, m.n
     sec = sectional_fn(m)
-    ricci, in_slice = kind == RICCI, direction == "slice"
+    ricci, in_slice = kind == RICCI, [d == "slice" for d in dirs]
     state = path.state
 
     def K(t):
@@ -190,8 +192,11 @@ def path_curvature(m, path, kind=RICCI, direction="fiber"):
         if ricci:
             ric_rr, ric_tt = ricci_eigenvalues(n, sec_rad, sec_tan)
             return a2 * ric_rr + (1.0 - a2) * ric_tt
-        w = 1.0 if in_slice else a2
-        return w * sec_rad + (1.0 - w) * sec_tan
+        ks = []
+        for s in in_slice:          # a comprehension would cost a frame per stage
+            w = 1.0 if s else a2
+            ks.append(w * sec_rad + (1.0 - w) * sec_tan)
+        return ks[0] if one else ks
 
     return K
 
@@ -211,48 +216,54 @@ def line_integral(m, path, kind=RICCI, direction="fiber"):
 # Jacobi equation and index
 
 
-def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=()):
+def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(), classes=None):
     """Interior zeros of psi'' + K psi = 0, psi(0) = 0, psi'(0) = 1.
 
-    ``breakpoints`` are the arclengths where ``K`` is not smooth (for a
-    path's K, the path's :attr:`~GeodesicPath.crossings`).  The solve
-    restarts at each of them (:func:`geodesics.solve_pieces`), so no step
-    straddles a kink; the sign grid and the bisection read psi alone.  Every
-    piece keeps ``max_step = length / 16`` of the whole length; with no
-    breakpoints there is one piece.  Zeros are bracketed on a sample grid
-    and refined by bisection of the pieces' dense outputs, joined into one;
-    a zero within ``tol`` of the endpoint is excluded (Morse convention
-    counts only interior conjugate points).  A solve whose step falls below
-    ten ulp raises :class:`IntegrationError` with ``reached``, the last
-    arclength it accepted, named in its message with the Jacobi stage.
+    With ``classes`` = k, ``K`` gives k curvatures, one per direction class;
+    one solve of (psi_1, psi_1', ..., psi_k, psi_k') reads it once per stage,
+    and each class's list of zeros comes from its own rows.  ``breakpoints``
+    are the arclengths where ``K`` is not smooth (for a path's K, the path's
+    :attr:`~GeodesicPath.crossings`).  The solve restarts at each of them
+    (:func:`geodesics.solve_pieces`), so no step straddles a kink; every
+    piece keeps ``max_step = length / 16``.  Zeros are bracketed on a sample
+    grid and refined by bisection of the dense output; a zero within ``tol``
+    of the endpoint is excluded (Morse convention counts only interior
+    conjugate points).  A non-finite K in any class, or a step below ten
+    ulp, raises :class:`IntegrationError` with ``reached``, the last
+    arclength accepted, named in its message with the Jacobi stage.
     """
     if not (math.isfinite(length) and length > 0):
         raise DomainError("Jacobi length must be finite and positive")
 
     def rhs(t, y):
-        k = K(t)
-        if not math.isfinite(k):
-            # a NaN step size never ends solve_ivp's step-rejection loop
-            raise IntegrationError(f"curvature {k} at t = {t}", reached=float(t))
-        return [y[1], -k * y[0]]
+        dy, i = [], 0
+        for k in (K(t) if classes else (K(t),)):
+            if not math.isfinite(k):
+                # a NaN step size never ends solve_ivp's step-rejection loop
+                raise IntegrationError(f"curvature {k} at t = {t}", reached=float(t))
+            dy += (y[i + 1], -k * y[i])
+            i += 2
+        return dy
 
     cuts = sorted({0.0, float(length), *(b for b in breakpoints if 0.0 < b < length)})
-    state = solve_pieces(solve_ivp, rhs, cuts, [0.0, 1.0], "Jacobi", rtol=JACOBI_RTOL,
-                         atol=1e-13, max_step=length / 16.0)
+    state = solve_pieces(solve_ivp, rhs, cuts, [0.0, 1.0] * (classes or 1), "Jacobi",
+                         rtol=JACOBI_RTOL, atol=1e-13, max_step=length / 16.0)
     ts = sorted_unique(np.concatenate([np.linspace(0.0, length, JACOBI_GRID + 1),
                                        np.asarray(list(breakpoints), dtype=float)]))
-    vals = state(ts, 1)[0]
-    zeros = []
-    for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
+    # read in as many parts as the state has rows, each no bigger than one row
+    psi = np.hstack([state(part)[::2] for part in np.array_split(ts, 2 * (classes or 1))])
+    zeros = [[] for _ in psi]
+    for j, i in np.argwhere(psi[:, :-1] * psi[:, 1:] < 0).tolist():
         lo, hi = ts[i], ts[i + 1]
         while hi - lo > tol * 0.25:
             mid = 0.5 * (lo + hi)
-            if state(mid, 1)[0] * vals[i] > 0:
+            if state(mid, 2 * j + 1)[2 * j] * psi[j, i] > 0:
                 lo = mid
             else:
                 hi = mid
-        zeros.append(0.5 * (lo + hi))
-    return [z for z in zeros if tol < z < length - tol]
+        zeros[j].append(0.5 * (lo + hi))
+    zeros = [[z for z in zs if tol < z < length - tol] for zs in zeros]
+    return zeros if classes else zeros[0]
 
 
 def eigen_index(K, length):
@@ -302,19 +313,17 @@ def geodesic_index(m, path):
     """Index of the path with Dirichlet ends, with the eigenvalue cross-check.
 
     Meridians use the single tangential Jacobi equation with multiplicity
-    n-1; other paths are evaluated per perpendicular direction class.
+    n-1; elsewhere one Jacobi solve carries both direction classes.
     """
-    bps = path.crossings
-    if path.meridian or m.n == 2:
-        classes = [("all", m.n - 1, "slice")]
-    else:
-        classes = [("slice", 1, "slice"), ("fiber", m.n - 2, "fiber")]
+    classes = ([("all", m.n - 1, "slice")] if path.meridian or m.n == 2
+               else [("slice", 1, "slice"), ("fiber", m.n - 2, "fiber")])
+    K = path_curvature(m, path, SEC_PERP, [d for _, _, d in classes])
+    class_zeros = jacobi_conjugate_points(K, path.length, breakpoints=path.crossings,
+                                          classes=len(classes))
 
     conj, index_j, index_e, detail = [], 0, 0, {}
-    for name, mult, direction in classes:
-        K = path_curvature(m, path, SEC_PERP, direction)
-        zeros = jacobi_conjugate_points(K, path.length, breakpoints=bps)
-        ne = eigen_index(K, path.length)
+    for (name, mult, direction), zeros in zip(classes, class_zeros):
+        ne = eigen_index(path_curvature(m, path, SEC_PERP, direction), path.length)
         conj.extend(zeros)
         index_j += mult * len(zeros)
         index_e += mult * ne

@@ -286,6 +286,30 @@ def test_a_pole_that_is_not_smooth_exits_two(tmp_path, capsys, argv, phi, messag
     assert message in err
 
 
+@pytest.mark.parametrize("phi, argv, message", [
+    # phi^2 underflows on the CONSTANT: index raised ZeroDivisionError from
+    # the float curvature kernel, exit 1
+    ([{"kind": "LINEAR", "domain": [0.0, 1.0]},
+      {"kind": "CONSTANT", "domain": [1.0, 2.0], "value": 1e-170}],
+     ("index", "--r0", "0.5", "--dir", "0", "--length", "1.2"),
+     "phi^2 too, but phi(1.0) = 1e-170"),
+    # phi from 0.5 on: m.phi(0.2) read the LINEAR segment extrapolated, and
+    # pinch exited 0
+    ([{"kind": "LINEAR", "domain": [0.5, 5.0]}], ("pinch", "--eps", "0.5"),
+     "segments do not abut from r = 0: [..,0.0) then [0.5,..)"),
+], ids=["square_underflow", "late_start"])
+def test_a_warping_profile_the_kernels_cannot_read_exits_two(tmp_path, capsys, phi, argv,
+                                                              message):
+    path = tmp_path / "m.json"
+    r_max = phi[-1]["domain"][1]
+    path.write_text(json.dumps({"n": 3, "topology": "CAP", "phi": {"segments": phi},
+                                "f": {"segments": [{"kind": "PARABOLA", "domain": [0.0, r_max],
+                                                    "c0": 0.0, "c1": 0.0, "c2": 0.5}]}}))
+    code, text, err = run(capsys, *argv, "--from", str(path))
+    assert code == 2 and text == ""
+    assert message in err
+
+
 def test_a_pole_slope_within_the_contract_passes(tmp_path, capsys):
     # the doubled round sphere with f = 5e-10 r - 5e-10 r^2/(2L): |f'(0)| is
     # within C2_TOL, so the model loads.  klingenberg refused it with

@@ -27,6 +27,15 @@ def test_eval_band_constant_second_derivative():
     assert prof(0.5, 2) == pytest.approx(2.0, abs=1e-14)
 
 
+def test_a_profile_starts_at_the_pole():
+    # a first segment from 0.5 loaded, and phi(0.2) was its closed form
+    # extrapolated; a start within the abutting tolerance of 0 is 0
+    with pytest.raises(ConstructionError,
+                       match=r"do not abut from r = 0: \[\.\.,0\.0\) then \[0\.5,"):
+        RadialProfile((SegmentSpec(LINEAR, 0.5, 5.0),))
+    assert RadialProfile((SegmentSpec(LINEAR, 1e-14, 5.0),))(0.2) == 0.2
+
+
 def test_eval_profile_domain_and_order_errors():
     prof = RadialProfile((SegmentSpec(SINE, 0.0, math.pi),))
     from pinchlab import DomainError
@@ -393,8 +402,12 @@ LINEAR_TO_1 = {"kind": "LINEAR", "domain": [0.0, 1.0]}
                     "c2": 0.0}), r"phi\(2\.0\) = 0\.0"),
     ((LINEAR_TO_1, {"kind": "CONSTANT", "domain": [1.0, 2.0], "value": 0.0}),
      r"phi\(1\.0\) = 0\.0"),
+    # positive, but phi^2, which divides the curvature, underflows to 0: the
+    # float curvature kernel raised ZeroDivisionError
+    ((LINEAR_TO_1, {"kind": "CONSTANT", "domain": [1.0, 2.0], "value": 1e-170}),
+     r"phi\^2 too, but phi\(1\.0\) = 1e-170"),
 ], ids=["parabola_end", "parabola_vertex", "sine_trough", "band_slope_zero", "cap_end",
-        "constant"])
+        "constant", "square_underflow"])
 def test_json_warping_profile_must_be_positive(segments, where):
     # the least value of each segment is at an end or a zero of its slope,
     # in closed form; a grid would miss the band's 0.2-wide dip

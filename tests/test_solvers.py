@@ -18,7 +18,8 @@ from pinchlab import IntegrationError, SearchError, build_model
 from pinchlab._solvers import brentq, solve_ivp
 from pinchlab.geodesics import _Geometry, distance, shoot
 from pinchlab.profiles import PL2_BAND
-from pinchlab.variation import SEC_PERP, jacobi_conjugate_points, path_curvature
+from pinchlab.variation import (SEC_PERP, geodesic_index, jacobi_conjugate_points,
+                                path_curvature)
 
 
 def _bits(a):
@@ -97,7 +98,8 @@ def test_cap_exit_matches_scipy_bits(gaussian3, monkeypatch):
 
 
 def test_jacobi_solves_match_scipy_bits(sphere3, family10, monkeypatch):
-    # 2-D Jacobi systems with max_step, restarted at the path's kinks
+    # 2-D Jacobi systems with max_step, restarted at the path's kinks, and
+    # geodesic_index's 4-D system of both direction classes on the same paths
     done = _cross_checked(variation, monkeypatch)
     draw = np.random.default_rng(183)
     for m in (sphere3, family10, *_seeded_families(4, 184)):
@@ -106,8 +108,11 @@ def test_jacobi_solves_match_scipy_bits(sphere3, family10, monkeypatch):
             path = shoot(m, r0, float(draw.uniform(0.0, math.pi)), float(draw.uniform(2.0, 6.0)))
             K = path_curvature(m, path, SEC_PERP, "fiber")
             jacobi_conjugate_points(K, path.length, breakpoints=path.crossings)
+            geodesic_index(m, path)
     jacobi_conjugate_points(lambda t: 1.0, 3.0 * math.pi)
-    assert len(done) >= 19
+    # every kink piece is a run: 119 of the 2-D solves, 118 of the 4-D ones
+    assert len(done) >= 237
+    assert sum(run.y.size == 4 for run in done) >= 118
 
 
 def test_distance_root_finding_matches_scipy_bits(sphere3, family10, monkeypatch):

@@ -8,7 +8,7 @@ from pinchlab import (ConstructionError, DomainError, IntegrationError, berger_t
                       line_integral, loop_index_check, second_variation, shoot)
 from pinchlab.profiles import (DOUBLED_SPHERE, PARABOLA, SINE, ManifoldWithDensity,
                                RadialProfile, SegmentSpec)
-from pinchlab.variation import (EIGEN_NODES, RICCI, SEC_PERP, eigen_index,
+from pinchlab.variation import (EIGEN_NODES, JACOBI_ZERO_TOL, RICCI, SEC_PERP, eigen_index,
                                 path_curvature, quad_piecewise)
 
 K_ONE = lambda t: np.ones_like(np.asarray(t, dtype=float))
@@ -274,6 +274,40 @@ def test_jacobi_zeros_and_eigen_counts_are_pinned(family10, launch, pinned):
     assert got == pinned
 
 
+def test_one_solve_for_both_classes_matches_each_class_alone(sphere3, gaussian3, family10):
+    # geodesic_index solves the slice and fiber classes as one 4-component
+    # system, whose steps the error of both classes sets.  Each class's
+    # zeros agree with its own 2-component solve to the bisection's final
+    # bracket, and have its bits unless a bisection midpoint falls within
+    # the solves' error of a zero: of 3,027 zeros drawn as below with seeds
+    # 1-25 and 191, two fiber zeros moved, by 1.31e-9 (seed 3) and 1.35e-9
+    # (seed 24).  Eigenvalue counts read each class's own K.
+    draw = np.random.default_rng(191)
+    models = [sphere3, gaussian3, family10] + [
+        build_model("family", int(draw.integers(3, 11)), float(draw.uniform(0.55, 0.9)),
+                    float(draw.uniform(0.005, 0.08))) for _ in range(6)]
+    launches, zeros, moved = 0, 0, 0
+    for m in models:
+        hi = min(m.r_max, 10.0)
+        for _ in range(12):
+            path = shoot(m, float(draw.uniform(0.1, 0.9)) * hi,
+                         float(draw.uniform(0.05, math.pi - 0.05)), float(draw.uniform(2.0, 6.0)))
+            assert not path.meridian
+            res = geodesic_index(m, path)
+            for direction in ("slice", "fiber"):
+                K = path_curvature(m, path, SEC_PERP, direction)
+                alone = jacobi_conjugate_points(K, path.length, breakpoints=path.crossings)
+                got = res.classes[direction]
+                assert len(got["conjugate_points"]) == len(alone)
+                assert got["conjugate_points"] == pytest.approx(alone, abs=JACOBI_ZERO_TOL / 4)
+                moved += sum(a != b for a, b in zip(got["conjugate_points"], alone))
+                zeros += len(alone)
+                assert got["negative_eigenvalues"] == eigen_index(K, path.length)
+            launches += 1
+    assert launches >= 100 and zeros >= 100
+    assert moved <= zeros // 100
+
+
 @pytest.mark.parametrize("frac,expected", [(0.9, 0), (1.5, 2), (1.9, 2)])
 def test_sphere_arc_index(sphere3, frac, expected):
     path = shoot(sphere3, 0.0, 0.0, frac * math.pi)
@@ -430,6 +464,21 @@ def test_path_curvature_rejects_unknown_kind_and_direction(sphere3):
         path_curvature(sphere3, path, SEC_PERP, "diagonal")
 
 
+def test_path_curvature_reads_a_list_of_classes_at_once(family10):
+    # one read answers every class listed, each with the bits of its own K,
+    # for one float as for an array
+    path = shoot(family10, 1.0, 0.7, 4.0)
+    both = path_curvature(family10, path, SEC_PERP, ["slice", "fiber"])
+    alone = [path_curvature(family10, path, SEC_PERP, d) for d in ("slice", "fiber")]
+    ts = np.linspace(0.0, path.length, 101)
+    for t in ts.tolist():
+        assert [k.hex() for k in both(t)] == [K(t).hex() for K in alone]
+    for got, K in zip(both(ts), alone):
+        assert np.array_equal(got, K(ts))
+    with pytest.raises(DomainError, match="unknown direction class"):
+        path_curvature(family10, path, SEC_PERP, ["slice", "diagonal"])
+
+
 # -- scalar and vector curvature along paths --------------------------------
 
 
@@ -468,6 +517,18 @@ def test_jacobi_rejects_bad_length():
 def test_jacobi_raises_on_non_finite_curvature():
     with pytest.raises(IntegrationError):
         jacobi_conjugate_points(lambda t: math.nan if t > 0.5 else 1.0, 2.0)
+
+
+def test_jacobi_raises_on_non_finite_curvature_in_any_class():
+    # two classes share one right-hand side: the fiber class's K turning
+    # NaN past t = 0.5 stops the solve as a one-class NaN does
+    K = lambda t: [1.0, math.nan if t > 0.5 else 1.0]
+    with pytest.raises(IntegrationError, match=r"^Jacobi integration failed at arclength "
+                                               r"\S+: curvature nan at t = ") as info:
+        jacobi_conjugate_points(K, 2.0, classes=2)
+    assert 0.5 < info.value.reached < 2.0
+    assert jacobi_conjugate_points(lambda t: [1.0, 4.0], 2.0, classes=2) == [
+        [], [pytest.approx(math.pi / 2, abs=1e-8)]]
 
 
 def test_jacobi_raises_when_solver_fails():
