@@ -213,7 +213,8 @@ class _FloatMath:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Ordered segments abutting from r = 0; optionally reflected about ``reflect_at``.
+    """Ordered segments, at least one, abutting from r = 0; optionally
+    reflected about ``reflect_at``.
 
     When ``reflect_at = L`` is set the segments cover [0, L] and the profile is
     defined on [0, 2L] by even reflection, which keeps the doubled profile
@@ -227,6 +228,8 @@ class RadialProfile:
     def __post_init__(self):
         segs = tuple(self.segments)
         object.__setattr__(self, "segments", segs)
+        if not segs:
+            raise ConstructionError("a profile needs at least one segment, got none")
         for hi, b in zip([0.0, *(a.hi for a in segs)], segs):
             if not abs(hi - b.lo) <= 1e-13:
                 raise ConstructionError(
@@ -433,8 +436,9 @@ def clip_radius(r, R):
 
 def sorted_unique(x):
     """np.unique of a float array without its numpy.ma import: sort, then
-    drop repeats."""
-    x = np.sort(x)
+    drop repeats.  The sort is stable (a merge sort), which runs fastest on
+    the few presorted runs every caller concatenates."""
+    x = np.sort(x, kind="stable")
     return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
@@ -843,14 +847,17 @@ def manifold_from_dict(d):
 
 def _check_positive(phi):
     """Raise ConstructionError unless the warping profile is positive on
-    (0, r_max), and at r_max on a cap.
+    (0, r_max), and at r_max on a cap, and phi^2 and phi'^2 are finite.
 
-    Each segment's least value over [lo, hi] is taken at an end or at a zero
-    of its slope, and those zeros are in closed form: cos r = 0 on SINE, the
-    vertex of a PARABOLA and the roots of each PL2_BAND piece's quadratic
-    slope.  The segments of a doubled profile end at L, so its far pole,
-    where phi vanishes, is not among them.
+    Each segment's least and greatest values over [lo, hi] are taken at an
+    end or at a zero of its slope, and those zeros are in closed form:
+    cos r = 0 on SINE, the vertex of a PARABOLA and the roots of each
+    PL2_BAND piece's quadratic slope.  Its slope is extreme at an end or at
+    an inflection (:meth:`RadialProfile.slope_extreme_radii`).  The segments
+    of a doubled profile end at L, so its far pole, where phi vanishes, is
+    not among them, and its mirror image repeats the values checked.
     """
+    extremes = phi.slope_extreme_radii(phi.r_max)
     for seg in phi.segments:
         lo, hi = seg.lo, seg.hi
         rs = [lo, hi]
@@ -865,11 +872,14 @@ def _check_positive(phi):
                 # the slope d1 + d2 x + d3 x^2 / 2 at the offset x into the piece
                 rs += [lo + o0 + x for x in _quadratic_roots(0.5 * d3, d2, d1)
                        if 0.0 <= x <= o1 - o0]
-        for r in rs:
-            v = seg._triple(r)[0] if lo <= r <= hi and r > 0.0 else 1.0
-            if not (v > 0.0 and v * v > 0.0):   # phi^2 divides the curvature
+        for r in (r for r in rs + extremes if lo <= r <= hi):
+            v, d1, _ = seg._triple(r)
+            if r > 0.0 and not (v > 0.0 and v * v > 0.0):   # phi^2 divides the curvature
                 raise ConstructionError(f"phi must be positive on (0, r_max), phi^2 too,"
                                         f" but phi({r!r}) = {v!r}")
+            if not (math.isfinite(v * v) and math.isfinite(d1 * d1)):
+                raise ConstructionError(f"phi^2 and phi'^2 must be finite, but phi({r!r}) = "
+                                        f"{v!r} and phi'({r!r}) = {d1!r}")
 
 
 def _quadratic_roots(a, b, c):

@@ -52,32 +52,38 @@ def quad_piecewise(f, a, b, breakpoints=()):
     """Composite Simpson over [a, b], forced nodes at ``breakpoints``.
 
     Each smooth subinterval is refined by doubling until two successive
-    Simpson values differ by less than ``QUAD_TOL``; ``f`` must accept arrays.
-    A subinterval still unconverged after ``QUAD_MAX_DOUBLINGS`` raises
-    :class:`IntegrationError` with ``reached`` at its left end: a kink of
+    Simpson values differ by less than ``QUAD_TOL``; ``f`` must accept arrays
+    and work element by element.  One call of ``f`` per doubling level reads
+    the ``np.linspace`` nodes of every subinterval not yet converged, each
+    of which keeps its own Simpson sum and stopping test and leaves the batch
+    when it converges; the totals are added in order.  A subinterval still
+    unconverged after ``QUAD_MAX_DOUBLINGS`` raises :class:`IntegrationError`
+    with ``reached`` at its left end, the first such one in order: a kink of
     ``f`` that is not among the breakpoints usually causes it.
     """
     pts = sorted({float(a), float(b), *(p for p in breakpoints if a < p < b)})
-    total = 0.0
-    for lo, hi in zip(pts, pts[1:]):
-        if hi - lo < 1e-15:
-            continue
-        n = QUAD_N0
-        prev = None
-        for _ in range(QUAD_MAX_DOUBLINGS):
-            x = np.linspace(lo, hi, n + 1)
-            y = f(x)
+    spans = [(lo, hi) for lo, hi in zip(pts, pts[1:]) if not hi - lo < 1e-15]
+    sums, diff = [None] * len(spans), [math.inf] * len(spans)
+    live, n = list(range(len(spans))), QUAD_N0
+    for _ in range(QUAD_MAX_DOUBLINGS):
+        if not live:
+            break
+        ys = f(np.concatenate([np.linspace(*spans[i], n + 1) for i in live]))
+        for i, y in zip(live, np.reshape(ys, (len(live), n + 1))):
+            lo, hi = spans[i]
             h = (hi - lo) / n
             s = h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
-            diff = math.inf if prev is None else abs(s - prev)
-            if diff < QUAD_TOL * 0.5:
-                break
-            prev = s
-            n *= 2
-        else:
-            raise IntegrationError(
-                f"quadrature on [{lo}, {hi}] did not converge: last |S2n - Sn| = "
-                f"{diff} against tol {QUAD_TOL}", reached=lo)
+            diff[i] = math.inf if sums[i] is None else abs(s - sums[i])
+            sums[i] = s
+        live = [i for i in live if not diff[i] < QUAD_TOL * 0.5]
+        n *= 2
+    if live:
+        lo, hi = spans[live[0]]
+        raise IntegrationError(
+            f"quadrature on [{lo}, {hi}] did not converge: last |S2n - Sn| = "
+            f"{diff[live[0]]} against tol {QUAD_TOL}", reached=lo)
+    total = 0.0
+    for s in sums:
         total += s
     return total
 
@@ -266,9 +272,13 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(), clas
     return zeros if classes else zeros[0]
 
 
-def eigen_index(K, length):
+def eigen_index(K, length, classes=None):
     """Negative-eigenvalue count of the discretized form int (psi')^2 - K psi^2.
 
+    With ``classes`` = k, ``K`` gives k curvatures, one per direction class,
+    as :func:`jacobi_conjugate_points` reads them: one read of ``K`` on the
+    grid serves every class, and the result is one count per class, each
+    from its own array.
     Second-difference discretization with Dirichlet ends.  Eigenvalues within
     the O(h^2) discretization error of zero are not counted, matching the
     Morse convention for endpoint conjugate points.  By Sylvester's law of
@@ -282,14 +292,17 @@ def eigen_index(K, length):
         raise DomainError("index form length must be finite and positive")
     h = length / (EIGEN_NODES + 1)
     t = np.linspace(h, length - h, EIGEN_NODES)
-    Kv = np.asarray(K(t), dtype=float)
-    cutoff = -10.0 * h**2 * max(1.0, float(np.max(np.abs(Kv))))
     off2 = (1.0 / h**2) ** 2
-    count, pivot = 0, math.inf          # off2 / inf = 0: the first pivot is d
-    for d in (2.0 / h**2 - Kv - cutoff).tolist():
-        pivot = d - off2 / pivot or math.ulp(0.0)     # a zero pivot is positive
-        count += pivot < 0.0
-    return count
+    counts = []
+    for Kv in (K(t) if classes else (K(t),)):
+        Kv = np.asarray(Kv, dtype=float)
+        cutoff = -10.0 * h**2 * max(1.0, float(np.max(np.abs(Kv))))
+        count, pivot = 0, math.inf          # off2 / inf = 0: the first pivot is d
+        for d in (2.0 / h**2 - Kv - cutoff).tolist():
+            pivot = d - off2 / pivot or math.ulp(0.0)     # a zero pivot is positive
+            count += pivot < 0.0
+        counts.append(count)
+    return counts if classes else counts[0]
 
 
 @dataclass(frozen=True)
@@ -313,17 +326,18 @@ def geodesic_index(m, path):
     """Index of the path with Dirichlet ends, with the eigenvalue cross-check.
 
     Meridians use the single tangential Jacobi equation with multiplicity
-    n-1; elsewhere one Jacobi solve carries both direction classes.
+    n-1; elsewhere one Jacobi solve carries both direction classes, and one
+    read of their curvatures on the eigenvalue grid gives both counts.
     """
     classes = ([("all", m.n - 1, "slice")] if path.meridian or m.n == 2
                else [("slice", 1, "slice"), ("fiber", m.n - 2, "fiber")])
     K = path_curvature(m, path, SEC_PERP, [d for _, _, d in classes])
     class_zeros = jacobi_conjugate_points(K, path.length, breakpoints=path.crossings,
                                           classes=len(classes))
+    class_ne = eigen_index(K, path.length, classes=len(classes))
 
     conj, index_j, index_e, detail = [], 0, 0, {}
-    for (name, mult, direction), zeros in zip(classes, class_zeros):
-        ne = eigen_index(path_curvature(m, path, SEC_PERP, direction), path.length)
+    for (name, mult, direction), zeros, ne in zip(classes, class_zeros, class_ne):
         conj.extend(zeros)
         index_j += mult * len(zeros)
         index_e += mult * ne

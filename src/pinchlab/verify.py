@@ -6,6 +6,7 @@ exactly when the list is empty; nothing is clamped or hidden.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -296,7 +297,9 @@ def klingenberg_delta_search(m, eps=None, l=None):
 
       field_bound:  3 eps delta + N(delta) < pi (2 eps - 1),
                     N(delta) = max |X| on [0, 2 delta], taken at 0, 2 delta
-                    and the kinks and inflections of f below 2 delta
+                    and the kinks and inflections of f below 2 delta; |X|
+                    is read once at all of those radii below r_max, and a
+                    bisection step reads only |X(2 delta)|
       loop_length:  3 delta < 2 pi - l
       global:       5 delta < 2 pi
       exp_diffeo:   2 delta < inj_p
@@ -318,10 +321,15 @@ def klingenberg_delta_search(m, eps=None, l=None):
         return _infeasible("eps", eps, 0.5)
 
     rhs = math.pi * (2.0 * eps - 1.0)
+    # |X| at every radius where it can be extreme, read once, and its running
+    # maximum: N(delta) is the larger of |X(2 delta)| and that maximum over
+    # the radii below 2 delta, with np.max's bits
+    rs = m.f.slope_extreme_radii(m.r_max)
+    peak = np.maximum.accumulate(x_field_norm(m, np.array(rs)))
 
     def field_cond(d):
-        rs = m.f.slope_extreme_radii(min(2.0 * d, m.r_max))
-        nd = float(np.max(x_field_norm(m, rs)))
+        b = min(2.0 * d, m.r_max)
+        nd = np.maximum(x_field_norm(m, b), peak[bisect.bisect_left(rs, b) - 1])
         return 3.0 * eps * d + nd - rhs
 
     hi = m.r_max / 2.0

@@ -297,7 +297,13 @@ def test_a_pole_that_is_not_smooth_exits_two(tmp_path, capsys, argv, phi, messag
     # pinch exited 0
     ([{"kind": "LINEAR", "domain": [0.5, 5.0]}], ("pinch", "--eps", "0.5"),
      "segments do not abut from r = 0: [..,0.0) then [0.5,..)"),
-], ids=["square_underflow", "late_start"])
+    # phi^2 and phi'^2 overflow at r = 2: pinch printed numpy's overflow and
+    # invalid-value warnings and reported NaN rows
+    ([{"kind": "LINEAR", "domain": [0.0, 1.0]},
+      {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 1.0, "c1": 1.0, "c2": 1e300}],
+     ("pinch", "--eps", "0.5"),
+     "phi^2 and phi'^2 must be finite, but phi(2.0) = 1e+300 and phi'(2.0) = 2e+300"),
+], ids=["square_underflow", "late_start", "square_overflow"])
 def test_a_warping_profile_the_kernels_cannot_read_exits_two(tmp_path, capsys, phi, argv,
                                                               message):
     path = tmp_path / "m.json"
@@ -307,7 +313,18 @@ def test_a_warping_profile_the_kernels_cannot_read_exits_two(tmp_path, capsys, p
                                                     "c0": 0.0, "c1": 0.0, "c2": 0.5}]}}))
     code, text, err = run(capsys, *argv, "--from", str(path))
     assert code == 2 and text == ""
-    assert message in err
+    assert message in err and "RuntimeWarning" not in err
+
+
+def test_a_profile_without_segments_exits_two(tmp_path, capsys):
+    # the pole check read phi.segments[0] and died with an IndexError
+    # traceback, exit 1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 3, "topology": "CAP", "phi": {"segments": []},
+                                "f": {"segments": []}}))
+    code, text, err = run(capsys, "pinch", "--from", str(path), "--eps", "0.5")
+    assert code == 2 and text == ""
+    assert "a profile needs at least one segment, got none" in err
 
 
 def test_a_pole_slope_within_the_contract_passes(tmp_path, capsys):

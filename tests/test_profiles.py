@@ -8,7 +8,7 @@ from pinchlab import (ConstructionError, DomainError, RadialProfile,
                       SegmentSpec, build_model, check_c2, doubling_point,
                       manifold_from_dict, manifold_to_dict, solve_smoothing_band)
 from pinchlab.profiles import (BAND_INTEGRAL_TOL, CAP, CONSTANT, LINEAR, PARABOLA, PL2_BAND,
-                               SINE, ManifoldWithDensity, c2_ok, _pl_integral)
+                               SINE, ManifoldWithDensity, c2_ok, _pl_integral, sorted_unique)
 
 
 def test_eval_sine_segment():
@@ -413,6 +413,45 @@ def test_json_warping_profile_must_be_positive(segments, where):
     # in closed form; a grid would miss the band's 0.2-wide dip
     with pytest.raises(ConstructionError, match=where):
         manifold_from_dict(_json_cap_doc(*segments))
+
+
+@pytest.mark.parametrize("segments, where", [
+    # phi = 1e300 and phi' = 2e300 at the far end: both squares overflow
+    ((LINEAR_TO_1, {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 1.0, "c1": 1.0,
+                    "c2": 1e300}), r"phi\(2\.0\) = 1e\+300 and phi'\(2\.0\) = 2e\+300"),
+    # phi^2 stays finite, phi'^2 = 4e308 does not
+    ((LINEAR_TO_1, {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 1.0, "c1": 1.0,
+                    "c2": 1e154}), r"phi'\(2\.0\) = 2e\+154"),
+    # phi' vanishes at both ends of the band and is extreme at its
+    # inflection, offset 0.5, where it is -1.5e154
+    ((LINEAR_TO_1, {"kind": "PL2_BAND", "domain": [1.0, 2.0], "left_value": 1.2e154,
+                    "left_slope": 0.0, "nodes": [[0.0, -6e154], [1.0, 6e154]]}),
+     r"phi'\(1\.5\) = -1\.5e\+154"),
+], ids=["both", "slope", "band_inflection"])
+def test_json_warping_profile_squares_must_be_finite(segments, where):
+    # (1 - phi'^2) / phi^2 overflowed in the curvature kernel, with numpy
+    # warnings and NaN rows; the extremes of phi and phi' are in closed form
+    with pytest.raises(ConstructionError, match="phi\\^2 and phi'\\^2 must be finite.*" + where):
+        manifold_from_dict(_json_cap_doc(*segments))
+
+
+def test_a_profile_needs_a_segment():
+    with pytest.raises(ConstructionError, match="at least one segment, got none"):
+        RadialProfile(())
+    with pytest.raises(ConstructionError, match="at least one segment, got none"):
+        manifold_from_dict({"n": 3, "topology": "CAP", "phi": {"segments": []},
+                            "f": {"segments": []}})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sorted_unique_is_np_unique(seed):
+    # presorted runs with repeats, as the pinch, Jacobi and distance grids are
+    draw = np.random.default_rng(seed)
+    runs = [np.sort(draw.choice(np.linspace(-3.0, 3.0, 61), int(draw.integers(1, 200))))
+            for _ in range(int(draw.integers(1, 6)))]
+    x = np.concatenate(runs + [draw.normal(size=int(draw.integers(0, 50)))])
+    got, want = sorted_unique(x), np.unique(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_json_warping_profile_may_vanish_at_the_poles(sphere3, family10):

@@ -8,8 +8,9 @@ from pinchlab import (ConstructionError, DomainError, IntegrationError, berger_t
                       line_integral, loop_index_check, second_variation, shoot)
 from pinchlab.profiles import (DOUBLED_SPHERE, PARABOLA, SINE, ManifoldWithDensity,
                                RadialProfile, SegmentSpec)
-from pinchlab.variation import (EIGEN_NODES, JACOBI_ZERO_TOL, RICCI, SEC_PERP, eigen_index,
-                                path_curvature, quad_piecewise)
+from pinchlab.variation import (EIGEN_NODES, JACOBI_ZERO_TOL, QUAD_MAX_DOUBLINGS, QUAD_N0,
+                                QUAD_TOL, RICCI, SEC_PERP, eigen_index, path_curvature,
+                                quad_piecewise)
 
 K_ONE = lambda t: np.ones_like(np.asarray(t, dtype=float))
 K_ZERO = lambda t: np.zeros_like(np.asarray(t, dtype=float))
@@ -60,6 +61,106 @@ def test_quad_piecewise_raises_unless_kink_is_a_node():
         quad_piecewise(f, 0.0, 1.0)
     assert err.value.reached == 0.0
     assert quad_piecewise(f, 0.0, 1.0, [0.3]) == pytest.approx(290.0, abs=1e-9)
+
+
+def _quad_one_subinterval_at_a_time(f, a, b, breakpoints=()):
+    """quad_piecewise as it was before it batched the reads of each doubling
+    level: one call of ``f`` per subinterval and level, in order."""
+    pts = sorted({float(a), float(b), *(p for p in breakpoints if a < p < b)})
+    total = 0.0
+    for lo, hi in zip(pts, pts[1:]):
+        if hi - lo < 1e-15:
+            continue
+        n = QUAD_N0
+        prev = None
+        for _ in range(QUAD_MAX_DOUBLINGS):
+            x = np.linspace(lo, hi, n + 1)
+            y = f(x)
+            h = (hi - lo) / n
+            s = h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+            diff = math.inf if prev is None else abs(s - prev)
+            if diff < QUAD_TOL * 0.5:
+                break
+            prev = s
+            n *= 2
+        else:
+            raise IntegrationError(
+                f"quadrature on [{lo}, {hi}] did not converge: last |S2n - Sn| = "
+                f"{diff} against tol {QUAD_TOL}", reached=lo)
+        total += s
+    return total
+
+
+def _seeded_paths(draw):
+    """(model, path) pairs over seven models: the 4L pole loop with 16 kink
+    crossings on family(8, 0.8, 0.02) scaled for SEC, and seeded launches on
+    the sphere, the Gaussian, family(10, 0.8, 0.02) and three drawn families."""
+    loop_model = build_model("family", 8, 0.8, 0.02, potential_scale=1.0 / 7.0)
+    loop = shoot(loop_model, 0.0, 0.0, 4 * loop_model.L)
+    assert len(loop.crossings) == 16
+    models = [build_model("round_sphere", 3), build_model("gaussian", 4, eps=0.5),
+              build_model("family", 10, 0.8, 0.02)] + [
+        build_model("family", int(draw.integers(3, 11)), float(draw.uniform(0.55, 0.9)),
+                    float(draw.uniform(0.005, 0.08))) for _ in range(3)]
+    out = [(loop_model, loop)]
+    for m in models:
+        hi = min(m.r_max, 10.0)
+        out.append((m, shoot(m, 0.0, 0.0, float(draw.uniform(2.0, 6.0)))))
+        for _ in range(2):
+            out.append((m, shoot(m, float(draw.uniform(0.1, 0.9)) * hi,
+                                 float(draw.uniform(0.05, math.pi - 0.05)),
+                                 float(draw.uniform(3.2, 6.0)))))
+    return out
+
+
+def test_one_read_per_doubling_level_keeps_every_bit(monkeypatch):
+    # each subinterval keeps its own nodes, Simpson sums and stopping test,
+    # and the K, f and field readers work element by element, so batching
+    # the reads of a level changes no bit of a line integral or a second
+    # variation
+    import pinchlab.variation as variation
+    cases = 0
+    for m, path in _seeded_paths(np.random.default_rng(3501)):
+        integrals = [(RICCI, "fiber"), (SEC_PERP, "slice"), (SEC_PERP, "fiber")]
+        field = berger_test_field(path.length) if path.length >= math.pi else None
+        values = []
+        for quad in (quad_piecewise, _quad_one_subinterval_at_a_time):
+            monkeypatch.setattr(variation, "quad_piecewise", quad)
+            got = [line_integral(m, path, kind, d) for kind, d in integrals]
+            if field is not None:
+                K = path_curvature(m, path, SEC_PERP, "fiber")
+                got.append(second_variation(K, field, breakpoints=path.crossings))
+            values.append([v.hex() for v in got])
+        assert values[0] == values[1], (m.n, path.length)
+        cases += len(got)
+    assert cases >= 60
+
+
+def test_loop_line_integral_reads_K_once_per_level():
+    m = build_model("family", 8, 0.8, 0.02, potential_scale=1.0 / 7.0)
+    loop = shoot(m, 0.0, 0.0, 4 * m.L)
+    reads = []
+    K = path_curvature(m, loop, SEC_PERP, "slice")
+    val = quad_piecewise(lambda t: reads.append(t.size) or K(t), 0.0, loop.length,
+                         loop.crossings)
+    # 17 subintervals converge together after two levels; one at a time
+    # they took 34 reads
+    assert reads == [17 * (QUAD_N0 + 1), 17 * (2 * QUAD_N0 + 1)]
+    assert val == _quad_one_subinterval_at_a_time(K, 0.0, loop.length, loop.crossings)
+
+
+def test_unconverged_quadrature_names_the_first_unconverged_subinterval():
+    # kinks at 0.3 and 1.7, neither forced: [0, 1] and [1, 2] never converge,
+    # [2, 3] does; the error is the one the subinterval-at-a-time loop raised
+    f = lambda t: 1e3 * np.abs(t - 0.3) + 1e3 * np.abs(t - 1.7)
+    errors = []
+    for quad in (quad_piecewise, _quad_one_subinterval_at_a_time):
+        with pytest.raises(IntegrationError, match=r"^quadrature on \[0\.0, 1\.0\] did not "
+                                                   r"converge: last \|S2n - Sn\| = ") as err:
+            quad(f, 0.0, 3.0, [1.0, 2.0])
+        errors.append((str(err.value), err.value.reached))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == 0.0
 
 
 # -- second variation -------------------------------------------------------
@@ -389,6 +490,24 @@ def test_eigen_index_at_the_cutoff(gap):
     c = (mu - gap) / (1.0 - 10.0 * h**2)
     K = lambda t: np.full_like(np.asarray(t, dtype=float), c)
     assert eigen_index(K, length) == _lapack_count(K, length) == (gap < 0)
+
+
+def test_one_eigen_read_counts_both_classes():
+    # the counts of a two-class read equal each class's own count, and a
+    # non-meridian index reads K on the eigenvalue grid once
+    import pinchlab.variation as variation
+    for m, path in _seeded_paths(np.random.default_rng(3502))[1:]:
+        if path.meridian:
+            continue
+        K = path_curvature(m, path, SEC_PERP, ["slice", "fiber"])
+        reads = []
+        counts = eigen_index(lambda t: reads.append(np.size(t)) or K(t), path.length,
+                             classes=2)
+        assert reads == [EIGEN_NODES]
+        assert counts == [eigen_index(path_curvature(m, path, SEC_PERP, d), path.length)
+                          for d in ("slice", "fiber")]
+        res = geodesic_index(m, path)
+        assert [res.classes[d]["negative_eigenvalues"] for d in ("slice", "fiber")] == counts
 
 
 def test_eigen_index_rejects_bad_length():

@@ -9,10 +9,10 @@ from pinchlab import (ConstructionError, DomainError, INFEASIBLE, build_model, c
                       criticality_certificate, diameter_gap, inj_at_pole,
                       klingenberg_delta_search, manifold_from_dict,
                       verify_pinch, verify_quadratic_growth)
-from pinchlab.curvature import curvature_table
+from pinchlab.curvature import curvature_table, x_field_norm
 from pinchlab.profiles import (CAP, LINEAR, PARABOLA, ManifoldWithDensity, RadialProfile,
                                SegmentSpec)
-from pinchlab.verify import DEFAULT_GRID, GAP_TOL, _pinch_grid
+from pinchlab.verify import DEFAULT_GRID, DELTA_SEARCH_TOL, GAP_TOL, _pinch_grid
 
 
 # -- pinch verification -----------------------------------------------------
@@ -132,21 +132,26 @@ def test_pinch_verdict_matches_the_extremes_formula(gaussian3, sphere3, family10
     assert any(verdicts) and not all(verdicts)
 
 
-@pytest.mark.parametrize("mode, nan_quantities", [("RICCI", {"bakry_tt", "ric_tt"}),
-                                                  ("SEC", {"sec_tan", "wsec_TT"})])
+@pytest.mark.parametrize("mode, nan_quantities", [("RICCI", {"bakry_rr", "bakry_tt", "ric_tt"}),
+                                                  ("SEC", {"wsec_rT", "wsec_Tr", "wsec_TT"})])
 def test_pinch_lists_nan_values_as_violations(mode, nan_quantities):
-    # phi'' = 2e300 on [1, 2] overflows phi'^2 in the tangential columns;
+    # the model contract keeps phi^2 and phi'^2 finite, so NaN rows need
+    # overflow elsewhere: at r = 1, phi = 1e-160 overflows sec_rad to -inf
+    # and sec_tan to +inf, whose sum ric_tt is NaN, and f' = inf * 0 is NaN;
     # the NaN rows used to break no bound and read -0.0 as achieved_upper
     m = manifold_from_dict({"n": 3, "topology": "CAP", "phi": {"segments": [
         {"kind": "LINEAR", "domain": [0.0, 1.0]},
-        {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 1.0, "c1": 1.0, "c2": 1e300}]},
-        "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, 2.0], "value": 0.0}]}})
+        {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 1e-160, "c1": 0.0, "c2": 5e153}]},
+        "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, 1.0], "value": 0.0},
+                           {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 0.0, "c1": 0.0,
+                            "c2": 1e308}]}})
     with np.errstate(over="ignore", invalid="ignore"):
         rep = verify_pinch(m, mode, eps=0.5)
     nan = [v for v in rep.violations if math.isnan(v["value"])]
     assert {v["quantity"] for v in nan} == nan_quantities
-    assert all(v["r"] > 1.0 for v in nan)
-    assert math.isnan(rep.achieved_lower) and math.isnan(rep.achieved_upper)
+    assert all(v["r"] == 1.0 for v in nan)
+    # SEC's upper columns are sec_rad and sec_tan, -inf and +inf here, never NaN
+    assert math.isnan(rep.achieved_lower) and math.isnan(rep.achieved_upper) is (mode == "RICCI")
     assert not rep.passed
 
 
@@ -421,6 +426,59 @@ def test_klingenberg_field_bound_meets_its_condition(n, eps, delta):
     rs = np.concatenate([exact, np.linspace(0.0, b, 400_001)])
     nd = float(np.max(m.potential_scale * np.abs(m.f.eval(rs, 1))))
     assert 3.0 * eps * d + nd - math.pi * (2.0 * eps - 1.0) < 0
+
+
+def _field_bound_one_search_at_a_time(m, eps):
+    """klingenberg_delta_search's field_bound cap as it was before |X| was
+    read once: each bisection step reads |X| at every slope-extreme radius
+    below 2 delta and at 2 delta."""
+    rhs = math.pi * (2.0 * eps - 1.0)
+
+    def field_cond(d):
+        rs = m.f.slope_extreme_radii(min(2.0 * d, m.r_max))
+        nd = float(np.max(x_field_norm(m, rs)))
+        return 3.0 * eps * d + nd - rhs
+
+    hi = m.r_max / 2.0
+    if field_cond(hi) <= 0:
+        return hi
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if field_cond(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < DELTA_SEARCH_TOL * 1e-3:
+            break
+    return lo
+
+
+def test_klingenberg_field_bound_keeps_its_bits(sphere3, family10, monkeypatch):
+    # the running maximum of |X| over the slope-extreme radii, read once,
+    # and the float |X(2 delta)| give N(delta) with the bits of the
+    # per-step array read, so every cap, margin and delta is unchanged; a
+    # search reads the array once
+    import pinchlab.verify as verify
+    draw = np.random.default_rng(3503)
+    cases = [(sphere3, 0.9, 1.0), (family10, 0.8, 3.0), (family10, 0.8, 5.5)]
+    for _ in range(8):
+        n, eps = int(draw.integers(3, 13)), float(draw.uniform(0.6, 0.95))
+        m = build_model("family", n, eps, float(draw.uniform(0.005, 0.05)))
+        cases.append((m, eps, float(draw.uniform(0.5, 5.0))))
+    reads = []
+    inner = verify.x_field_norm
+    monkeypatch.setattr(verify, "x_field_norm",
+                        lambda m, r: reads.append(np.isscalar(r)) or inner(m, r))
+    bound_by_field = 0
+    for m, eps, l in cases:
+        reads.clear()
+        res = klingenberg_delta_search(m, eps=eps, l=l)
+        assert reads.count(False) == 1
+        ref = _field_bound_one_search_at_a_time(m, eps)
+        assert res["caps"]["field_bound"].hex() == ref.hex()
+        bound_by_field += res["binding"] == "field_bound"
+    assert bound_by_field >= 2
 
 
 def test_klingenberg_infeasible_at_half(family10):
