@@ -375,6 +375,12 @@ class RadialProfile:
         """Start radii of the segments after the first."""
         return np.array([s.lo for s in self.segments[1:]])
 
+    def segments_at(self, r):
+        """The segments holding radii ``r``, past L those of their mirror images."""
+        L = self.reflect_at
+        r = r if L is None else np.where(r > L, L - (r - L), r)
+        return [self.segments[i] for i in np.searchsorted(self._starts, r, "right").tolist()]
+
     def __call__(self, r, order=0):
         """The checked reader: on one radius, the value or derivatives of
         :meth:`scalar_fn` at ``r`` clipped as :func:`clip_radius` clips it, a
@@ -552,7 +558,9 @@ class ManifoldWithDensity:
     constructor raises ConstructionError naming the failed condition of n >= 2,
     the topology and its doubling, phi > 0 on (0, r_max) and at r_max on a cap,
     and a smooth pole where X = 0: phi(0) = 0, phi'(0) = 1, f'(0) = 0, each to
-    C2_TOL.  Junctions (see :func:`check_c2`) and phi''(0) are not checked.
+    C2_TOL; then phi and phi' continuous to C2_TOL at each junction (see
+    :func:`check_c2`).  phi'' at the junctions and at 0, and f at the
+    junctions, are not checked.
     """
 
     n: int
@@ -582,6 +590,12 @@ class ManifoldWithDensity:
             if not abs(v - want) <= C2_TOL:
                 raise ConstructionError("a smooth pole with X = 0 needs phi(0) = 0, phi'(0) = 1"
                                         f" and f'(0) = 0, but {name} = {v!r}")
+        # a jump in phi or phi' breaks Clairaut's constant and the Jacobi
+        # state across a junction; a jump in phi'' leaves the metric C1
+        for rj, dv, d1, _ in check_c2(self.phi)[:len(self.phi.segments) - 1]:
+            if not max(dv, d1) <= C2_TOL:
+                raise ConstructionError(f"phi and phi' must be continuous at each junction, "
+                                        f"but at r = {rj!r} they jump by {dv!r} and {d1!r}")
 
     @property
     def L(self):

@@ -11,23 +11,25 @@ splits the perpendicular directions into two classes,
 Along a meridian both classes coincide (w = 1), giving the single tangential
 Jacobi equation psi'' + sec_rad(r(t)) psi = 0 with multiplicity n-1.
 
-The index is computed two independent ways: the interior conjugate points
-of one Jacobi solve for all classes (JACOBI_ZEROS), and the negative
-eigenvalues of each class's discretized index form int (psi')^2 - K psi^2
-(EIGEN_COUNT); the verify/acceptance suites require the two to agree.
+The index is computed two independent ways, which the verify and acceptance
+suites require to agree: the interior conjugate points of one Jacobi state
+for all classes, in closed form on pieces of constant curvature and by DOP853
+elsewhere (JACOBI_ZEROS), and the negative eigenvalues of each class's
+discretized index form int (psi')^2 - K psi^2 (EIGEN_COUNT).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError
-from .profiles import _model_eps, sorted_unique
+from .errors import DomainError, IntegrationError, SearchError
+from .profiles import CONSTANT, LINEAR, SINE, _model_eps, sorted_unique
 from .curvature import curvature_table, ricci_eigenvalues, sectional_fn
-from .geodesics import solve_ivp, solve_pieces
+from .geodesics import _Geometry, solve_ivp, solve_pieces
 
 QUAD_TOL = 1e-9
 QUAD_N0 = 16              # Simpson intervals of a first pass
@@ -222,21 +224,51 @@ def line_integral(m, path, kind=RICCI, direction="fiber"):
 # Jacobi equation and index
 
 
-def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(), classes=None):
+def _pieces(length, breakpoints):
+    """The pieces of [0, length] between cuts, as :func:`solve_pieces` runs them."""
+    cuts = sorted({0.0, float(length), *(b for b in breakpoints if 0.0 < b < length)})
+    return [p for p in zip(cuts, cuts[1:]) if p[1] - p[0] >= 1e-15] or [(0.0, float(length))]
+
+
+def _carry(K, psi, dpsi, lo, hi, zeros):
+    """(psi, psi') at ``hi`` from (psi, dpsi) at ``lo`` for a constant K >= 0, adding
+    to ``zeros`` those in (lo, hi]: where atan2(sqrt(K) psi, psi') meets a multiple of pi."""
+    if not math.isfinite(K):
+        raise IntegrationError(f"Jacobi integration failed at arclength {lo}: curvature {K}",
+                               reached=lo)
+    if K == 0.0:
+        end = psi + dpsi * (hi - lo)
+        if psi != 0.0 and (end <= 0.0 if psi > 0.0 else end >= 0.0):
+            zeros.append(min(lo - psi / dpsi, hi))
+        return end, dpsi
+    w, pi = math.sqrt(K), math.pi
+    a, th0 = math.hypot(w * psi, dpsi), math.atan2(w * psi, dpsi)
+    th1 = th0 + w * (hi - lo)
+    # the first multiple of pi ahead: psi's sign tells on which side of one
+    # th0 lies, where atan2 may have rounded onto it; a zero at lo was counted
+    j = (1 if psi > 0.0 else 0) if psi != 0.0 else round(th0 / pi) + 1
+    while j * pi <= th1:
+        zeros.append(min(lo + (j * pi - th0) / w, hi))
+        j += 1
+    d, sign = th1 - (j - 1) * pi, 1.0 if j % 2 else -1.0
+    return sign * a / w * abs(math.sin(d)), sign * a * math.cos(d)
+
+
+def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(), classes=None,
+                            constant=None):
     """Interior zeros of psi'' + K psi = 0, psi(0) = 0, psi'(0) = 1.
 
-    With ``classes`` = k, ``K`` gives k curvatures, one per direction class;
-    one solve of (psi_1, psi_1', ..., psi_k, psi_k') reads it once per stage,
-    and each class's list of zeros comes from its own rows.  ``breakpoints``
-    are the arclengths where ``K`` is not smooth (for a path's K, the path's
-    :attr:`~GeodesicPath.crossings`).  The solve restarts at each of them
-    (:func:`geodesics.solve_pieces`), so no step straddles a kink; every
-    piece keeps ``max_step = length / 16``.  Zeros are bracketed on a sample
-    grid and refined by bisection of the dense output; a zero within ``tol``
-    of the endpoint is excluded (Morse convention counts only interior
-    conjugate points).  A non-finite K in any class, or a step below ten
-    ulp, raises :class:`IntegrationError` with ``reached``, the last
-    arclength accepted, named in its message with the Jacobi stage.
+    With ``classes`` = k, ``K`` gives k curvatures, one per direction class,
+    carried in one state (psi_1, psi_1', ..., psi_k, psi_k').  ``breakpoints``,
+    where ``K`` is not smooth (a path's crossings), cut [0, length] into
+    pieces; ``constant`` holds None or one K >= 0 per class for each.  A
+    constant piece carries the state in closed form, its zeros read from the
+    phase (Pruess, SIAM J. Numer. Anal. 10, 1973); each run of None pieces is
+    one DOP853 solve restarted at each cut (:func:`solve_pieces`), ``max_step
+    = length / 16``, its zeros bracketed on a grid's cells and bisected.  A
+    zero within ``tol`` of an end is excluded (Morse convention).  A
+    non-finite K, or a step below ten ulp, raises :class:`IntegrationError`
+    with ``reached``, the last arclength accepted, named with the Jacobi stage.
     """
     if not (math.isfinite(length) and length > 0):
         raise DomainError("Jacobi length must be finite and positive")
@@ -251,23 +283,36 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(), clas
             i += 2
         return dy
 
-    cuts = sorted({0.0, float(length), *(b for b in breakpoints if 0.0 < b < length)})
-    state = solve_pieces(solve_ivp, rhs, cuts, [0.0, 1.0] * (classes or 1), "Jacobi",
-                         rtol=JACOBI_RTOL, atol=1e-13, max_step=length / 16.0)
+    pieces = _pieces(length, breakpoints)
+    if len(constant := constant or [None] * len(pieces)) != len(pieces):
+        raise DomainError(f"{len(constant)} constant entries for {len(pieces)} pieces")
     ts = sorted_unique(np.concatenate([np.linspace(0.0, length, JACOBI_GRID + 1),
                                        np.asarray(list(breakpoints), dtype=float)]))
-    # read in as many parts as the state has rows, each no bigger than one row
-    psi = np.hstack([state(part)[::2] for part in np.array_split(ts, 2 * (classes or 1))])
-    zeros = [[] for _ in psi]
-    for j, i in np.argwhere(psi[:, :-1] * psi[:, 1:] < 0).tolist():
-        lo, hi = ts[i], ts[i + 1]
-        while hi - lo > tol * 0.25:
-            mid = 0.5 * (lo + hi)
-            if state(mid, 2 * j + 1)[2 * j] * psi[j, i] > 0:
-                lo = mid
-            else:
-                hi = mid
-        zeros[j].append(0.5 * (lo + hi))
+    y, zeros = [0.0, 1.0] * (classes or 1), [[] for _ in range(classes or 1)]
+    for closed_form, run in itertools.groupby(zip(pieces, constant), lambda e: e[1] is not None):
+        run = list(run)
+        if closed_form:
+            for (lo, hi), ks in run:
+                y = [v for c, k in enumerate(ks)
+                     for v in _carry(k, y[2 * c], y[2 * c + 1], lo, hi, zeros[c])]
+            continue
+        # both ends of each piece: solve_pieces skips the empty or sub-1e-15 gaps between
+        cuts = [cut for piece, _ in run for cut in piece]
+        state = solve_pieces(solve_ivp, rhs, cuts, y, "Jacobi",
+                             rtol=JACOBI_RTOL, atol=1e-13, max_step=length / 16.0)
+        grid = ts[(ts >= cuts[0]) & (ts <= cuts[-1])]
+        # read in as many parts as the state has rows, each no bigger than one row
+        rows = np.hstack([state(part) for part in np.array_split(grid, 2 * (classes or 1))])
+        psi, y = rows[::2], rows[:, -1].tolist()
+        for c, n in np.argwhere(psi[:, :-1] * psi[:, 1:] < 0).tolist():
+            a, b = grid[n], grid[n + 1]
+            while b - a > tol * 0.25:
+                mid = 0.5 * (a + b)
+                if state(mid, 2 * c + 1)[2 * c] * psi[c, n] > 0:
+                    a = mid
+                else:
+                    b = mid
+            zeros[c].append(float(0.5 * (a + b)))
     zeros = [[z for z in zs if tol < z < length - tol] for zs in zeros]
     return zeros if classes else zeros[0]
 
@@ -322,18 +367,38 @@ class IndexResult:
                 "cross_check_agree": self.cross_check_agree}
 
 
+def _constant_curvatures(m, path, classes):
+    """Each Jacobi piece's K per class, slice first, by the segment under its
+    middle: 1 on SINE, 0 on LINEAR, 0 and c^2 / A^4 on CONSTANT A, else None;
+    all None if the path's crossings, read from its solve, may miss a kink."""
+    pieces = _pieces(path.length, path.crossings)
+    if not path.meridian and m.phi.kinks():
+        try:
+            _Geometry(m)            # else kink_crossings gave None
+        except SearchError:
+            return [None] * len(pieces)
+    out, c = [], path.clairaut_c
+    for seg in m.phi.segments_at(path.state(np.array([0.5 * (a + b) for a, b in pieces]), 1)[0]):
+        ks = ({SINE: (1.0, 1.0), LINEAR: (0.0, 0.0)}.get(seg.kind) if seg.kind != CONSTANT
+              else (0.0, (c / seg.params["value"]) ** 2 / seg.params["value"] ** 2))
+        out.append(ks and ks[:classes])
+    return out
+
+
 def geodesic_index(m, path):
     """Index of the path with Dirichlet ends, with the eigenvalue cross-check.
 
     Meridians use the single tangential Jacobi equation with multiplicity
-    n-1; elsewhere one Jacobi solve carries both direction classes, and one
-    read of their curvatures on the eigenvalue grid gives both counts.
+    n-1; elsewhere one Jacobi state carries both direction classes, in closed
+    form on SINE, LINEAR and CONSTANT segments.  The eigenvalue count reads
+    both curvatures once on its own grid: no solve or curvature read is shared.
     """
     classes = ([("all", m.n - 1, "slice")] if path.meridian or m.n == 2
                else [("slice", 1, "slice"), ("fiber", m.n - 2, "fiber")])
     K = path_curvature(m, path, SEC_PERP, [d for _, _, d in classes])
     class_zeros = jacobi_conjugate_points(K, path.length, breakpoints=path.crossings,
-                                          classes=len(classes))
+                                          classes=len(classes),
+                                          constant=_constant_curvatures(m, path, len(classes)))
     class_ne = eigen_index(K, path.length, classes=len(classes))
 
     conj, index_j, index_e, detail = [], 0, 0, {}

@@ -316,6 +316,27 @@ def test_a_warping_profile_the_kernels_cannot_read_exits_two(tmp_path, capsys, p
     assert message in err and "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("geodesic", "--r0", "0.5", "--dir", "1.0", "--length", "1.2"),
+    ("index", "--r0", "0.5", "--dir", "1.0", "--length", "1.2"),
+    ("pinch", "--eps", "0.5"),
+], ids=["geodesic", "index", "pinch"])
+def test_a_warping_profile_that_jumps_at_a_junction_exits_two(tmp_path, capsys, argv):
+    # phi = r, then 2 from r = 1: geodesic exited 0 with clairaut_residual up
+    # to 1.26 and speed_residual up to 0.53, index exited 0 with index 0, and
+    # pinch reported the curvature of a metric that is not continuous
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 3, "topology": "CAP", "meta": {"eps": 0.5}, "phi": {
+        "segments": [{"kind": "LINEAR", "domain": [0.0, 1.0]},
+                     {"kind": "CONSTANT", "domain": [1.0, 2.0], "value": 2.0}]},
+        "f": {"segments": [{"kind": "PARABOLA", "domain": [0.0, 2.0], "c0": 0.0, "c1": 0.0,
+                           "c2": 0.5}]}}))
+    code, text, err = run(capsys, *argv, "--from", str(path))
+    assert code == 2 and text == ""
+    assert "phi and phi' must be continuous at each junction, but at r = 1.0 they jump by " \
+           "1.0 and 1.0" in err and "RuntimeWarning" not in err
+
+
 def test_a_profile_without_segments_exits_two(tmp_path, capsys):
     # the pole check read phi.segments[0] and died with an IndexError
     # traceback, exit 1

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from pinchlab import (ConstructionError, DomainError, RadialProfile,
                       SegmentSpec, build_model, check_c2, doubling_point,
                       manifold_from_dict, manifold_to_dict, solve_smoothing_band)
-from pinchlab.profiles import (BAND_INTEGRAL_TOL, CAP, CONSTANT, LINEAR, PARABOLA, PL2_BAND,
-                               SINE, ManifoldWithDensity, c2_ok, _pl_integral, sorted_unique)
+from pinchlab.profiles import (BAND_INTEGRAL_TOL, C2_TOL, CAP, CONSTANT, LINEAR, PARABOLA,
+                               PL2_BAND, SINE, ManifoldWithDensity, c2_ok, _pl_integral,
+                               sorted_unique)
 
 
 def test_eval_sine_segment():
@@ -435,6 +437,56 @@ def test_json_warping_profile_squares_must_be_finite(segments, where):
         manifold_from_dict(_json_cap_doc(*segments))
 
 
+@pytest.mark.parametrize("segments, where", [
+    # phi jumps from 1 to 2: geodesic carried theta' across the jump and
+    # exited 0 with residuals up to 1.26, index exited 0 with index 0
+    ((LINEAR_TO_1, {"kind": "CONSTANT", "domain": [1.0, 2.0], "value": 2.0}),
+     "at r = 1.0 they jump by 1.0 and 1.0"),
+    # phi' alone jumps, from 1 to 0
+    ((LINEAR_TO_1, {"kind": "CONSTANT", "domain": [1.0, 2.0], "value": 1.0}),
+     "at r = 1.0 they jump by 0.0 and 1.0"),
+    # a jump of 2e-9 in phi, at the second of two junctions
+    ((LINEAR_TO_1, {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 1.0, "c1": 1.0, "c2": 0.0},
+      {"kind": "PARABOLA", "domain": [2.0, 3.0], "c0": 2.0 + 2e-9, "c1": 1.0, "c2": 0.0}),
+     "at r = 2.0 they jump by 2.0"),
+], ids=["value", "slope", "second_junction"])
+def test_json_warping_profile_must_be_c1_at_its_junctions(segments, where):
+    with pytest.raises(ConstructionError,
+                       match=r"^phi and phi' must be continuous at each junction, but "
+                             + re.escape(where)):
+        manifold_from_dict(_json_cap_doc(*segments))
+
+
+def test_c1_junctions_within_the_tolerance_pass_and_phi_second_derivative_may_jump():
+    # jumps of 5e-10 in phi and phi' are within C2_TOL, and phi'' may jump:
+    # LINEAR (phi'' = 0) then PARABOLA (phi'' = 1)
+    m = manifold_from_dict(_json_cap_doc(
+        LINEAR_TO_1, {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 1.0 + 5e-10,
+                      "c1": 1.0 - 5e-10, "c2": 0.5}))
+    assert [res[3] for res in check_c2(m.phi)] == [1.0]
+    # a doubled model whose slope at L is 6e-10 passes: the mirror image
+    # doubles it past C2_TOL, but the doubling check holds the slope at L
+    c1 = math.cos(1.0)
+    m = manifold_from_dict({"n": 3, "topology": "DOUBLED_SPHERE", "L": 2.0, "phi": {"segments": [
+        {"kind": "SINE", "domain": [0.0, 1.0]},
+        {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": math.sin(1.0), "c1": c1,
+         "c2": (6e-10 - c1) / 2.0}]},
+        "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, 2.0], "value": 0.0}]}})
+    assert check_c2(m.phi)[-1][2] > C2_TOL
+    # every builtin model and every model of the family joins C1 or better
+    for m in (build_model("round_sphere", 3), build_model("gaussian", 3),
+              build_model("family", 10, 0.8, 0.02), build_model("family", 3, 0.55, 0.08)):
+        assert max((max(res[1:3]) for res in check_c2(m.phi)), default=0.0) <= C2_TOL
+
+
+def test_a_jump_that_breaks_an_earlier_condition_names_that_one():
+    # the junction check runs last: phi^2 underflowing on a CONSTANT of
+    # 1e-170 after a LINEAR is named, not the jump of 1 at r = 1
+    with pytest.raises(ConstructionError, match=r"phi\^2 too, but phi\(1\.0\) = 1e-170"):
+        manifold_from_dict(_json_cap_doc(
+            LINEAR_TO_1, {"kind": "CONSTANT", "domain": [1.0, 2.0], "value": 1e-170}))
+
+
 def test_a_profile_needs_a_segment():
     with pytest.raises(ConstructionError, match="at least one segment, got none"):
         RadialProfile(())
@@ -458,9 +510,11 @@ def test_json_warping_profile_may_vanish_at_the_poles(sphere3, family10):
     # phi = 0 at the pole of every model and at the far pole of a doubled one
     for m in (sphere3, family10, build_model("gaussian", 3, eps=0.5)):
         assert manifold_to_dict(manifold_from_dict(manifold_to_dict(m))) == manifold_to_dict(m)
-    # and a vertex 1e-9 above zero passes
-    manifold_from_dict(_json_cap_doc(LINEAR_TO_1, {"kind": "PARABOLA", "domain": [1.0, 3.0],
-                                                   "c0": 1.0, "c1": -2.0, "c2": 1.0 + 1e-9}))
+    # and a vertex 1e-9 above zero passes, on a phi joined C1
+    manifold_from_dict(_json_cap_doc(
+        LINEAR_TO_1, {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 1.0, "c1": 1.0, "c2": -1.0},
+        {"kind": "PARABOLA", "domain": [2.0, 4.0], "c0": 1.0, "c1": -1.0,
+         "c2": (1.0 + 1e-9) / 4.0}))
 
 
 # -- scalar closures --------------------------------------------------------

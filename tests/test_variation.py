@@ -6,8 +6,9 @@ import pytest
 from pinchlab import (ConstructionError, DomainError, IntegrationError, berger_test_field,
                       build_model, geodesic_index, jacobi_conjugate_points,
                       line_integral, loop_index_check, second_variation, shoot)
-from pinchlab.profiles import (DOUBLED_SPHERE, PARABOLA, SINE, ManifoldWithDensity,
-                               RadialProfile, SegmentSpec)
+from pinchlab.geodesics import kink_crossings
+from pinchlab.profiles import (DOUBLED_SPHERE, PARABOLA, PL2_BAND, SINE, ManifoldWithDensity,
+                               RadialProfile, SegmentSpec, manifold_from_dict)
 from pinchlab.variation import (EIGEN_NODES, JACOBI_ZERO_TOL, QUAD_MAX_DOUBLINGS, QUAD_N0,
                                 QUAD_TOL, RICCI, SEC_PERP, eigen_index, path_curvature,
                                 quad_piecewise)
@@ -357,18 +358,19 @@ def test_jacobi_family_meridian_restarts_at_kinks(family10, monkeypatch):
 
 @pytest.mark.parametrize("launch,pinned", [
     ((1.3, 1.0, 3.0), {"slice": ([], 0), "fiber": ([], 0)}),
-    ((1.0, 0.7, 6.0), {"slice": (["0x1.d4eb2c6a80000p+1"], 1),
-                       "fiber": (["0x1.c56c4b9a80000p+1"], 1)}),
-    ((1.0, 0.7, 12.0), {"slice": (["0x1.d4eb2c6a80000p+1", "0x1.e090fb2140000p+2",
-                                   "0x1.6da04ba620000p+3"], 3),
-                        "fiber": (["0x1.c56c4b9a80000p+1", "0x1.d01130a940000p+2",
-                                   "0x1.5ff5efcce0000p+3"], 3)}),
-    ((0.5, 0.0, 7.0), {"all": (["0x1.deb62de1c0000p+1"], 1)}),
+    ((1.0, 0.7, 6.0), {"slice": (["0x1.d4eb2c6927134p+1"], 1),
+                       "fiber": (["0x1.c56c4b9a82586p+1"], 1)}),
+    ((1.0, 0.7, 12.0), {"slice": (["0x1.d4eb2c6927134p+1", "0x1.e090fb21d495ep+2",
+                                   "0x1.6da04ba661c67p+3"], 3),
+                        "fiber": (["0x1.c56c4b9a82586p+1", "0x1.d01130a95a15ap+2",
+                                   "0x1.5ff5efcce6ec8p+3"], 3)}),
+    ((0.5, 0.0, 7.0), {"all": (["0x1.deb62de130afbp+1"], 1)}),
 ])
 def test_jacobi_zeros_and_eigen_counts_are_pinned(family10, launch, pinned):
     # the bits of every zero of each class and its eigenvalue count on
-    # family(10, 0.8, 0.02), as the path's scanned kinks, the curvature
-    # table and a four-row dense output gave them
+    # family(10, 0.8, 0.02), as the path's kink crossings, the curvature
+    # table, the closed-form pieces on the sine caps and the cylinder and
+    # a four-row dense output on the bands gave them
     res = geodesic_index(family10, shoot(family10, *launch))
     got = {name: ([z.hex() for z in d["conjugate_points"]], d["negative_eigenvalues"])
            for name, d in res.classes.items()}
@@ -376,13 +378,14 @@ def test_jacobi_zeros_and_eigen_counts_are_pinned(family10, launch, pinned):
 
 
 def test_one_solve_for_both_classes_matches_each_class_alone(sphere3, gaussian3, family10):
-    # geodesic_index solves the slice and fiber classes as one 4-component
-    # system, whose steps the error of both classes sets.  Each class's
-    # zeros agree with its own 2-component solve to the bisection's final
-    # bracket, and have its bits unless a bisection midpoint falls within
-    # the solves' error of a zero: of 3,027 zeros drawn as below with seeds
-    # 1-25 and 191, two fiber zeros moved, by 1.31e-9 (seed 3) and 1.35e-9
-    # (seed 24).  Eigenvalue counts read each class's own K.
+    # with no constant pieces, jacobi_conjugate_points(..., classes=2) solves
+    # the slice and fiber classes as one 4-component DOP853 system, whose
+    # steps the error of both classes sets.  Each class's zeros agree with
+    # its own 2-component solve to the bisection's final bracket, and have
+    # its bits unless a bisection midpoint falls within the solves' error of
+    # a zero: of 3,027 zeros drawn as below with seeds 1-25 and 191, two
+    # fiber zeros moved, by 1.31e-9 (seed 3) and 1.35e-9 (seed 24).
+    # geodesic_index's eigenvalue counts read each class's own K.
     draw = np.random.default_rng(191)
     models = [sphere3, gaussian3, family10] + [
         build_model("family", int(draw.integers(3, 11)), float(draw.uniform(0.55, 0.9)),
@@ -394,19 +397,162 @@ def test_one_solve_for_both_classes_matches_each_class_alone(sphere3, gaussian3,
             path = shoot(m, float(draw.uniform(0.1, 0.9)) * hi,
                          float(draw.uniform(0.05, math.pi - 0.05)), float(draw.uniform(2.0, 6.0)))
             assert not path.meridian
+            both = path_curvature(m, path, SEC_PERP, ["slice", "fiber"])
+            shared = jacobi_conjugate_points(both, path.length, breakpoints=path.crossings,
+                                             classes=2)
             res = geodesic_index(m, path)
-            for direction in ("slice", "fiber"):
+            for got, direction in zip(shared, ("slice", "fiber")):
                 K = path_curvature(m, path, SEC_PERP, direction)
                 alone = jacobi_conjugate_points(K, path.length, breakpoints=path.crossings)
-                got = res.classes[direction]
-                assert len(got["conjugate_points"]) == len(alone)
-                assert got["conjugate_points"] == pytest.approx(alone, abs=JACOBI_ZERO_TOL / 4)
-                moved += sum(a != b for a, b in zip(got["conjugate_points"], alone))
+                assert len(got) == len(alone)
+                assert got == pytest.approx(alone, abs=JACOBI_ZERO_TOL / 4)
+                moved += sum(a != b for a, b in zip(got, alone))
                 zeros += len(alone)
-                assert got["negative_eigenvalues"] == eigen_index(K, path.length)
+                assert res.classes[direction]["negative_eigenvalues"] == \
+                    eigen_index(K, path.length)
             launches += 1
     assert launches >= 100 and zeros >= 100
     assert moved <= zeros // 100
+
+
+# -- closed-form Jacobi pieces ----------------------------------------------
+
+
+def _index_and_runs(monkeypatch, m, path, closed_form):
+    """geodesic_index, with every Jacobi piece solved by DOP853 unless
+    ``closed_form``, and the number of DOP853 runs it made."""
+    import pinchlab.variation as variation
+    inner, solve, runs = variation.jacobi_conjugate_points, variation.solve_ivp, []
+    with monkeypatch.context() as patch:
+        if not closed_form:
+            patch.setattr(variation, "jacobi_conjugate_points",
+                          lambda *a, constant=None, **k: inner(*a, **k))
+        patch.setattr(variation, "solve_ivp", lambda *a, **k: runs.append(1) or solve(*a, **k))
+        return geodesic_index(m, path), len(runs)
+
+
+def test_closed_form_pieces_match_an_all_dop853_index(sphere3, gaussian3, monkeypatch):
+    # SINE, LINEAR and CONSTANT pieces carry (psi, psi') in closed form; the
+    # index keeps every class's count and cross-check, and every zero lies
+    # within a quarter of the bisection's tolerance of the DOP853 run's.  On
+    # the sphere and the Gaussian every piece is closed-form: no DOP853 run
+    draw = np.random.default_rng(3601)
+    models = [sphere3, gaussian3] + [
+        build_model("family", int(draw.integers(3, 11)), float(draw.uniform(0.55, 0.9)),
+                    float(draw.uniform(0.005, 0.08))) for _ in range(4)]
+    zeros = closed_form_only = 0
+    for m in models:
+        hi = min(m.r_max, 10.0)
+        launches = [(0.0, 0.0), (float(draw.uniform(0.1, 0.9)) * hi, math.pi)] + [
+            (float(draw.uniform(0.1, 0.9)) * hi, float(draw.uniform(0.05, math.pi - 0.05)))
+            for _ in range(4)]
+        for r0, alpha in launches:
+            path = shoot(m, r0, alpha, float(draw.uniform(2.0, 8.0)))
+            got, runs = _index_and_runs(monkeypatch, m, path, closed_form=True)
+            want, dop_runs = _index_and_runs(monkeypatch, m, path, closed_form=False)
+            assert got.cross_check_agree and want.cross_check_agree
+            assert got.index == want.index
+            for name, d in want.classes.items():
+                mine = got.classes[name]
+                assert len(mine["conjugate_points"]) == len(d["conjugate_points"])
+                assert mine["conjugate_points"] == pytest.approx(d["conjugate_points"],
+                                                                 abs=JACOBI_ZERO_TOL / 4)
+                assert mine["negative_eigenvalues"] == d["negative_eigenvalues"]
+                zeros += len(d["conjugate_points"])
+            if m in (sphere3, gaussian3):
+                assert runs == 0 and dop_runs > 0
+                closed_form_only += 1
+            else:
+                assert runs < dop_runs
+    assert zeros >= 30 and closed_form_only == 12
+
+
+def test_no_constant_piece_keeps_todays_bits(sphere3, family10):
+    # with every entry None the solve is today's shared DOP853 run, zero for
+    # zero and bit for bit
+    for m, launch, want in (
+            (sphere3, (1.0, 0.7, 6.0), [["0x1.921fb54480000p+1"], ["0x1.921fb54480000p+1"]]),
+            (family10, (1.0, 0.7, 12.0),
+             [["0x1.d4eb2c6a80000p+1", "0x1.e090fb2140000p+2", "0x1.6da04ba620000p+3"],
+              ["0x1.c56c4b9a80000p+1", "0x1.d01130a940000p+2", "0x1.5ff5efcce0000p+3"]])):
+        path = shoot(m, *launch)
+        K = path_curvature(m, path, SEC_PERP, ["slice", "fiber"])
+        pieces = len(path.crossings) + 1
+        for constant in (None, [None] * pieces):
+            got = jacobi_conjugate_points(K, path.length, breakpoints=path.crossings,
+                                          classes=2, constant=constant)
+            assert [[z.hex() for z in zs] for zs in got] == want
+        with pytest.raises(DomainError, match="constant entries"):
+            jacobi_conjugate_points(K, path.length, breakpoints=path.crossings, classes=2,
+                                    constant=[None] * (pieces + 1))
+
+
+def _dip_sphere():
+    """A doubled model whose phi' dips below 0 in a band after a sine cap,
+    so it has no Clairaut primitive; a parabola levels it off at L = 2."""
+    nodes = [[0.0, 0.0], [0.01, -60.0], [0.02, 0.0], [0.03, 60.0], [0.04, 0.0]]
+    band = {"kind": "PL2_BAND", "domain": [1.0, 1.04], "left_value": math.sin(1.0),
+            "left_slope": math.cos(1.0), "nodes": nodes}
+    v, d, _ = SegmentSpec(PL2_BAND, 1.0, 1.04, band)._triple(1.04)
+    return manifold_from_dict({"n": 4, "topology": "DOUBLED_SPHERE", "L": 2.0, "phi": {
+        "segments": [{"kind": "SINE", "domain": [0.0, 1.0]}, band,
+                     {"kind": "PARABOLA", "domain": [1.04, 2.0], "c0": v, "c1": d,
+                      "c2": -d / (2 * 0.96)}]},
+        "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, 2.0], "value": 0.0}]}})
+
+
+def test_crossings_read_from_the_solve_keep_every_piece_on_dop853():
+    # a path whose crossings were read from its solve may have missed one,
+    # so none of its pieces is closed-form: its zeros keep today's bits
+    m = _dip_sphere()
+    for launch, want in (((1.5, 0.7, 6.0), (["0x1.cccbbae280000p+1"], ["0x1.bb7591f180000p+1"])),
+                         ((0.5, 1.2, 7.0), (["0x1.038318fda0000p+2"], ["0x1.f59b3458c0000p+1"]))):
+        path = shoot(m, *launch)
+        assert kink_crossings(m, launch[0], math.cos(launch[1]), path.clairaut_c,
+                              launch[2]) is None
+        assert len(path.crossings) >= 10
+        res = geodesic_index(m, path)
+        assert res.cross_check_agree
+        assert tuple([z.hex() for z in res.classes[d]["conjugate_points"]]
+                     for d in ("slice", "fiber")) == want
+
+
+def test_a_zero_on_a_cut_is_counted_once():
+    # psi = sin t: its zero at pi ends one closed-form piece, and the next
+    # piece starts there, closed-form or not
+    for constant in ([(1.0,), (1.0,)], [(1.0,), None], [None, (1.0,)]):
+        zeros = jacobi_conjugate_points(K_ONE, 1.5 * math.pi, breakpoints=[math.pi],
+                                        constant=constant)
+        assert zeros == [pytest.approx(math.pi, abs=JACOBI_ZERO_TOL / 4)], constant
+    assert jacobi_conjugate_points(K_ONE, 1.5 * math.pi, breakpoints=[math.pi],
+                                   constant=[(1.0,), (1.0,)]) == [math.pi]
+    # psi = sin t to 3 pi / 4, then a flat piece whose zero, one further on,
+    # ends it, then K = 1 again: one zero
+    a = 0.75 * math.pi
+    for last in ((1.0,), None):
+        zeros = jacobi_conjugate_points(lambda t: 0.0 if a < t < a + 1.0 else 1.0, a + 2.0,
+                                        breakpoints=[a, a + 1.0],
+                                        constant=[(1.0,), (0.0,), last])
+        assert zeros == [pytest.approx(a + 1.0, abs=JACOBI_ZERO_TOL / 4)], last
+
+
+def test_two_zeros_in_one_grid_cell_of_a_closed_form_piece_are_counted():
+    # psi = sin(w t) / w with w = 10^4 pi has a zero every 1e-4, and the
+    # sample grid's 4096 cells on [0, 1] are 2.4e-4 wide: the phase counts
+    # every zero, where a sign grid sees at most one per cell
+    w = 1e4 * math.pi
+    zeros = jacobi_conjugate_points(lambda t: w * w, 1.0, constant=[(w * w,)])
+    assert len(zeros) == 9999
+    assert zeros == pytest.approx([j * 1e-4 for j in range(1, 10000)], abs=1e-12)
+
+
+def test_a_constant_piece_raises_on_non_finite_curvature():
+    for k in (math.nan, math.inf):
+        with pytest.raises(IntegrationError, match=r"^Jacobi integration failed at arclength "
+                                                   r"1\.0: curvature ") as info:
+            jacobi_conjugate_points(K_ONE, 2.0, breakpoints=[1.0], classes=2,
+                                    constant=[(1.0, 1.0), (1.0, k)])
+        assert info.value.reached == 1.0
 
 
 @pytest.mark.parametrize("frac,expected", [(0.9, 0), (1.5, 2), (1.9, 2)])

@@ -135,12 +135,15 @@ def test_pinch_verdict_matches_the_extremes_formula(gaussian3, sphere3, family10
 @pytest.mark.parametrize("mode, nan_quantities", [("RICCI", {"bakry_rr", "bakry_tt", "ric_tt"}),
                                                   ("SEC", {"wsec_rT", "wsec_Tr", "wsec_TT"})])
 def test_pinch_lists_nan_values_as_violations(mode, nan_quantities):
-    # the model contract keeps phi^2 and phi'^2 finite, so NaN rows need
-    # overflow elsewhere: at r = 1, phi = 1e-160 overflows sec_rad to -inf
-    # and sec_tan to +inf, whose sum ric_tt is NaN, and f' = inf * 0 is NaN;
+    # the model contract keeps phi^2 and phi'^2 finite and phi C1, so NaN
+    # rows need overflow elsewhere: phi rises from the pole and falls to a
+    # minimum of 1e-160 at r = 1, where it overflows sec_rad to -inf and
+    # sec_tan to +inf, whose sum ric_tt is NaN, and f' = inf * 0 is NaN;
     # the NaN rows used to break no bound and read -0.0 as achieved_upper
     m = manifold_from_dict({"n": 3, "topology": "CAP", "phi": {"segments": [
-        {"kind": "LINEAR", "domain": [0.0, 1.0]},
+        {"kind": "LINEAR", "domain": [0.0, 0.25]},
+        {"kind": "PARABOLA", "domain": [0.25, 0.5], "c0": 0.25, "c1": 1.0, "c2": -4.0},
+        {"kind": "PARABOLA", "domain": [0.5, 1.0], "c0": 0.25 + 1e-10, "c1": -1.0, "c2": 1.0},
         {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 1e-160, "c1": 0.0, "c2": 5e153}]},
         "f": {"segments": [{"kind": "CONSTANT", "domain": [0.0, 1.0], "value": 0.0},
                            {"kind": "PARABOLA", "domain": [1.0, 2.0], "c0": 0.0, "c1": 0.0,
