@@ -85,6 +85,7 @@ class GeodesicPath:
     _state_fn: object = field(repr=False, default=None)
     _phi: object = field(repr=False, default=None)      # the warping profile
     _crossings: object = field(repr=False, default=None)
+    exact_crossings: bool = field(repr=False, default=False)
 
     def state(self, t, rows=4):
         """(r, rdot, theta, thetadot) at arclength t, or its first ``rows``.
@@ -105,7 +106,8 @@ class GeodesicPath:
         A non-meridian path was solved in pieces between them
         (:func:`kink_crossings`).  A meridian's come from its closed form,
         and those of a path on a profile without a Clairaut primitive from
-        its solve (:func:`_solved_crossings`), both on first read.
+        its solve (:func:`_solved_crossings`), both on first read; only these
+        last may miss a crossing, and :attr:`exact_crossings` is then False.
         """
         if callable(self._crossings):
             self._crossings = self._crossings()
@@ -239,7 +241,7 @@ def shoot(m, r0, alpha, T, theta0=0.0):
         d0 = 1.0 if ca >= 0 else -1.0
         check_cap_meridian(m, r0, d0, T)
         c, state = 0.0, _meridian_state_fn(m, r0, d0, theta0)
-        crossings = lambda: _meridian_crossings(m, r0, d0, T)
+        crossings, exact = (lambda: _meridian_crossings(m, r0, d0, T)), True
     else:
         phi0 = m.phi.scalar_fn(0)(r0)
         c = phi0 * sa
@@ -255,6 +257,7 @@ def shoot(m, r0, alpha, T, theta0=0.0):
             return [rd, p * dp * td * td, td, -2.0 * dp / p * rd * td]
 
         crossings = kink_crossings(m, r0, ca, c, T)
+        exact = crossings is not None
         state = solve_pieces(solve_ivp, rhs, [0.0, *(crossings or ()), T],
                              [r0, ca, theta0, sa / phi0], "geodesic",
                              rtol=DEFAULT_SHOOT_TOL, atol=DEFAULT_SHOOT_TOL * 1e-2)
@@ -267,7 +270,8 @@ def shoot(m, r0, alpha, T, theta0=0.0):
     ts = np.linspace(0.0, T, SHOOT_SAMPLES)
     r, rd, th, td = state(ts)
     return GeodesicPath(c, np.column_stack([ts, r, th, rd]), T, sa == 0.0, thetadot=td,
-                        _state_fn=state, _phi=m.phi, _crossings=crossings)
+                        _state_fn=state, _phi=m.phi, _crossings=crossings,
+                        exact_crossings=exact)
 
 
 def _raise_on_cap_exit(sol, R):
@@ -305,21 +309,27 @@ def _solved_crossings(m, sol):
     return sorted(t for t in out if 1e-15 < t < ts[-1] - 1e-15)
 
 
+def pieces_between(cuts):
+    """The pieces (lo, hi) between successive ``cuts`` that :func:`solve_pieces`
+    runs: none shorter than 1e-15, or the whole span if every one is."""
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo >= 1e-15] \
+        or [(cuts[0], cuts[-1])]
+
+
 def solve_pieces(solve, fun, cuts, y0, stage, **settings):
     """DOP853 over [cuts[0], cuts[-1]], restarted at every interior cut.
 
     ``solve`` is the caller's ``solve_ivp`` and ``settings`` its keyword
     arguments, the same for every piece.  Pieces shorter than 1e-15 are
-    skipped, and each other piece gets its own run from the previous piece's
-    final state (Hairer, Norsett and Wanner, *Solving ODEs I*, II.6), so no
-    step straddles a cut.  Returns the pieces' dense outputs joined into one
-    reader.  A run that fails raises :class:`IntegrationError` with
+    skipped (:func:`pieces_between`), and each other piece gets its own run
+    from the previous piece's final state (Hairer, Norsett and Wanner,
+    *Solving ODEs I*, II.6), so no step straddles a cut.  Returns the pieces'
+    dense outputs joined into one reader.  A run that fails raises :class:`IntegrationError` with
     ``solve``'s ``reached``, an arclength of the whole span, since every
     piece runs on its own part of it; its message names the ``stage`` and
     ``reached`` before ``solve``'s.
     """
-    pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo >= 1e-15] \
-        or [(cuts[0], cuts[-1])]
+    pieces = pieces_between(cuts)
     times, interpolants = [[float(pieces[0][0])]], []
     for lo, hi in pieces:
         try:

@@ -341,20 +341,9 @@ class RadialProfile:
         """
         joint = isinstance(order, tuple)
         orders = order if joint else (order,)
-        L = self.reflect_at
-        if L is not None:
-            mirrored = r > L
-            # L - (r - L) instead of 2L - r: r - L is exact for r in [L, 2L]
-            r = np.where(mirrored, L - (r - L), r)
+        r, mirrored, idx = self._locate(r)
         segs = self.segments
-        first = last = 0
-        if len(segs) > 1 and r.size:
-            # the segment holding r is the number of starts <= r; on large
-            # arrays one comparison per start costs less than a searchsorted
-            idx = np.zeros(r.shape, np.min_scalar_type(len(segs)))
-            for start in self._starts:
-                idx += r >= start
-            first, last = int(idx.min()), int(idx.max())
+        first, last = (0, 0) if idx is None else (int(idx.min()), int(idx.max()))
         if first == last:
             # one segment holds every radius: no masks
             outs = [np.full_like(r, v) for v in segs[first]._array_form(orders)(r)]
@@ -364,7 +353,7 @@ class RadialProfile:
                 m = idx == i
                 for out, v in zip(outs, segs[i]._array_form(orders)(r[m])):
                     out[m] = v
-        if L is not None:
+        if mirrored is not None:
             for o, out in zip(orders, outs):
                 if o % 2 == 1:
                     np.negative(out, out=out, where=mirrored)
@@ -375,11 +364,26 @@ class RadialProfile:
         """Start radii of the segments after the first."""
         return np.array([s.lo for s in self.segments[1:]])
 
+    def _locate(self, r):
+        """Radii ``r`` in [0, r_max] folded about L, the mask of those folded and
+        each one's segment index: None without a mirror, one segment or radius."""
+        L, mirrored, idx = self.reflect_at, None, None
+        if L is not None:
+            mirrored = r > L
+            # L - (r - L) instead of 2L - r: r - L is exact for r in [L, 2L]
+            r = np.where(mirrored, L - (r - L), r)
+        if len(self.segments) > 1 and r.size:
+            # the segment holding r is the number of starts <= r; on large
+            # arrays one comparison per start costs less than a searchsorted
+            idx = np.zeros(r.shape, np.min_scalar_type(len(self.segments)))
+            for start in self._starts:
+                idx += r >= start
+        return r, mirrored, idx
+
     def segments_at(self, r):
-        """The segments holding radii ``r``, past L those of their mirror images."""
-        L = self.reflect_at
-        r = r if L is None else np.where(r > L, L - (r - L), r)
-        return [self.segments[i] for i in np.searchsorted(self._starts, r, "right").tolist()]
+        """The segments holding radii ``r`` in [0, r_max], folded about L."""
+        idx = self._locate(r)[2]
+        return [self.segments[i] for i in (idx.tolist() if idx is not None else [0] * r.size)]
 
     def __call__(self, r, order=0):
         """The checked reader: on one radius, the value or derivatives of
@@ -559,8 +563,7 @@ class ManifoldWithDensity:
     the topology and its doubling, phi > 0 on (0, r_max) and at r_max on a cap,
     and a smooth pole where X = 0: phi(0) = 0, phi'(0) = 1, f'(0) = 0, each to
     C2_TOL; then phi and phi' continuous to C2_TOL at each junction (see
-    :func:`check_c2`).  phi'' at the junctions and at 0, and f at the
-    junctions, are not checked.
+    :func:`check_c2`).  phi'' at junctions and at 0, and f, are not checked.
     """
 
     n: int

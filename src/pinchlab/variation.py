@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, SearchError
+from .errors import DomainError, IntegrationError
 from .profiles import CONSTANT, LINEAR, SINE, _model_eps, sorted_unique
 from .curvature import curvature_table, ricci_eigenvalues, sectional_fn
-from .geodesics import _Geometry, solve_ivp, solve_pieces
+from .geodesics import pieces_between, solve_ivp, solve_pieces
 
 QUAD_TOL = 1e-9
 QUAD_N0 = 16              # Simpson intervals of a first pass
@@ -225,9 +225,9 @@ def line_integral(m, path, kind=RICCI, direction="fiber"):
 
 
 def _pieces(length, breakpoints):
-    """The pieces of [0, length] between cuts, as :func:`solve_pieces` runs them."""
-    cuts = sorted({0.0, float(length), *(b for b in breakpoints if 0.0 < b < length)})
-    return [p for p in zip(cuts, cuts[1:]) if p[1] - p[0] >= 1e-15] or [(0.0, float(length))]
+    """The pieces of [0, length] between the ``breakpoints`` inside it."""
+    return pieces_between(sorted({0.0, float(length),
+                                  *(b for b in breakpoints if 0.0 < b < length)}))
 
 
 def _carry(K, psi, dpsi, lo, hi, zeros):
@@ -290,7 +290,6 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(), clas
                                        np.asarray(list(breakpoints), dtype=float)]))
     y, zeros = [0.0, 1.0] * (classes or 1), [[] for _ in range(classes or 1)]
     for closed_form, run in itertools.groupby(zip(pieces, constant), lambda e: e[1] is not None):
-        run = list(run)
         if closed_form:
             for (lo, hi), ks in run:
                 y = [v for c, k in enumerate(ks)
@@ -372,11 +371,8 @@ def _constant_curvatures(m, path, classes):
     middle: 1 on SINE, 0 on LINEAR, 0 and c^2 / A^4 on CONSTANT A, else None;
     all None if the path's crossings, read from its solve, may miss a kink."""
     pieces = _pieces(path.length, path.crossings)
-    if not path.meridian and m.phi.kinks():
-        try:
-            _Geometry(m)            # else kink_crossings gave None
-        except SearchError:
-            return [None] * len(pieces)
+    if not path.exact_crossings:
+        return [None] * len(pieces)
     out, c = [], path.clairaut_c
     for seg in m.phi.segments_at(path.state(np.array([0.5 * (a + b) for a, b in pieces]), 1)[0]):
         ks = ({SINE: (1.0, 1.0), LINEAR: (0.0, 0.0)}.get(seg.kind) if seg.kind != CONSTANT

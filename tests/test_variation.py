@@ -448,6 +448,7 @@ def test_closed_form_pieces_match_an_all_dop853_index(sphere3, gaussian3, monkey
             for _ in range(4)]
         for r0, alpha in launches:
             path = shoot(m, r0, alpha, float(draw.uniform(2.0, 8.0)))
+            assert path.exact_crossings
             got, runs = _index_and_runs(monkeypatch, m, path, closed_form=True)
             want, dop_runs = _index_and_runs(monkeypatch, m, path, closed_form=False)
             assert got.cross_check_agree and want.cross_check_agree
@@ -510,6 +511,7 @@ def test_crossings_read_from_the_solve_keep_every_piece_on_dop853():
         path = shoot(m, *launch)
         assert kink_crossings(m, launch[0], math.cos(launch[1]), path.clairaut_c,
                               launch[2]) is None
+        assert not path.exact_crossings
         assert len(path.crossings) >= 10
         res = geodesic_index(m, path)
         assert res.cross_check_agree
