@@ -184,13 +184,9 @@ def curvature_table(m, r, columns=CSV_COLUMNS):
         raise DomainError(f"unknown curvature column(s): {', '.join(sorted(unknown))}")
     want.add("r")
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if m.f.r_max == m.r_max:
-        # one domain check and clip for both profiles
-        rc = clip_radii(r, m.r_max)
-        phi_at, f_at = partial(m.phi._eval, rc), partial(m.f._eval, rc)
-    else:
-        phi_at, f_at = partial(m.phi.eval, r), partial(m.f.eval, r)
-    out = _columns(m, want, r, phi_at, f_at, np)
+    # one domain check and clip for both profiles, which end together
+    rc = clip_radii(r, m.r_max)
+    out = _columns(m, want, r, partial(m.phi._eval, rc), partial(m.f._eval, rc), np)
     return {k: out[k] for k in CSV_COLUMNS if k in want}
 
 

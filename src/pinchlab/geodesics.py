@@ -294,19 +294,23 @@ def _solved_crossings(m, sol):
     kink of phi, on a profile without a Clairaut primitive, where
     :func:`kink_crossings` gives None.
 
-    The crossings are read from the solve: each kink that the radii at the
-    two ends of an accepted step lie strictly on either side of, refined by
-    Brent's method on that step's dense output.  A step that crosses a kink
-    and comes back is missed.
+    The crossings are read from the solve, kink by kink, by :func:`step_roots`.
     """
+    out = [t for k in m.phi.kinks() for t in step_roots(sol, 0, k)]
+    return sorted(t for t in out if 1e-15 < t < sol.ts[-1] - 1e-15)
+
+
+def step_roots(sol, row, level=0.0):
+    """The arclengths, in order, where component ``row`` of the solve ``sol``
+    crosses ``level``: one for each accepted step whose two ends lie strictly
+    on either side of it, refined by Brent's method (xtol 1e-15) on that
+    step's dense output (Hairer, Norsett and Wanner, *Solving ODEs I*, II.6).
+    A step that crosses the level and comes back is missed."""
     ts = sol.ts
-    r = sol(ts, 1)[0]
-    out = []
-    for k in m.phi.kinks():
-        d = r - k
-        out += [brentq(lambda t: sol(t, 1)[0] - k, float(ts[i]), float(ts[i + 1]), xtol=1e-15)
-                for i in np.nonzero(d[:-1] * d[1:] < 0)[0]]
-    return sorted(t for t in out if 1e-15 < t < ts[-1] - 1e-15)
+    d = sol(ts, row + 1)[row] - level
+    return [brentq(lambda t: sol(t, row + 1)[row] - level, float(ts[i]), float(ts[i + 1]),
+                   xtol=1e-15)
+            for i in np.nonzero(d[:-1] * d[1:] < 0)[0]]
 
 
 def pieces_between(cuts):

@@ -560,10 +560,11 @@ class ManifoldWithDensity:
 
     The one check of a model, built in code or read from JSON alike: the
     constructor raises ConstructionError naming the failed condition of n >= 2,
-    the topology and its doubling, phi > 0 on (0, r_max) and at r_max on a cap,
-    and a smooth pole where X = 0: phi(0) = 0, phi'(0) = 1, f'(0) = 0, each to
-    C2_TOL; then phi and phi' continuous to C2_TOL at each junction (see
-    :func:`check_c2`).  phi'' at junctions and at 0, and f, are not checked.
+    the topology and its doubling, phi and f ending at the same r_max, phi > 0
+    on (0, r_max) and at r_max on a cap, and a smooth pole where X = 0:
+    phi(0) = 0, phi'(0) = 1, f'(0) = 0, each to C2_TOL; then phi and phi'
+    continuous to C2_TOL at each junction (see :func:`check_c2`).  phi'' at
+    junctions and at 0, and f at its junctions, are not checked.
     """
 
     n: int
@@ -578,14 +579,15 @@ class ManifoldWithDensity:
             raise ConstructionError(f"dimension n must be at least 2, got {self.n}")
         if self.topology not in (CAP, DOUBLED_SPHERE):
             raise ConstructionError(f"unknown topology {self.topology!r}")
-        if self.topology == DOUBLED_SPHERE:
-            if self.phi.reflect_at is None or self.f.reflect_at is None:
-                raise ConstructionError("doubled sphere requires reflected profiles")
-            if abs(self.phi.reflect_at - self.f.reflect_at) > 1e-12:
-                raise ConstructionError("phi and f must double at the same point")
-            L = self.phi.reflect_at
-            if abs(self.phi(L, 1)) > C2_TOL or abs(self.f(L, 1)) > C2_TOL:
-                raise ConstructionError("smooth doubling needs vanishing slopes at L")
+        doubled = self.topology == DOUBLED_SPHERE
+        if doubled and None in (self.phi.reflect_at, self.f.reflect_at):
+            raise ConstructionError("doubled sphere requires reflected profiles")
+        if self.phi.r_max != self.f.r_max:
+            raise ConstructionError(f"phi and f must end at the same radius, but phi ends at "
+                                    f"r = {self.phi.r_max!r} and f at r = {self.f.r_max!r}")
+        L = self.phi.reflect_at
+        if doubled and (abs(self.phi(L, 1)) > C2_TOL or abs(self.f(L, 1)) > C2_TOL):
+            raise ConstructionError("smooth doubling needs vanishing slopes at L")
         _check_positive(self.phi)
         phi0, dphi0, _ = self.phi.segments[0]._triple(0.0)   # closed forms, no closure
         for name, v, want in (("phi(0)", phi0, 0.0), ("phi'(0)", dphi0, 1.0),

@@ -27,16 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .profiles import CONSTANT, LINEAR, SINE, _model_eps, sorted_unique
+from .profiles import CONSTANT, LINEAR, SINE, _model_eps
 from .curvature import curvature_table, ricci_eigenvalues, sectional_fn
-from .geodesics import pieces_between, solve_ivp, solve_pieces
+from .geodesics import pieces_between, solve_ivp, solve_pieces, step_roots
 
 QUAD_TOL = 1e-9
 QUAD_N0 = 16              # Simpson intervals of a first pass
 QUAD_MAX_DOUBLINGS = 16
 JACOBI_ZERO_TOL = 1e-8
 JACOBI_RTOL = 1e-11
-JACOBI_GRID = 4096        # cells on which a sign change of psi brackets a zero
 EIGEN_NODES = 1500        # interior nodes of the discretized index form
 
 JACOBI_ZEROS = "JACOBI_ZEROS"
@@ -265,10 +264,11 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(), clas
     constant piece carries the state in closed form, its zeros read from the
     phase (Pruess, SIAM J. Numer. Anal. 10, 1973); each run of None pieces is
     one DOP853 solve restarted at each cut (:func:`solve_pieces`), ``max_step
-    = length / 16``, its zeros bracketed on a grid's cells and bisected.  A
-    zero within ``tol`` of an end is excluded (Morse convention).  A
-    non-finite K, or a step below ten ulp, raises :class:`IntegrationError`
-    with ``reached``, the last arclength accepted, named with the Jacobi stage.
+    = length / 16``, its zeros read off its own steps by :func:`step_roots`.
+    ``tol`` is the Morse end window: a zero within it of either end is
+    excluded.  A non-finite K, or a step below ten ulp, raises
+    :class:`IntegrationError` with ``reached``, the last arclength accepted,
+    named with the Jacobi stage.
     """
     if not (math.isfinite(length) and length > 0):
         raise DomainError("Jacobi length must be finite and positive")
@@ -286,8 +286,6 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(), clas
     pieces = _pieces(length, breakpoints)
     if len(constant := constant or [None] * len(pieces)) != len(pieces):
         raise DomainError(f"{len(constant)} constant entries for {len(pieces)} pieces")
-    ts = sorted_unique(np.concatenate([np.linspace(0.0, length, JACOBI_GRID + 1),
-                                       np.asarray(list(breakpoints), dtype=float)]))
     y, zeros = [0.0, 1.0] * (classes or 1), [[] for _ in range(classes or 1)]
     for closed_form, run in itertools.groupby(zip(pieces, constant), lambda e: e[1] is not None):
         if closed_form:
@@ -299,19 +297,9 @@ def jacobi_conjugate_points(K, length, tol=JACOBI_ZERO_TOL, breakpoints=(), clas
         cuts = [cut for piece, _ in run for cut in piece]
         state = solve_pieces(solve_ivp, rhs, cuts, y, "Jacobi",
                              rtol=JACOBI_RTOL, atol=1e-13, max_step=length / 16.0)
-        grid = ts[(ts >= cuts[0]) & (ts <= cuts[-1])]
-        # read in as many parts as the state has rows, each no bigger than one row
-        rows = np.hstack([state(part) for part in np.array_split(grid, 2 * (classes or 1))])
-        psi, y = rows[::2], rows[:, -1].tolist()
-        for c, n in np.argwhere(psi[:, :-1] * psi[:, 1:] < 0).tolist():
-            a, b = grid[n], grid[n + 1]
-            while b - a > tol * 0.25:
-                mid = 0.5 * (a + b)
-                if state(mid, 2 * c + 1)[2 * c] * psi[c, n] > 0:
-                    a = mid
-                else:
-                    b = mid
-            zeros[c].append(float(0.5 * (a + b)))
+        for c, zs in enumerate(zeros):
+            zs += step_roots(state, 2 * c)
+        y = state(cuts[-1])
     zeros = [[z for z in zs if tol < z < length - tol] for zs in zeros]
     return zeros if classes else zeros[0]
 

@@ -201,7 +201,7 @@ def test_sectional_fn_matches_table(gaussian3, sphere3, family10, family10_sec):
                 assert getattr(s, k).hex() == float(t[k][i]).hex(), (r, k)
 
 
-def test_curvature_sample_domain():
+def test_curvature_sample_domain(monkeypatch):
     m = _json_cap()
     for r in (math.nan, -1e-11, m.r_max + 1e-11):
         with pytest.raises(DomainError, match="outside profile domain"):
@@ -209,18 +209,20 @@ def test_curvature_sample_domain():
         with pytest.raises(DomainError, match="outside profile domain"):
             curvature_table(m, [1.0, r])
     assert curvature_sample(m, -1e-13).phi == 0.0
-    # f defined on a shorter interval than phi: each profile checks its own domain
+    # f defined on a shorter interval than phi is no model: one domain
+    # check and clip serves both profiles
     d = manifold_to_dict(m)
     d["f"]["segments"][-1]["domain"][1] = 2.5
-    m = manifold_from_dict(d)
-    for r in (2.75, 3.0):
-        with pytest.raises(DomainError, match="outside profile domain"):
-            curvature_sample(m, r)
-        with pytest.raises(DomainError, match="outside profile domain"):
-            curvature_table(m, [1.0, r])
+    with pytest.raises(ConstructionError, match=r"phi and f must end at the same radius, "
+                                                r"but phi ends at r = 3\.0 and f at r = 2\.5"):
+        manifold_from_dict(d)
     # columns of phi alone do not read f
+    read, inner = [], RadialProfile._eval
+    monkeypatch.setattr(RadialProfile, "_eval",
+                        lambda prof, *a: read.append(prof) or inner(prof, *a))
     assert curvature_table(m, [2.75], ("sec_rad",))["sec_rad"][0] == curvature_sample(
-        _json_cap(), 2.75).sec_rad
+        m, 2.75).sec_rad
+    assert read and all(prof is m.phi for prof in read)
     # phi = 1 - r vanishes at r = 1, away from the pole, and is -1 at r_max:
     # no model, so curvature never divides by it
     line = SegmentSpec(PARABOLA, 0.0, 2.0, {"c0": 1.0, "c1": -1.0, "c2": 0.0})

@@ -8,9 +8,9 @@ import pytest
 from pinchlab import (ConstructionError, DomainError, RadialProfile,
                       SegmentSpec, build_model, check_c2, doubling_point,
                       manifold_from_dict, manifold_to_dict, solve_smoothing_band)
-from pinchlab.profiles import (BAND_INTEGRAL_TOL, C2_TOL, CAP, CONSTANT, LINEAR, PARABOLA,
-                               PL2_BAND, SINE, ManifoldWithDensity, c2_ok, _pl_integral,
-                               sorted_unique)
+from pinchlab.profiles import (BAND_INTEGRAL_TOL, C2_TOL, CAP, CONSTANT, DOUBLED_SPHERE,
+                               LINEAR, PARABOLA, PL2_BAND, SINE, ManifoldWithDensity, c2_ok,
+                               _pl_integral, sorted_unique)
 
 
 def test_eval_sine_segment():
@@ -487,6 +487,37 @@ def test_a_jump_that_breaks_an_earlier_condition_names_that_one():
             LINEAR_TO_1, {"kind": "CONSTANT", "domain": [1.0, 2.0], "value": 1e-170}))
 
 
+def test_a_doubled_model_needs_reflected_profiles_that_end_together():
+    half = math.pi / 2
+    sine, zero = SegmentSpec(SINE, 0.0, half), SegmentSpec(CONSTANT, 0.0, half, {"value": 0.0})
+    for phi, f in ((RadialProfile((sine,)), RadialProfile((zero,), reflect_at=half)),
+                   (RadialProfile((sine,), reflect_at=half), RadialProfile((zero,)))):
+        with pytest.raises(ConstructionError, match="^doubled sphere requires reflected"):
+            ManifoldWithDensity(3, phi, f, DOUBLED_SPHERE)
+    short = RadialProfile((SegmentSpec(CONSTANT, 0.0, 1.5, {"value": 0.0}),), reflect_at=1.5)
+    with pytest.raises(ConstructionError, match=r"^phi and f must end at the same radius, but "
+                                                r"phi ends at r = 3\.14\d* and f at r = 3\.0$"):
+        ManifoldWithDensity(3, RadialProfile((sine,), reflect_at=half), short, DOUBLED_SPHERE)
+
+
+@pytest.mark.parametrize("f_segments, f_end", [
+    # pinch, curvature and klingenberg exited 2 with "radius outside profile
+    # domain [0, 1.0]", naming no model; geodesic and index exited 0
+    ([{"kind": "PARABOLA", "domain": [0.0, 1.0], "c0": 0.0, "c1": 0.0, "c2": 0.5}], "1.0"),
+    # pinch exited 2 with "radius outside profile domain [0, 2.0]": its grid
+    # took f's band radii past phi's end
+    ([{"kind": "PARABOLA", "domain": [0.0, 2.5], "c0": 0.0, "c1": 0.0, "c2": 0.5},
+      {"kind": "PL2_BAND", "domain": [2.5, 3.0], "left_value": 3.125, "left_slope": 2.5,
+       "nodes": [[0.0, 1.0], [0.5, 1.0]]}], "3.0"),
+], ids=["f_shorter", "f_band_longer"])
+def test_a_cap_needs_phi_and_f_to_end_together(f_segments, f_end):
+    doc = {"n": 3, "topology": "CAP", "phi": {"segments": [
+        {"kind": "LINEAR", "domain": [0.0, 2.0]}]}, "f": {"segments": f_segments}}
+    with pytest.raises(ConstructionError, match=r"^phi and f must end at the same radius, but "
+                                                rf"phi ends at r = 2\.0 and f at r = {f_end}$"):
+        manifold_from_dict(doc)
+
+
 def test_a_profile_needs_a_segment():
     with pytest.raises(ConstructionError, match="at least one segment, got none"):
         RadialProfile(())
@@ -497,7 +528,7 @@ def test_a_profile_needs_a_segment():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_sorted_unique_is_np_unique(seed):
-    # presorted runs with repeats, as the pinch, Jacobi and distance grids are
+    # presorted runs with repeats, as the pinch and distance grids are
     draw = np.random.default_rng(seed)
     runs = [np.sort(draw.choice(np.linspace(-3.0, 3.0, 61), int(draw.integers(1, 200))))
             for _ in range(int(draw.integers(1, 6)))]
